@@ -16,11 +16,10 @@ from .competition import (MarginMatrix, ScoreReport, aggregate_utility, fitness,
                           log_score, margin_matrix, oracle_loss, zero_one_table)
 from .rating import (RatingConfig, learning_rate, rating_step, replication_attenuation,
                      reward_gradient)
-from .evolution import (Agent, EvolutionConfig, Mark, Population, evolve,
-                        extinction_sweep, mutate_prior, reproduce, saturation_cap,
-                        select)
-from .ledger import (LedgerChain, StateEncoding, commit, encode_state, verify_chain,
-                     verify_artifacts)
+from .evolution import (EvolutionConfig, Mark, Population, evolve, extinction_sweep,
+                        mutate_prior, saturation_cap, select)
+from .ledger import (LedgerChain, StateEncoding, commit, encode_quantized, quantize_state,
+                     verify_chain, verify_artifacts)
 from .engine import (AsyncSchedule, MetricsSnapshot, RunResult, Simulation,
                      TaskEnvironment, run, run_async, simulate, sweep)
 from .config import ScenarioConfig, from_dict, load_config

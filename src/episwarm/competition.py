@@ -8,7 +8,6 @@ the aggregate utility.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -57,52 +56,56 @@ class ScoreReport:
     aggregate: np.ndarray
 
 
-def oracle_loss(pred: np.ndarray, truth_label: int, oracle: np.ndarray) -> float:
-    """Expected loss sum_y pred(y) * oracle(y, truth) under the loss table."""
+def oracle_loss(pred: np.ndarray, truth_label: int, oracle: np.ndarray):
+    """Expected loss sum_y pred(y) * oracle(y, truth) of one prediction or of
+    each row of an (N, Y) prediction matrix."""
     pred = np.asarray(pred, dtype=np.float64)
     oracle = np.asarray(oracle, dtype=np.float64)
-    n = len(pred)
+    n = pred.shape[-1]
     if oracle.shape != (n, n):
         raise ShapeMismatch(f"oracle table {oracle.shape} does not match {n} outcomes")
     if not 0 <= truth_label < n:
         raise ShapeMismatch(f"truth label {truth_label} outside [0, {n})")
-    return float(pred @ oracle[:, truth_label])
+    return pred @ oracle[:, truth_label]
 
 
-def log_score(pred: np.ndarray, truth_label: int) -> float:
-    """Negative log mass on the realized truth: -ln pred(truth)."""
+def log_score(pred: np.ndarray, truth_label: int):
+    """Negative log mass on the realized truth, -ln pred(truth), of one
+    prediction or of each prediction row."""
     pred = np.asarray(pred, dtype=np.float64)
-    if not 0 <= truth_label < len(pred):
-        raise ShapeMismatch(f"truth label {truth_label} outside [0, {len(pred)})")
-    mass = float(pred[truth_label])
-    if mass <= 0.0:
+    if not 0 <= truth_label < pred.shape[-1]:
+        raise ShapeMismatch(f"truth label {truth_label} outside [0, {pred.shape[-1]})")
+    mass = pred[..., truth_label]
+    if np.any(mass <= 0.0):
         raise ZeroMassOnTruth("prediction assigns zero mass to the true outcome")
-    return -math.log(mass)
+    return -np.log(mass)
 
 
-def fitness(loss: float) -> float:
-    """Map a nonnegative loss into (0, 1] via 1 / (1 + loss)."""
-    if loss < 0 or not math.isfinite(loss):
-        raise ShapeMismatch(f"loss must be finite and >= 0, got {loss!r}")
-    return 1.0 / (1.0 + loss)
+def fitness(loss):
+    """Map each nonnegative loss into (0, 1] via 1 / (1 + loss)."""
+    loss = np.asarray(loss, dtype=np.float64)
+    if np.any(loss < 0) or not np.all(np.isfinite(loss)):
+        raise ShapeMismatch("loss must be finite and >= 0")
+    return (1.0 / (1.0 + loss))[()]
+
+
+def margin_entries(log_scores: np.ndarray) -> np.ndarray:
+    """Pairwise margins M(i, j) = ln(pred_i(truth) / pred_j(truth)) from the
+    agents' log scores.
+
+    Built as an outer difference, which is exactly skew-symmetric in floating
+    point.
+    """
+    s = -np.asarray(log_scores, dtype=np.float64)
+    entries = s[:, None] - s[None, :]
+    np.fill_diagonal(entries, 0.0)
+    return entries
 
 
 def margin_matrix(preds: Sequence[np.ndarray], truth_label: int) -> MarginMatrix:
-    """Pairwise margins M(i, j) = ln(pred_i(truth) / pred_j(truth)).
-
-    Built as an outer difference of log scores, which is exactly
-    skew-symmetric in floating point.
-    """
-    n = len(preds)
-    s = np.empty(n)
-    for i, p in enumerate(preds):
-        mass = float(np.asarray(p)[truth_label])
-        if mass <= 0.0:
-            raise ZeroMassOnTruth(f"agent {i} assigns zero mass to the true outcome")
-        s[i] = math.log(mass)
-    entries = s[:, None] - s[None, :]
-    np.fill_diagonal(entries, 0.0)
-    return MarginMatrix(n=n, entries=entries)
+    """Margin matrix of a list of predictions; see ``margin_entries``."""
+    entries = margin_entries(log_score(np.stack(preds), truth_label))
+    return MarginMatrix(n=len(entries), entries=entries)
 
 
 def aggregate_utility(m: MarginMatrix) -> np.ndarray:

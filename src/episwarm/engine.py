@@ -7,9 +7,10 @@ under the cap, extinguish), (6) ledger commits for every agent present at end
 of step, (7) metrics snapshot. Everything is deterministic given the config
 seed; all randomness flows through named substreams.
 
-The per-step math runs batched over the population belief matrix; it computes
-the same update as the per-belief operations in ``inference``/``competition``
-(covered by an equivalence test), just without per-agent call overhead.
+Each phase calls its module's operation once over the population arrays: the
+rows of the (N, K) belief matrix, or the ratings and strengths of the agents
+active at the step. Only the random draws run per agent, from each agent's
+own substream.
 
 Asynchronous mode freezes both belief and rating updates for agents whose
 update schedule skips the step; skipped observations are dropped, never
@@ -20,36 +21,35 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .competition import MarginMatrix, ScoreReport, aggregate_utility
+from .competition import (MarginMatrix, ScoreReport, aggregate_utility, fitness, log_score,
+                          margin_entries, oracle_loss)
 from .config import (ScenarioConfig, build_model, build_oracle, build_spaces,
                      resolve_param, set_param)
-from .errors import (PopulationCollapse, ScheduleViolation, ShapeMismatch,
-                     SupportViolation, ZeroMassOnTruth)
+from .errors import PopulationCollapse, ScheduleViolation, ShapeMismatch
 from .evolution import (IdAllocator, Population, build_smoothing_matrix, evolve,
                         update_decay_markers)
-from .ledger import (BELIEF_QUANTUM, RATING_QUANTUM, STRENGTH_MAX, STRENGTH_QUANTUM,
-                     LedgerChain, commit, encode_quantized)
+from .inference import information_gain, posterior_rows, strength_update
+from .ledger import STRENGTH_MAX, LedgerChain, commit, encode_quantized, quantize_state
 from .likelihood import (CATEGORICAL, DISCRETIZED_GAUSSIAN, LikelihoodModel,
-                         Observation)
-from .rating import learning_rate, rating_step, reward_gradient
+                         Observation, predictive_distribution)
+from .rating import rating_step, reward_gradient
 from .rng import (DOMAIN_MUTATION, DOMAIN_PRIOR, DOMAIN_RATING, DOMAIN_SCHEDULE,
                   DOMAIN_TASK, substream)
-from .spaces import SUM_TOL, Belief, tv_distance_vectors
+from .spaces import Belief, entropy_rows, tv_distance_vectors
 
 ZERO_SUM_TOL = 1e-9
 
 
-def _row_entropies(matrix: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = matrix * np.log(matrix)
-    return -np.where(matrix > 0.0, terms, 0.0).sum(axis=1)
+def _sequential_sum(x: np.ndarray) -> float:
+    # One term at a time, left to right, like a running total; np.sum adds
+    # pairwise, and its last-digit differences would reach metrics.jsonl.
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
 @dataclass
@@ -240,7 +240,7 @@ class Simulation:
                                                   schedule.bound)
                 self._active_sets[aid] = frozenset(steps)
 
-        self._prev_mean_entropy = float(_row_entropies(self.population.belief_matrix).mean())
+        self._prev_mean_entropy = float(entropy_rows(self.population.belief_matrix).mean())
 
     # -- helpers ---------------------------------------------------------
 
@@ -279,30 +279,6 @@ class Simulation:
                          if t in self._active_sets[int(self.population.ids[i])]],
                         dtype=np.int64)
 
-    def _batched_posterior(self, beliefs: np.ndarray, like: np.ndarray) -> np.ndarray:
-        """Row-wise (entropy-regularized) posterior; mirrors the per-belief ops."""
-        beta = self.inference_cfg.beta
-        if beta == 0.0:
-            weights = beliefs * like[None, :]
-        else:
-            if beta > 1.0 and np.any(beliefs <= 0.0):
-                raise SupportViolation("entropy tilt with beta > 1 requires full support")
-            with np.errstate(divide="ignore"):
-                logp = np.log(beliefs)
-            logw = np.log(like)[None, :] - beta * math.log(beliefs.shape[1])
-            coef = 1.0 - beta
-            if coef != 0.0:
-                logw = logw + coef * logp
-            else:
-                logw = np.broadcast_to(logw, beliefs.shape).copy()
-            logw -= logw.max(axis=1, keepdims=True)
-            weights = np.exp(logw)
-        out = weights / weights.sum(axis=1, keepdims=True)
-        if (np.any(out < 0.0) or not np.all(np.isfinite(out))
-                or float(np.abs(out.sum(axis=1) - 1.0).max()) > SUM_TOL):
-            raise ShapeMismatch("batched posterior produced an invalid belief row")
-        return out
-
     # -- one step --------------------------------------------------------
 
     def step(self, t: int) -> Tuple[MetricsSnapshot, StepInfo, List[dict], Optional[ScoreReport]]:
@@ -315,63 +291,47 @@ class Simulation:
         active = self._active_indices(t)
 
         report = None
-        grads = np.zeros(len(pop))
+        delta_sum = residue_signed = residue_abs = 0.0
         if obs is not None and len(active) > 0:
-            beliefs_a = pop.belief_matrix[active]
-            mix = beliefs_a @ self.model.outcome_matrix(obs)
-            preds = mix / mix.sum(axis=1, keepdims=True)
-            truth_col = preds[:, obs.truth_label]
-            if np.any(truth_col <= 0.0):
-                raise ZeroMassOnTruth(f"zero predictive mass on truth at step {t}")
-            losses = preds @ self.oracle[:, obs.truth_label]
-            scores = -np.log(truth_col)
-            fits = 1.0 / (1.0 + losses)
-            entries = (-scores)[:, None] - (-scores)[None, :]
-            np.fill_diagonal(entries, 0.0)
-            margins = MarginMatrix(n=len(active), entries=entries)
+            prior_rows = pop.belief_matrix[active]
+            preds = predictive_distribution(self.model, prior_rows, obs)
+            losses = oracle_loss(preds, obs.truth_label, self.oracle)
+            scores = log_score(preds, obs.truth_label)
+            margins = MarginMatrix(n=len(active), entries=margin_entries(scores))
             agg = aggregate_utility(margins)
             if abs(float(agg.sum())) > ZERO_SUM_TOL:
                 raise ShapeMismatch(f"aggregate utility violates zero-sum at step {t}")
             report = ScoreReport(step=t, agent_ids=pop.ids[active].copy(), losses=losses,
-                                 fitness=fits, log_scores=scores, margins=margins,
+                                 fitness=fitness(losses), log_scores=scores, margins=margins,
                                  aggregate=agg)
+
+            # rating updates; each agent draws its noise from its own stream
             scale = max(1.0, float(np.abs(agg).max()))
-            for k, i in enumerate(active):
-                grads[i] = reward_gradient(float(agg[k]), scale, self.rating_cfg.shape_scale)
+            grads = reward_gradient(agg, scale, self.rating_cfg.shape_scale)
+            sigma = self.rating_cfg.sigma
+            noise = (np.array([self._rating_rng(int(aid)).normal(0.0, sigma)
+                               for aid in pop.ids[active]]) if sigma > 0
+                     else np.zeros(len(active)))
+            old = pop.ratings[active]
+            new, raw = rating_step(old, grads, t, self.rating_cfg, noise)
+            delta_sum = _sequential_sum(raw - old)
+            residue_signed = _sequential_sum(new - raw)
+            residue_abs = _sequential_sum(np.abs(new - raw))
+            pop.ratings[active] = new
 
-        # rating updates for active agents
-        sigma = self.rating_cfg.sigma
-        lr = learning_rate(t, self.rating_cfg)
-        delta_sum = 0.0
-        residue_signed = 0.0
-        residue_abs = 0.0
-        if obs is not None:
-            for i in active:
-                aid = int(pop.ids[i])
-                noise = float(self._rating_rng(aid).normal(0.0, sigma)) if sigma > 0 else 0.0
-                r = float(pop.ratings[i])
-                raw = r + lr * grads[i] + noise
-                new = rating_step(r, float(grads[i]), t, self.rating_cfg, noise)
-                delta_sum += raw - r
-                residue_signed += new - raw
-                residue_abs += abs(new - raw)
-                pop.ratings[i] = new
-
-            # belief + strength updates for active agents
-            if len(active) > 0:
-                prior_rows = pop.belief_matrix[active]
-                post_rows = self._batched_posterior(prior_rows, self.model.likelihood_vector(obs))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    terms = post_rows * np.log(post_rows / prior_rows)
-                gains = np.maximum(np.where(post_rows > 0.0, terms, 0.0).sum(axis=1), 0.0)
-                weights = 1.0 + gains
-                ratio = np.minimum(self.inference_cfg.alpha_strength * weights,
-                                   self.inference_cfg.gain_cap)
-                # saturate at the ledger-encodable maximum so state and audit
-                # encoding stay identical
-                pop.strengths[active] = np.minimum(pop.strengths[active] * ratio,
-                                                   STRENGTH_MAX)
-                pop.belief_matrix[active] = post_rows
+            # belief + strength updates. The weight 1 + gain is formed here, not
+            # by confidence_weight: the beta = 1 tilt gives mass to hypotheses a
+            # sparse prior lacks, and that infinite gain must take the cap.
+            post_rows = posterior_rows(prior_rows, self.model.likelihood_vector(obs),
+                                       self.inference_cfg.beta)
+            gains = information_gain(prior_rows, post_rows)
+            # saturate at the ledger-encodable maximum so state and audit
+            # encoding stay identical
+            pop.strengths[active] = np.minimum(
+                strength_update(pop.strengths[active], 1.0 + gains,
+                                self.inference_cfg.alpha_strength, self.inference_cfg.gain_cap),
+                STRENGTH_MAX)
+            pop.belief_matrix[active] = post_rows
 
         # evolution
         update_decay_markers(pop, t, self.evolution_cfg)
@@ -392,34 +352,20 @@ class Simulation:
 
     def _commit_all(self, t: int) -> List[dict]:
         """Ledger commits for every agent present at end of step t."""
-        pop = self.population
-        belief_q = np.rint(pop.belief_matrix / BELIEF_QUANTUM).astype(np.int64)
-        rating_q = np.rint(pop.ratings / RATING_QUANTUM).astype(np.int64)
-        strength_q = np.rint(pop.strengths / STRENGTH_QUANTUM).astype(np.int64)
-        rows = []
-        for i in range(len(pop)):
-            row = {
-                "agent_id": int(pop.ids[i]),
-                "step": t,
-                "belief_q": belief_q[i].tolist(),
-                "rating_q": int(rating_q[i]),
-                "strength_q": int(strength_q[i]),
-                "parent_id": int(pop.parent_ids[i]),
-                "birth_step": int(pop.birth_steps[i]),
-            }
+        rows = quantize_state(self.population, t)
+        for row in rows:
             enc = encode_quantized(row["agent_id"], t, row["belief_q"], row["rating_q"],
                                    row["strength_q"], row["parent_id"], row["birth_step"])
             chain = self.chains.get(row["agent_id"])
             if chain is None:
                 chain = self.chains[row["agent_id"]] = LedgerChain(row["agent_id"])
             commit(chain, enc, t)
-            rows.append(row)
         return rows
 
     def _snapshot(self, t: int, active: np.ndarray, result, abs_residue: float) -> MetricsSnapshot:
         pop = self.population
         marginal = pop.belief_matrix.mean(axis=0)
-        mean_ent = float(_row_entropies(pop.belief_matrix).mean())
+        mean_ent = float(entropy_rows(pop.belief_matrix).mean())
         h_star = self.config.task.true_hypothesis
         mass = float(pop.ratings.sum())
         if h_star is None or mass <= 0.0:
@@ -479,6 +425,9 @@ def simulate(config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None,
             })
         if on_step is not None:
             on_step(sim, snap, info)
+        # the step's report holds an N x N margin matrix; drop it before the
+        # next step builds another, so finished steps add nothing to the peak
+        del info, report
     if not metrics and collapsed_at is not None:
         raise PopulationCollapse(step=collapsed_at)
     return RunResult(config=config, metrics=metrics, score_rows=score_rows,

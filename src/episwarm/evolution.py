@@ -2,10 +2,9 @@
 mutation, grace-windowed extinction, and saturation capping.
 
 The population is stored as parallel arrays (beliefs as an (N, K) matrix) so
-that split-heavy scenarios scale; ``Agent`` is the per-agent view used by the
-ledger and by tests. An agent is removed only after its rating has stayed at
-or below the extinction threshold for ``grace`` consecutive steps; a single
-recovery above the threshold resets the streak.
+that split-heavy scenarios scale. An agent is removed only after its rating
+has stayed at or below the extinction threshold for ``grace`` consecutive
+steps; a single recovery above the threshold resets the streak.
 
 Boundary sentinels: ``tau_rep == 1.0`` disables reproduction and
 ``tau_ext == 0.0`` disables extinction. Ratings are clamped onto [0, 1], so
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -70,20 +69,6 @@ class EvolutionConfig:
     @property
     def extinction_enabled(self) -> bool:
         return self.tau_ext > 0.0
-
-
-@dataclass(frozen=True)
-class Agent:
-    """Immutable per-agent view: identity, belief, rating, strength, lifecycle."""
-
-    id: int
-    parent_id: Optional[int]
-    birth_step: int
-    belief: Belief
-    rating: float
-    strength: float
-    decay_since: Optional[int] = None
-    ledger_head: Optional[bytes] = None
 
 
 class IdAllocator:
@@ -152,25 +137,6 @@ class Population:
     def rating_mass(self) -> float:
         return float(self.ratings.sum())
 
-    def belief(self, i: int) -> Belief:
-        return Belief(self.space, self.belief_matrix[i])
-
-    def agent(self, i: int) -> Agent:
-        pid = int(self.parent_ids[i])
-        ds = int(self.decay_since[i])
-        return Agent(
-            id=int(self.ids[i]),
-            parent_id=None if pid < 0 else pid,
-            birth_step=int(self.birth_steps[i]),
-            belief=self.belief(i),
-            rating=float(self.ratings[i]),
-            strength=float(self.strengths[i]),
-            decay_since=None if ds < 0 else ds,
-        )
-
-    def agents(self) -> Iterator[Agent]:
-        return (self.agent(i) for i in range(len(self)))
-
     def keep(self, mask: np.ndarray) -> "Population":
         mask = np.asarray(mask, dtype=bool)
         if mask.all():
@@ -199,25 +165,26 @@ def build_smoothing_matrix(space: HypothesisSpace, sigma_mut: float) -> np.ndarr
     return w / w.sum(axis=1, keepdims=True)
 
 
-def mutate_prior(b: Belief, sigma_mut: float, noise: Optional[np.ndarray], kind: str,
-                 smoothing: Optional[np.ndarray] = None) -> Belief:
-    """Perturb an inherited prior.
+def mutate_prior(rows: np.ndarray, sigma_mut: float, noise: Optional[np.ndarray], kind: str,
+                 smoothing: Optional[np.ndarray] = None) -> np.ndarray:
+    """Perturb inherited prior rows, one per child.
 
-    exp-tilt: out propto b(h) * exp(sigma_mut * noise[h]) with unit-normal noise.
-    kernel-convolution: out = b @ smoothing with a row-stochastic kernel matrix.
-    sigma_mut = 0 returns the belief unchanged for both kinds.
+    exp-tilt: row propto row(h) * exp(sigma_mut * noise[h]) with one row of
+    unit-normal noise per child.
+    kernel-convolution: row = normalize(row @ smoothing) with a row-stochastic
+    kernel matrix.
+    sigma_mut = 0 returns the rows unchanged for both kinds.
     """
     if sigma_mut == 0.0:
-        return b
+        return rows
     if kind == EXP_TILT:
-        if noise is None or len(noise) != b.k:
-            raise ShapeMismatch("exp-tilt mutation needs one unit-normal draw per hypothesis")
-        tilt = np.exp(sigma_mut * np.asarray(noise, dtype=np.float64))
-        return Belief(b.space, normalize_vector(b.probs * tilt))
+        if noise is None or np.shape(noise) != np.shape(rows):
+            raise ShapeMismatch("exp-tilt mutation needs one unit-normal draw per row entry")
+        return normalize_vector(rows * np.exp(sigma_mut * np.asarray(noise, dtype=np.float64)))
     if kind == KERNEL_CONVOLUTION:
         if smoothing is None:
             raise ShapeMismatch("kernel-convolution mutation needs a smoothing matrix")
-        return Belief(b.space, normalize_vector(b.probs @ smoothing))
+        return normalize_vector(rows @ smoothing)
     raise ShapeMismatch(f"unknown mutation kind {kind!r}")
 
 
@@ -261,29 +228,6 @@ def saturation_cap(pop: Population, pending_idx: np.ndarray,
         return pending_idx[:0]
     order = np.lexsort((pop.ids[pending_idx], -pop.ratings[pending_idx]))
     return pending_idx[np.sort(order[:room])]
-
-
-def reproduce(parent: Agent, cfg: EvolutionConfig, noise1, noise2,
-              child_ids: tuple, birth_step: int,
-              smoothing: Optional[np.ndarray] = None) -> tuple:
-    """Split one parent into two children with independently mutated priors.
-
-    Children inherit the parent's strength, get rating lam * R_parent, fresh
-    ids, and empty ledger chains; the parent is replaced by its children.
-    """
-    r_child = replication_attenuation(parent.rating, cfg.lam)
-    children = []
-    for cid, noise in zip(child_ids, (noise1, noise2)):
-        children.append(Agent(
-            id=int(cid),
-            parent_id=parent.id,
-            birth_step=birth_step,
-            belief=mutate_prior(parent.belief, cfg.sigma_mut, noise, cfg.mutation_kind,
-                                smoothing=smoothing),
-            rating=r_child,
-            strength=parent.strength,
-        ))
-    return children[0], children[1]
 
 
 def extinction_sweep(pop: Population, t: int, cfg: EvolutionConfig) -> tuple:
@@ -335,20 +279,18 @@ def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
         split_parent_ids = pop.ids[admitted].copy()
 
         child_ids = ids.take(2 * len(admitted))
-        child_ratings = np.repeat(cfg.lam * pop.ratings[admitted], 2)
+        child_ratings = np.repeat(replication_attenuation(pop.ratings[admitted], cfg.lam), 2)
         child_strengths = np.repeat(pop.strengths[admitted], 2)
         child_parents = np.repeat(pop.ids[admitted], 2)
         child_births = np.full(2 * len(admitted), t, dtype=np.int64)
-        child_beliefs = np.repeat(pop.belief_matrix[admitted], 2, axis=0)
-        if cfg.sigma_mut > 0.0:
-            if cfg.mutation_kind == EXP_TILT and child_noise is None:
+        noise = None
+        if cfg.sigma_mut > 0.0 and cfg.mutation_kind == EXP_TILT:
+            if child_noise is None:
                 raise ShapeMismatch("exp-tilt mutation needs a child_noise source")
-            for j in range(child_beliefs.shape[0]):
-                parent_belief = Belief(pop.space, child_beliefs[j])
-                noise = (child_noise(int(child_ids[j]))
-                         if cfg.mutation_kind == EXP_TILT else None)
-                child_beliefs[j] = mutate_prior(parent_belief, cfg.sigma_mut, noise,
-                                                cfg.mutation_kind, smoothing=smoothing).probs
+            noise = np.stack([child_noise(int(cid)) for cid in child_ids])
+        child_beliefs = mutate_prior(np.repeat(pop.belief_matrix[admitted], 2, axis=0),
+                                     cfg.sigma_mut, noise, cfg.mutation_kind,
+                                     smoothing=smoothing)
 
         child_decay = np.full(2 * len(admitted), -1, dtype=np.int64)
         if len(admitted) == len(pop):

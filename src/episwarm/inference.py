@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, ShapeMismatch, SupportViolation
 from .likelihood import LikelihoodModel, Observation
-from .spaces import Belief, kl_divergence, normalize_vector
+from .spaces import SUM_TOL, Belief, kl_rows, normalize_vector
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,41 @@ class InferenceConfig:
             raise ShapeMismatch("gain_cap must be positive")
 
 
+def posterior_rows(priors: np.ndarray, like: np.ndarray, beta: float) -> np.ndarray:
+    """Entropy-regularized posterior of each (N, K) prior row under one
+    likelihood vector; beta = 0 is exactly Bayes.
+
+    At beta = 1 the prior drops out, so hypotheses without prior mass regain
+    mass from the likelihood alone.
+    """
+    if beta < 0:
+        raise ShapeMismatch("beta must be >= 0")
+    if beta == 0.0:
+        weights = priors * like[None, :]
+    else:
+        if beta > 1.0 and np.any(priors <= 0.0):
+            # prior(h)**(1 - beta) diverges on empty support for beta > 1
+            raise SupportViolation("entropy tilt with beta > 1 requires full support")
+        with np.errstate(divide="ignore"):
+            logp = np.log(priors)
+        logw = np.log(like)[None, :] - beta * math.log(priors.shape[1])
+        coef = 1.0 - beta
+        if coef != 0.0:
+            logw = logw + coef * logp
+        else:
+            logw = np.broadcast_to(logw, priors.shape).copy()
+        logw -= logw.max(axis=1, keepdims=True)
+        weights = np.exp(logw)
+    out = normalize_vector(weights)
+    if (np.any(out < 0.0) or not np.all(np.isfinite(out))
+            or float(np.abs(out.sum(axis=1) - 1.0).max()) > SUM_TOL):
+        raise ShapeMismatch("posterior produced an invalid belief row")
+    return out
+
+
 def posterior_update(prior: Belief, model: LikelihoodModel, obs: Observation) -> Belief:
     """Bayes: out(h) = prior(h) L(obs|h) / sum_h' prior(h') L(obs|h')."""
-    like = model.likelihood_vector(obs)
-    return Belief(prior.space, normalize_vector(prior.probs * like))
+    return entropy_regularized_update(prior, model, obs, 0.0)
 
 
 def sequential_update(prior: Belief, model: LikelihoodModel,
@@ -64,40 +95,33 @@ def sequential_update(prior: Belief, model: LikelihoodModel,
 
 def entropy_regularized_update(prior: Belief, model: LikelihoodModel, obs: Observation,
                                beta: float) -> Belief:
-    """Uniform-reference tilted posterior; beta = 0 is exactly posterior_update."""
-    if beta < 0:
-        raise ShapeMismatch("beta must be >= 0")
-    if beta == 0.0:
-        return posterior_update(prior, model, obs)
-    like = model.likelihood_vector(obs)
-    p = prior.probs
-    if beta > 1.0 and np.any(p <= 0.0):
-        # prior(h)**(1 - beta) diverges on empty support for beta > 1
-        raise SupportViolation("entropy tilt with beta > 1 requires a full-support prior")
-    log_k = math.log(prior.k)
-    with np.errstate(divide="ignore"):
-        logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
-    logw = np.log(like) + (1.0 - beta) * logp - beta * log_k
-    logw -= logw.max()
-    return Belief(prior.space, normalize_vector(np.exp(logw)))
+    """Uniform-reference tilted posterior of one belief; see ``posterior_rows``."""
+    rows = posterior_rows(prior.probs[None], model.likelihood_vector(obs), beta)
+    return Belief(prior.space, rows[0])
 
 
-def information_gain(prior: Belief, posterior: Belief) -> float:
-    """KL(posterior || prior): the epistemic update magnitude, >= 0."""
-    return kl_divergence(posterior, prior)
+def information_gain(prior: np.ndarray, posterior: np.ndarray) -> np.ndarray:
+    """KL(posterior || prior) of each row: the epistemic update magnitude, >= 0.
+
+    +inf where the posterior has mass the prior lacks, which the beta = 1
+    tilt allows.
+    """
+    return kl_rows(posterior, prior)
 
 
-def confidence_weight(gain: float) -> float:
+def confidence_weight(gain):
     """Canonical confidence map f(gain) = 1 + gain; f(0) = 1, strictly increasing."""
-    if not math.isfinite(gain):
-        raise NonFiniteInput(f"gain must be finite, got {gain!r}")
-    if gain < 0:
+    gain = np.asarray(gain, dtype=np.float64)
+    if not np.all(np.isfinite(gain)):
+        raise NonFiniteInput("gain must be finite")
+    if np.any(gain < 0):
         raise NonFiniteInput("gain must be nonnegative")
-    return 1.0 + gain
+    return (1.0 + gain)[()]
 
 
-def strength_update(strength: float, weight: float, alpha_strength: float,
-                    gain_cap: float = 10.0) -> float:
-    """Multiplicative strength step alpha * weight, with per-step ratio capped."""
-    ratio = min(alpha_strength * weight, gain_cap)
-    return strength * ratio
+def strength_update(strength, weight, alpha_strength: float, gain_cap: float = 10.0):
+    """Multiplicative strength step alpha * weight, with per-step ratio capped.
+
+    An infinite weight (from an infinite information gain) takes the cap.
+    """
+    return strength * np.minimum(alpha_strength * np.asarray(weight), gain_cap)

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LengthMismatch, NonMonotonicStep, ShapeMismatch
-from .evolution import Agent
+from .evolution import Population
 
 VERSION_PREFIX = b"\x00\x01"
 BELIEF_QUANTUM = 1e-9
@@ -55,18 +55,6 @@ class LedgerChain:
         return self.entries[-1][1] if self.entries else None
 
 
-def quantize_belief(probs: np.ndarray) -> List[int]:
-    return [int(q) for q in np.rint(np.asarray(probs, dtype=np.float64) / BELIEF_QUANTUM)]
-
-
-def quantize_rating(rating: float) -> int:
-    return int(round(rating / RATING_QUANTUM))
-
-
-def quantize_strength(strength: float) -> int:
-    return int(round(min(strength, STRENGTH_MAX) / STRENGTH_QUANTUM))
-
-
 def encode_quantized(agent_id: int, step: int, belief_q: Sequence[int], rating_q: int,
                      strength_q: int, parent_id: int, birth_step: int) -> StateEncoding:
     """Encode already-quantized integer fields; the replay path used by verification."""
@@ -74,24 +62,18 @@ def encode_quantized(agent_id: int, step: int, belief_q: Sequence[int], rating_q
     return StateEncoding(VERSION_PREFIX + struct.pack(f"<{len(ints)}q", *ints))
 
 
-def quantize_state(agent: Agent, step: int) -> dict:
-    """Quantized integer fields of an agent state, as written to the state log."""
-    return {
-        "agent_id": agent.id,
-        "step": step,
-        "belief_q": quantize_belief(agent.belief.probs),
-        "rating_q": quantize_rating(agent.rating),
-        "strength_q": quantize_strength(agent.strength),
-        "parent_id": -1 if agent.parent_id is None else agent.parent_id,
-        "birth_step": agent.birth_step,
-    }
-
-
-def encode_state(agent: Agent, step: int) -> StateEncoding:
-    """Canonical encoding of an agent state; injective over quantized states."""
-    q = quantize_state(agent, step)
-    return encode_quantized(q["agent_id"], q["step"], q["belief_q"], q["rating_q"],
-                            q["strength_q"], q["parent_id"], q["birth_step"])
+def quantize_state(pop: Population, step: int) -> List[dict]:
+    """Quantized integer fields of every agent state at one step, one state-log
+    row per agent in population order. Strengths saturate at STRENGTH_MAX."""
+    belief_q = np.rint(pop.belief_matrix / BELIEF_QUANTUM).astype(np.int64)
+    rating_q = np.rint(pop.ratings / RATING_QUANTUM).astype(np.int64)
+    strength_q = np.rint(np.minimum(pop.strengths, STRENGTH_MAX)
+                         / STRENGTH_QUANTUM).astype(np.int64)
+    return [{"agent_id": a, "step": step, "belief_q": b, "rating_q": r, "strength_q": s,
+             "parent_id": p, "birth_step": bs}
+            for a, b, r, s, p, bs in zip(pop.ids.tolist(), belief_q.tolist(), rating_q.tolist(),
+                                         strength_q.tolist(), pop.parent_ids.tolist(),
+                                         pop.birth_steps.tolist())]
 
 
 def _digest(encoding: StateEncoding, prev: Optional[bytes]) -> bytes:

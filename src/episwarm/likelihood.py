@@ -197,10 +197,14 @@ def likelihood(model: LikelihoodModel, obs: Observation, h: int) -> float:
     return float(model.likelihood_vector(obs)[h])
 
 
-def predictive_distribution(model: LikelihoodModel, b: Belief, obs: Observation) -> np.ndarray:
-    """Mixture p(y) = sum_h b(h) P(y | h), normalized over the outcome space."""
-    if b.k != model.space.size:
+def predictive_distribution(model: LikelihoodModel, beliefs, obs: Observation) -> np.ndarray:
+    """Mixture p(y) = sum_h b(h) P(y | h), normalized over the outcome space.
+
+    ``beliefs`` is one Belief, giving one distribution, or an (N, K) matrix of
+    belief rows, giving one distribution per row.
+    """
+    rows = beliefs.probs if isinstance(beliefs, Belief) else np.asarray(beliefs)
+    if rows.shape[-1] != model.space.size:
         raise ShapeMismatch("belief and model are defined on different hypothesis spaces")
     model.validate_observation(obs)
-    mix = b.probs @ model.outcome_matrix(obs)
-    return normalize_vector(mix)
+    return normalize_vector(rows @ model.outcome_matrix(obs))

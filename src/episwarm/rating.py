@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ShapeMismatch
 
 HARMONIC = "harmonic"
@@ -49,24 +51,30 @@ def learning_rate(t: int, cfg: RatingConfig) -> float:
     return cfg.alpha
 
 
-def reward_gradient(utility: float, population_scale: float, shape_scale: float = 1.0) -> float:
-    """Bounded shaped reward tanh(shape_scale * utility / population_scale)."""
+def reward_gradient(utility, population_scale: float, shape_scale: float = 1.0):
+    """Bounded shaped reward tanh(shape_scale * utility / population_scale) of
+    each utility."""
     if population_scale <= 0:
         raise ShapeMismatch("population_scale must be positive")
-    return math.tanh(shape_scale * utility / population_scale)
+    x = shape_scale * np.asarray(utility, dtype=np.float64) / population_scale
+    # math.tanh per element: np.tanh rounds differently on some inputs, and the
+    # gradients reach every seeded trajectory.
+    return np.fromiter(map(math.tanh, x.ravel()), np.float64, x.size).reshape(x.shape)[()]
 
 
-def rating_step(r: float, grad: float, t: int, cfg: RatingConfig, noise_draw: float) -> float:
-    """One Markov rating transition, projected onto [0, 1].
+def rating_step(r, grad, t: int, cfg: RatingConfig, noise_draw):
+    """One Markov rating transition of each rating, projected onto [0, 1].
 
-    The caller supplies ``noise_draw`` sampled N(0, sigma^2) from its own
-    seeded stream, keeping this update pure.
+    Returns ``(projected, raw)``: raw = r + learning_rate(t) * grad +
+    noise_draw before the projection, which mass accounting needs. The caller
+    supplies ``noise_draw`` sampled N(0, sigma^2) from its own seeded stream,
+    keeping this update pure.
     """
-    raw = r + learning_rate(t, cfg) * grad + noise_draw
-    return min(max(raw, 0.0), 1.0)
+    raw = np.asarray(r, dtype=np.float64) + learning_rate(t, cfg) * np.asarray(grad) + noise_draw
+    return np.minimum(np.maximum(raw, 0.0), 1.0), raw
 
 
-def replication_attenuation(r: float, lam: float) -> float:
+def replication_attenuation(r, lam: float):
     """Child rating lam * r on split; stays in [0, 1] without clamping."""
     if not 0 < lam < 1:
         raise ShapeMismatch("attenuation factor must lie in (0, 1)")

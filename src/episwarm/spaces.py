@@ -14,7 +14,6 @@ import numpy as np
 from .errors import AllZeroWeights, NonFiniteWeight, ShapeMismatch, SupportViolation
 
 SUM_TOL = 1e-9    # tolerance on probability sums
-EQ_TOL = 1e-12    # tolerance on entrywise equality checks
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -126,14 +125,15 @@ def _check_same_space(p: Belief, q: Belief):
 
 
 def normalize_vector(weights: np.ndarray) -> np.ndarray:
-    """Normalize a nonnegative weight vector to sum one (raw-array form)."""
+    """Normalize nonnegative weights to sum one along the last axis, so each
+    row of an (N, K) matrix is normalized on its own (raw-array form)."""
     w = np.asarray(weights, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise NonFiniteWeight("weights contain NaN or infinity")
     if np.any(w < 0):
         raise NonFiniteWeight("weights must be nonnegative")
-    total = w.sum()
-    if total <= 0.0:
+    total = w.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise AllZeroWeights("cannot normalize an all-zero weight vector")
     return w / total
 
@@ -143,28 +143,35 @@ def normalize(weights: Sequence[float], space: HypothesisSpace) -> Belief:
     return Belief(space, normalize_vector(np.asarray(weights, dtype=np.float64)))
 
 
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats of each row, with 0*ln(0) taken as 0. Lies in [0, ln K]."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log(p)
+    return -np.where(p > 0.0, terms, 0.0).sum(axis=-1)
+
+
 def entropy(b: Belief) -> float:
-    """Shannon entropy in nats, with 0*ln(0) taken as 0. Lies in [0, ln K]."""
-    p = b.probs
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    """Shannon entropy of one belief; see ``entropy_rows``."""
+    return float(entropy_rows(b.probs))
 
 
-def entropy_vector(p: np.ndarray) -> float:
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p_i || q_i) in nats for each pair of rows, with 0*ln(0/q) taken as 0.
+
+    A row where q has no mass and p has some gives +inf. The tiny negative
+    residue of float cancellation when p ~ q is clipped to 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log(p / q)
+    return np.maximum(np.where(p > 0.0, terms, 0.0).sum(axis=-1), 0.0)
 
 
 def kl_divergence(p: Belief, q: Belief) -> float:
     """KL(p || q) in nats. Requires q > 0 wherever p > 0."""
     _check_same_space(p, q)
-    pa, qa = p.probs, q.probs
-    mask = pa > 0.0
-    if np.any(qa[mask] <= 0.0):
+    if np.any(q.probs[p.probs > 0.0] <= 0.0):
         raise SupportViolation("q has zero mass where p is positive")
-    val = float((pa[mask] * np.log(pa[mask] / qa[mask])).sum())
-    # Clip the tiny negative residue produced by float cancellation when p ~ q.
-    return max(val, 0.0)
+    return float(kl_rows(p.probs, q.probs))
 
 
 def tv_distance(p: Belief, q: Belief) -> float:

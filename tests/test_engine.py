@@ -1,18 +1,19 @@
 import dataclasses
-import json
+import hashlib
+import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import small_config
-from episwarm.competition import aggregate_utility, fitness, log_score, margin_matrix, oracle_loss
+from episwarm.config import from_dict
 from episwarm.engine import (AsyncSchedule, Simulation, default_schedule,
-                             generate_update_steps, run_async, simulate, sweep)
+                             generate_update_steps, run, run_async, simulate, sweep,
+                             write_artifacts)
 from episwarm.errors import ConfigError, PopulationCollapse, ScheduleViolation
-from episwarm.inference import (confidence_weight, entropy_regularized_update,
-                                information_gain, strength_update)
-from episwarm.likelihood import predictive_distribution
-from episwarm.spaces import Belief
+from episwarm.ledger import verify_artifacts
+from episwarm.rng import DOMAIN_RATING, substream
 
 
 class TestDeterminism:
@@ -70,49 +71,77 @@ class TestStepInvariants:
 
 
 class TestEngineMatchesModuleOps:
-    """The batched per-step math must agree with the per-belief module ops."""
+    """The engine's step against a brute force written out here in plain
+    Python: loops over hypotheses and outcomes, math.log and math.tanh."""
 
     @pytest.mark.parametrize("beta", [0.0, 0.7])
     def test_belief_scores_and_strengths(self, beta):
-        cfg = small_config(inference={"beta": beta},
-                           rating={"sigma": 0.0},
+        cfg = small_config(inference={"beta": beta, "alpha_strength": 0.9, "gain_cap": 1.1},
+                           rating={"sigma": 0.05},
                            evolution={"tau_rep": 1.0, "tau_ext": 0.0},
                            run={"horizon": 5})
         sim = Simulation(cfg)
-        icfg = sim.inference_cfg
+        probe = Simulation(cfg)  # same task stream: peeks each step's observation
+        table = sim.model.rows.tolist()  # P(y | h)
+        oracle = sim.oracle.tolist()
+        k, n_out = len(table), len(table[0])
+        icfg, rcfg = sim.inference_cfg, sim.rating_cfg
+        noise_rngs = {}
+        clamped = 0.0
+        capped = []
         for t in range(cfg.run.horizon):
             pop = sim.population
-            priors = [Belief(sim.space, row) for row in pop.belief_matrix]
-            strengths = pop.strengths.copy()
-            obs_probe = Simulation(cfg)  # fresh env to peek the same observation
-            # replicate the task stream up to step t
-            for tt in range(t):
-                obs_probe.env.emit(tt, obs_probe.task_rng)
-            obs = obs_probe.env.emit(t, obs_probe.task_rng)
+            ids = pop.ids.tolist()
+            priors = pop.belief_matrix.tolist()
+            ratings = pop.ratings.tolist()
+            strengths = pop.strengths.tolist()
+            obs = probe.env.emit(t, probe.task_rng)
+            y = obs.truth_label
 
             snap, info, rows, report = sim.step(t)
 
-            # losses / scores / fitness / margins / aggregate against module ops
-            expected_preds = [predictive_distribution(sim.model, b, obs) for b in priors]
-            exp_losses = [oracle_loss(p, obs.truth_label, sim.oracle) for p in expected_preds]
-            exp_scores = [log_score(p, obs.truth_label) for p in expected_preds]
-            exp_margins = margin_matrix(expected_preds, obs.truth_label)
-            assert np.allclose(report.losses, exp_losses, atol=1e-12)
-            assert np.allclose(report.log_scores, exp_scores, atol=1e-12)
-            assert np.allclose(report.fitness, [fitness(l) for l in exp_losses], atol=1e-12)
-            assert np.allclose(report.margins.entries, exp_margins.entries, atol=1e-12)
-            assert np.allclose(report.aggregate, aggregate_utility(exp_margins), atol=1e-12)
+            # scores: predictive mixture, expected loss, log score, margins
+            preds = []
+            for b in priors:
+                mix = [sum(b[h] * table[h][o] for h in range(k)) for o in range(n_out)]
+                preds.append([m / sum(mix) for m in mix])
+            losses = [sum(p[o] * oracle[o][y] for o in range(n_out)) for p in preds]
+            margins = [[math.log(p[y]) - math.log(q[y]) for q in preds] for p in preds]
+            agg = [sum(row) for row in margins]
+            assert np.allclose(report.losses, losses, atol=1e-12)
+            assert np.allclose(report.log_scores, [-math.log(p[y]) for p in preds], atol=1e-12)
+            assert np.allclose(report.fitness, [1.0 / (1.0 + x) for x in losses], atol=1e-12)
+            assert np.allclose(report.margins.entries, margins, atol=1e-12)
+            assert np.allclose(report.aggregate, agg, atol=1e-12)
 
-            # posterior + strength updates against module ops
+            # ratings: tanh gradient, harmonic step, each agent's own noise
+            # stream, projection onto [0, 1] and the clamp residue
+            scale = max(1.0, max(abs(u) for u in agg))
+            residue = 0.0
+            for i, aid in enumerate(ids):
+                rng = noise_rngs.setdefault(aid, substream(cfg.run.seed, DOMAIN_RATING, aid))
+                grad = math.tanh(rcfg.shape_scale * agg[i] / scale)
+                raw = ratings[i] + grad / (t + 1) + rng.normal(0.0, rcfg.sigma)
+                new = min(max(raw, 0.0), 1.0)
+                residue += abs(new - raw)
+                assert sim.population.ratings[i] == pytest.approx(new, abs=1e-12)
+            assert snap.clamp_residue == pytest.approx(residue, abs=1e-12)
+            clamped += residue
+
+            # tilted posterior, information gain and strength
+            like = [table[h][obs.datum] for h in range(k)]
             for i, prior in enumerate(priors):
-                expected_post = entropy_regularized_update(prior, sim.model, obs, beta)
-                assert np.allclose(sim.population.belief_matrix[i], expected_post.probs,
-                                   atol=1e-12)
-                gain = information_gain(prior, expected_post)
-                expected_strength = strength_update(strengths[i], confidence_weight(gain),
-                                                    icfg.alpha_strength, icfg.gain_cap)
-                assert sim.population.strengths[i] == pytest.approx(expected_strength,
+                w = [prior[h] * like[h] * ((1.0 / k) / prior[h]) ** beta for h in range(k)]
+                post = [x / sum(w) for x in w]
+                assert np.allclose(sim.population.belief_matrix[i], post, atol=1e-12)
+                gain = sum(q * math.log(q / p) for q, p in zip(post, prior) if q > 0)
+                ratio = min(icfg.alpha_strength * (1.0 + gain), icfg.gain_cap)
+                capped.append(ratio == icfg.gain_cap)
+                assert sim.population.strengths[i] == pytest.approx(strengths[i] * ratio,
                                                                     rel=1e-12)
+        # both sides of the projection and of the strength cap were exercised
+        assert clamped > 0.0
+        assert any(capped) and not all(capped)
 
 
 class TestRegimes:
@@ -174,8 +203,6 @@ class TestGoldenRun:
     }
 
     def test_rng_free_run_matches_golden_digests(self):
-        from episwarm.config import from_dict
-
         cfg = from_dict({
             "space": {"hypotheses": 3},
             "outcomes": 3,
@@ -195,6 +222,41 @@ class TestGoldenRun:
         assert res.metrics[-1].rating_mass == 2.0
 
 
+class TestArtifactDigests:
+    """Byte-level guard: SHA-256 of all five artifacts of a short seeded run of
+    the default scenario in which spawns, deaths, rating noise, clamping and
+    mutation all occur.
+
+    Floats are written as shortest round-trip text, so any change in how a
+    value is computed (summation order, ``np.tanh`` for ``math.tanh``) shows
+    here, while the RNG-free chain heads above and the determinism check C11
+    (two runs of the same code) would not see it. A change that alters seeded
+    trajectories on purpose regenerates these: run the scenario below through
+    ``simulate`` and ``write_artifacts``, paste the new ``sha256`` of each
+    file, and record old and new digests in CHANGES.md.
+    """
+
+    DIGESTS = {
+        "ledger.tsv": "d3921c41c95b26debade160d6257372ccc81b50aae7d5c30ec76332087c084ce",
+        "metrics.jsonl": "100938cef25e0b46087f11ee38e998d945e641040463cfd2e9a1ab1e3cb7d0d6",
+        "scores.jsonl": "70884228005079e044083ca100f8214d9467c4366512cb7062c0b4cbcf465f3d",
+        "statelog.jsonl": "e64a0236d3fe8cfc1594c736ef647999d6e35789b3c4595a232234b07a098f14",
+        "summary.csv": "b0839e7e488425aed8842b10f0be18547feae2fd01411fdd44d9bb53d6fa27e7",
+    }
+
+    def test_default_scenario_artifacts(self, tmp_path):
+        cfg = from_dict({"run": {"horizon": 40, "seed": 0}})
+        assert cfg.rating.sigma > 0 and cfg.evolution.sigma_mut > 0
+        res = simulate(cfg)
+        assert sum(m.spawns for m in res.metrics) > 0
+        assert sum(m.deaths for m in res.metrics) > 0
+        assert max(m.clamp_residue for m in res.metrics) > 0
+        paths = write_artifacts(res, str(tmp_path))
+        digests = {os.path.basename(path): hashlib.sha256(open(path, "rb").read()).hexdigest()
+                   for path in paths.values()}
+        assert digests == self.DIGESTS
+
+
 class TestLedgerIntegration:
     def test_every_chain_replays_clean(self, small_cfg):
         from episwarm.ledger import encode_quantized, verify_chain
@@ -209,6 +271,14 @@ class TestLedgerIntegration:
         assert set(replay) == set(res.chains)
         for agent_id, chain in res.chains.items():
             assert verify_chain(chain, replay[agent_id]) is None
+
+    def test_kernel_convolution_run_verifies(self, tmp_path):
+        cfg = small_config(space={"embedding": [[0.0], [1.0], [2.0], [3.0], [4.0]]},
+                           evolution={"mutation_kind": "kernel-convolution", "sigma_mut": 0.8},
+                           run={"horizon": 40, "out_dir": str(tmp_path)})
+        res = run(cfg)
+        assert sum(m.spawns for m in res.metrics) > 0
+        assert verify_artifacts(tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl") == []
 
     def test_chain_steps_cover_agent_lifetime(self, small_cfg):
         res = simulate(small_cfg)

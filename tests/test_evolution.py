@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from episwarm.errors import PopulationCollapse, ShapeMismatch
-from episwarm.evolution import (EXP_TILT, KERNEL_CONVOLUTION, Agent, EvolutionConfig,
-                                IdAllocator, Mark, Population, build_smoothing_matrix,
-                                evolve, extinction_sweep, mutate_prior, reproduce,
-                                saturation_cap, select, update_decay_markers)
-from episwarm.spaces import Belief, HypothesisSpace
+from episwarm.evolution import (EXP_TILT, KERNEL_CONVOLUTION, EvolutionConfig, IdAllocator,
+                                Mark, Population, build_smoothing_matrix, evolve,
+                                extinction_sweep, mutate_prior, saturation_cap, select,
+                                update_decay_markers)
+from episwarm.spaces import HypothesisSpace
 
 SP2 = HypothesisSpace.indexed(2)
 
@@ -57,33 +57,32 @@ class TestSelect:
 
 class TestMutatePrior:
     def test_zero_scale_identity(self):
-        b = Belief(SP2, np.array([0.3, 0.7]))
-        assert mutate_prior(b, 0.0, None, EXP_TILT) is b
+        rows = np.array([[0.3, 0.7]])
+        assert mutate_prior(rows, 0.0, None, EXP_TILT) is rows
 
     def test_exp_tilt_closed_form(self):
-        b = Belief.uniform(SP2)
-        out = mutate_prior(b, 1.0, np.array([math.log(2), 0.0]), EXP_TILT)
-        assert np.allclose(out.probs, [2 / 3, 1 / 3], atol=1e-12)
+        out = mutate_prior(np.array([[0.5, 0.5]]), 1.0, np.array([[math.log(2), 0.0]]), EXP_TILT)
+        assert np.allclose(out, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_identity_smoothing(self):
-        b = Belief(SP2, np.array([0.3, 0.7]))
-        out = mutate_prior(b, 0.5, None, KERNEL_CONVOLUTION, smoothing=np.eye(2))
-        assert np.allclose(out.probs, b.probs, atol=0)
+        rows = np.array([[0.3, 0.7]])
+        out = mutate_prior(rows, 0.5, None, KERNEL_CONVOLUTION, smoothing=np.eye(2))
+        assert np.allclose(out, rows, atol=0)
 
     def test_convolution_preserves_simplex_and_support(self):
         sp = HypothesisSpace.indexed(4, embedding=np.arange(4.0)[:, None])
         w = build_smoothing_matrix(sp, 0.8)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
-        b = Belief(sp, np.array([0.7, 0.3, 0.0, 0.0]))
-        out = mutate_prior(b, 0.8, None, KERNEL_CONVOLUTION, smoothing=w)
-        assert abs(out.probs.sum() - 1.0) < 1e-9
-        assert np.all(out.probs > 0.0)
+        out = mutate_prior(np.array([[0.7, 0.3, 0.0, 0.0]]), 0.8, None, KERNEL_CONVOLUTION,
+                           smoothing=w)
+        assert abs(out.sum() - 1.0) < 1e-9
+        assert np.all(out > 0.0)
 
     def test_full_support_preserved_by_tilt(self):
         rng = np.random.default_rng(0)
-        b = Belief(SP2, np.array([0.999999, 0.000001]))
-        out = mutate_prior(b, 2.0, rng.standard_normal(2), EXP_TILT)
-        assert np.all(out.probs > 0.0)
+        out = mutate_prior(np.array([[0.999999, 0.000001]]), 2.0, rng.standard_normal((1, 2)),
+                           EXP_TILT)
+        assert np.all(out > 0.0)
 
     def test_missing_embedding_rejected(self):
         with pytest.raises(ShapeMismatch):
@@ -91,34 +90,66 @@ class TestMutatePrior:
 
 
 class TestReproduce:
-    def parent(self, rating=0.9):
-        return Agent(id=3, parent_id=None, birth_step=0,
-                     belief=Belief(SP2, np.array([0.6, 0.4])), rating=rating, strength=2.0)
+    """A split parent is replaced by two children built by ``evolve``."""
+
+    def split(self, cfg, rating=0.9, child_noise=None, smoothing=None, space=SP2,
+              belief=(0.6, 0.4)):
+        # four agents, ids 0-3; only the parent, id 3, crosses tau_rep
+        pop = make_population([0.5, 0.5, 0.5, rating], space=space)
+        pop.belief_matrix[3] = belief
+        pop.strengths[3] = 2.0
+        res = evolve(pop, 4, cfg, IdAllocator(start=10), child_noise=child_noise,
+                     smoothing=smoothing)
+        children = res.population.parent_ids == 3
+        assert res.spawn_count == 2 and children.sum() == 2
+        return res.population, children
 
     def test_attenuated_ratings(self):
-        c1, c2 = reproduce(self.parent(0.9), CFG, None, None, (10, 11), birth_step=4)
-        assert c1.rating == pytest.approx(0.405)
-        assert c2.rating == pytest.approx(0.405)
+        pop, children = self.split(CFG, rating=0.9)
+        assert pop.ratings[children] == pytest.approx([0.405, 0.405])
 
     def test_zero_mutation_copies_belief(self):
-        c1, c2 = reproduce(self.parent(), CFG, None, None, (10, 11), birth_step=4)
-        assert np.array_equal(c1.belief.probs, self.parent().belief.probs)
-        assert np.array_equal(c2.belief.probs, self.parent().belief.probs)
+        pop, children = self.split(CFG)
+        assert np.array_equal(pop.belief_matrix[children], [[0.6, 0.4], [0.6, 0.4]])
 
     def test_lineage_fields(self):
-        c1, c2 = reproduce(self.parent(), CFG, None, None, (10, 11), birth_step=4)
-        assert (c1.id, c2.id) == (10, 11)
-        assert c1.parent_id == c2.parent_id == 3
-        assert c1.birth_step == 4
-        assert c1.strength == 2.0
-        assert c1.decay_since is None
+        pop, children = self.split(CFG)
+        assert pop.ids[children].tolist() == [10, 11]
+        assert 3 not in pop.ids.tolist()
+        assert pop.birth_steps[children].tolist() == [4, 4]
+        assert pop.strengths[children].tolist() == [2.0, 2.0]
+        assert pop.decay_since[children].tolist() == [-1, -1]
 
     def test_independent_mutations(self):
         cfg = EvolutionConfig(tau_rep=0.8, tau_ext=0.1, lam=0.45, sigma_mut=0.5)
-        rng = np.random.default_rng(5)
-        c1, c2 = reproduce(self.parent(), cfg, rng.standard_normal(2),
-                           rng.standard_normal(2), (10, 11), birth_step=1)
-        assert not np.array_equal(c1.belief.probs, c2.belief.probs)
+        noise = {10: np.array([0.3, -1.2]), 11: np.array([-0.7, 0.9])}
+        pop, children = self.split(cfg, child_noise=noise.__getitem__)
+        rows = pop.belief_matrix[children]
+        assert not np.array_equal(rows[0], rows[1])
+        for cid, row in zip((10, 11), rows):
+            tilted = [p * math.exp(0.5 * z) for p, z in zip((0.6, 0.4), noise[cid])]
+            assert row.tolist() == pytest.approx([w / sum(tilted) for w in tilted], abs=1e-12)
+
+    def test_kernel_convolution_children(self):
+        sp = HypothesisSpace.indexed(4, embedding=np.arange(4.0)[:, None])
+        w = build_smoothing_matrix(sp, 0.8)
+        cfg = EvolutionConfig(tau_rep=0.8, tau_ext=0.1, lam=0.45, sigma_mut=0.8,
+                              mutation_kind=KERNEL_CONVOLUTION)
+        parent = [0.7, 0.3, 0.0, 0.0]
+        pop, children = self.split(cfg, smoothing=w, space=sp, belief=parent)
+        mixed = [sum(parent[h] * w[h, g] for h in range(4)) for g in range(4)]
+        expected = [m / sum(mixed) for m in mixed]
+        for row in pop.belief_matrix[children]:
+            assert row.tolist() == pytest.approx(expected, abs=1e-12)
+        assert pop.ids[children].tolist() == [10, 11]
+        assert pop.birth_steps[children].tolist() == [4, 4]
+        assert pop.ratings[children] == pytest.approx([0.405, 0.405])
+
+    def test_kernel_convolution_needs_smoothing(self):
+        cfg = EvolutionConfig(tau_rep=0.8, tau_ext=0.1, lam=0.45, sigma_mut=0.8,
+                              mutation_kind=KERNEL_CONVOLUTION)
+        with pytest.raises(ShapeMismatch):
+            self.split(cfg)
 
 
 class TestExtinctionSweep:

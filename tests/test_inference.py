@@ -155,28 +155,37 @@ class TestEntropyRegularized:
                      for beta in (0.0, 0.5, 1.0, 2.0)]
         assert all(b >= a - 1e-12 for a, b in zip(entropies, entropies[1:]))
 
+    def test_beta_one_restores_zero_mass_hypotheses(self):
+        # At beta = 1 the prior drops out: out = normalize(L(obs | h)), also
+        # where the prior has no mass (0 * ln 0 must not poison the weights).
+        sp3 = HypothesisSpace.indexed(3)
+        model = CategoricalTable.peaked(sp3, OutcomeSpace.indexed(3), 0.7)
+        out = entropy_regularized_update(Belief(sp3, np.array([1.0, 0.0, 0.0])), model,
+                                         Observation(0, 0), beta=1.0)
+        assert np.allclose(out.probs, [0.7, 0.15, 0.15], atol=1e-12)
+
 
 class TestInformationGain:
     def test_no_change_zero_gain(self):
         b = Belief(SP2, np.array([0.4, 0.6]))
-        assert information_gain(b, b) == 0.0
+        assert information_gain(b.probs, b.probs) == 0.0
 
     def test_summation_oracle_near_point_mass(self):
         prior = Belief.uniform(SP2)
         post = Belief(SP2, np.array([1 - 1e-9, 1e-9]))
-        assert information_gain(prior, post) == pytest.approx(math.log(2), abs=1e-7)
+        assert information_gain(prior.probs, post.probs) == pytest.approx(math.log(2), abs=1e-7)
 
     def test_positive_for_informative_update(self):
         model = table([[0.9, 0.1], [0.1, 0.9]])
         prior = Belief(SP2, np.array([0.35, 0.65]))
         post = posterior_update(prior, model, Observation(0, 0))
-        assert information_gain(prior, post) > 0.0
+        assert information_gain(prior.probs, post.probs) > 0.0
 
     def test_zero_iff_constant_likelihood(self):
         model = table([[0.5, 0.5], [0.5, 0.5]])
         prior = Belief(SP2, np.array([0.35, 0.65]))
         post = posterior_update(prior, model, Observation(0, 0))
-        assert information_gain(prior, post) < 1e-12
+        assert information_gain(prior.probs, post.probs) < 1e-12
 
 
 class TestConfidenceAndStrength:

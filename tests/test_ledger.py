@@ -1,19 +1,31 @@
+import json
+
 import numpy as np
 import pytest
 
 from episwarm.errors import LengthMismatch, NonMonotonicStep
-from episwarm.evolution import Agent
-from episwarm.ledger import (LedgerChain, commit, encode_quantized, encode_state,
+from episwarm.evolution import Population
+from episwarm.ledger import (STRENGTH_MAX, LedgerChain, commit, encode_quantized,
                              quantize_state, verify_chain, verify_artifacts,
                              write_ledger, write_state_log)
-from episwarm.spaces import Belief, HypothesisSpace
+from episwarm.spaces import HypothesisSpace
 
 SP2 = HypothesisSpace.indexed(2)
 
 
-def agent(aid=0, rating=0.5, strength=1.0, probs=(0.25, 0.75), parent=None, birth=0):
-    return Agent(id=aid, parent_id=parent, birth_step=birth,
-                 belief=Belief(SP2, np.array(probs)), rating=rating, strength=strength)
+def agent(aid=0, rating=0.5, strength=1.0, probs=(0.25, 0.75), parent=-1, birth=0):
+    """One-agent population."""
+    pop = Population.create(SP2, np.array([probs]), r0=rating, strength0=strength,
+                            ids=np.array([aid]), birth_step=birth)
+    pop.parent_ids[0] = parent
+    return pop
+
+
+def encode_state(pop, step):
+    """Encoding of the first agent at ``step``, as the engine commits it."""
+    row = quantize_state(pop, step)[0]
+    return encode_quantized(row["agent_id"], row["step"], row["belief_q"], row["rating_q"],
+                            row["strength_q"], row["parent_id"], row["birth_step"])
 
 
 class TestEncoding:
@@ -37,10 +49,26 @@ class TestEncoding:
         assert len(enc.data) == 2 + 8 * 8
 
     def test_parent_none_encoded_as_minus_one(self):
-        q = quantize_state(agent(parent=None), 0)
+        q = quantize_state(agent(), 0)[0]
         assert q["parent_id"] == -1
-        q2 = quantize_state(agent(parent=7), 0)
+        q2 = quantize_state(agent(parent=7), 0)[0]
         assert q2["parent_id"] == 7
+
+    def test_population_rows(self):
+        pop = Population.create(SP2, np.array([[0.25, 0.75], [1.0, 0.0]]), r0=0.5,
+                                ids=np.array([4, 9]), birth_step=2)
+        pop.ratings[1] = 0.1234567
+        pop.strengths[1] = 1e12  # beyond the encodable range: saturates
+        rows = quantize_state(pop, 3)
+        assert rows == [
+            {"agent_id": 4, "step": 3, "belief_q": [250_000_000, 750_000_000],
+             "rating_q": 500_000, "strength_q": 1_000_000_000, "parent_id": -1,
+             "birth_step": 2},
+            {"agent_id": 9, "step": 3, "belief_q": [1_000_000_000, 0],
+             "rating_q": 123_457, "strength_q": round(STRENGTH_MAX / 1e-9), "parent_id": -1,
+             "birth_step": 2},
+        ]
+        json.dumps(rows)  # plain ints only: numpy integers are not JSON-serializable
 
     def test_injectivity_fuzz(self):
         # 1e5 distinct random quantized states: no encoding or digest collisions
@@ -134,7 +162,7 @@ class TestArtifacts:
             chain = LedgerChain(aid)
             for t in range(steps):
                 a = agent(aid=aid, rating=0.4 + 0.1 * aid + 0.001 * t)
-                q = quantize_state(a, t)
+                q = quantize_state(a, t)[0]
                 enc = encode_quantized(q["agent_id"], q["step"], q["belief_q"],
                                        q["rating_q"], q["strength_q"], q["parent_id"],
                                        q["birth_step"])

@@ -59,31 +59,33 @@ class TestRatingStep:
         self.cfg = RatingConfig(schedule="constant", alpha=0.1, sigma=0.0)
 
     def test_fixed_point(self):
-        assert rating_step(0.5, 0.0, 3, self.cfg, 0.0) == 0.5
+        assert rating_step(0.5, 0.0, 3, self.cfg, 0.0)[0] == 0.5
 
     def test_projection_clamps_high(self):
         cfg = RatingConfig(schedule="harmonic")
-        assert rating_step(0.5, 1.0, 0, cfg, 0.0) == 1.0
+        assert rating_step(0.5, 1.0, 0, cfg, 0.0)[0] == 1.0
 
     def test_arithmetic(self):
-        assert rating_step(0.5, 0.4, 7, self.cfg, 0.0) == pytest.approx(0.54)
+        assert rating_step(0.5, 0.4, 7, self.cfg, 0.0)[0] == pytest.approx(0.54)
 
     def test_projection_clamps_low(self):
-        assert rating_step(0.02, -1.0, 0, self.cfg, -0.5) == 0.0
+        new, raw = rating_step(0.02, -1.0, 0, self.cfg, -0.5)
+        assert new == 0.0
+        assert raw == pytest.approx(0.02 - 0.1 - 0.5)  # before projection
 
     def test_boundedness_fuzz(self):
         rng = np.random.default_rng(1)
         cfg = RatingConfig(schedule="constant", alpha=1.0, sigma=0.0)
         r = 0.5
         for t in range(500):
-            r = rating_step(r, float(rng.uniform(-1, 1)), t, cfg, float(rng.normal(0, 0.5)))
+            r, _ = rating_step(r, float(rng.uniform(-1, 1)), t, cfg, float(rng.normal(0, 0.5)))
             assert 0.0 <= r <= 1.0
 
     def test_monotone_in_gradient(self):
         # sigma = 0, equal starting ratings: larger gradient -> larger next rating
         for t in (0, 3, 10):
-            hi = rating_step(0.5, 0.8, t, self.cfg, 0.0)
-            lo = rating_step(0.5, 0.3, t, self.cfg, 0.0)
+            hi, _ = rating_step(0.5, 0.8, t, self.cfg, 0.0)
+            lo, _ = rating_step(0.5, 0.3, t, self.cfg, 0.0)
             assert hi > lo
 
     def test_deterministic_trajectories(self):
@@ -93,7 +95,7 @@ class TestRatingStep:
             r = 0.5
             out = []
             for t in range(50):
-                r = rating_step(r, 0.2, t, cfg, float(rng.normal(0, cfg.sigma)))
+                r, _ = rating_step(r, 0.2, t, cfg, float(rng.normal(0, cfg.sigma)))
                 out.append(r)
             return out
 
