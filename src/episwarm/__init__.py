@@ -23,5 +23,6 @@ from .ledger import (LedgerChain, StateEncoding, commit, encode_quantized, quant
 from .engine import (AsyncSchedule, MetricsSnapshot, RunResult, Simulation,
                      TaskEnvironment, run, run_async, simulate, sweep)
 from .config import ScenarioConfig, from_dict, load_config
+from .errors import EpiswarmError, InvariantViolation
 
 __version__ = "0.1.0"

@@ -5,8 +5,9 @@ Subcommands:
   verify <ledger> <statelog>            replay a state log against a ledger
   sweep <config> --param P --values V   run a 1-D parameter grid
 
-Exit codes: 0 success, 1 config/parse error, 2 population collapse,
-3 tamper detected.
+Exit codes: 0 success, 1 config/parse error or a run error (any other
+package error raised during a run, reported with the step it was raised
+at), 2 population collapse, 3 tamper detected.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ def cmd_run(args) -> int:
     except PopulationCollapse as exc:
         print(f"population collapse at step {exc.step}", file=sys.stderr)
         return EXIT_COLLAPSE
+    except EpiswarmError as exc:
+        where = "outside a step" if exc.step is None else f"at step {exc.step}"
+        print(f"run error {where}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     s = result.summary()
     wtm = s["final_weighted_truth_mass"]
     wtm_text = "n/a" if wtm is None else f"{wtm:.6f}"

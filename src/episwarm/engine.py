@@ -27,11 +27,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .competition import (MarginMatrix, ScoreReport, aggregate_utility, fitness, log_score,
-                          margin_entries, oracle_loss)
+# MarginMatrix stays bound though unused: bench/tracing.py wraps it here.
+from .competition import (MarginMatrix, ScoreReport, aggregate_utility,  # noqa: F401
+                          fitness, log_score, oracle_loss, zero_sum_tolerance)
 from .config import (ScenarioConfig, build_model, build_oracle, build_spaces,
                      resolve_param, set_param)
-from .errors import PopulationCollapse, ScheduleViolation, ShapeMismatch
+from .errors import (EpiswarmError, InvariantViolation, PopulationCollapse, ScheduleViolation,
+                     ShapeMismatch)
 from .evolution import (IdAllocator, Population, build_smoothing_matrix, evolve,
                         update_decay_markers)
 from .inference import information_gain, posterior_rows, strength_update
@@ -42,8 +44,6 @@ from .rating import rating_step, reward_gradient
 from .rng import (DOMAIN_MUTATION, DOMAIN_PRIOR, DOMAIN_RATING, DOMAIN_SCHEDULE,
                   DOMAIN_TASK, substream)
 from .spaces import Belief, entropy_rows, tv_distance_vectors
-
-ZERO_SUM_TOL = 1e-9
 
 
 def _sequential_sum(x: np.ndarray) -> float:
@@ -297,13 +297,11 @@ class Simulation:
             preds = predictive_distribution(self.model, prior_rows, obs)
             losses = oracle_loss(preds, obs.truth_label, self.oracle)
             scores = log_score(preds, obs.truth_label)
-            margins = MarginMatrix(n=len(active), entries=margin_entries(scores))
-            agg = aggregate_utility(margins)
-            if abs(float(agg.sum())) > ZERO_SUM_TOL:
-                raise ShapeMismatch(f"aggregate utility violates zero-sum at step {t}")
+            agg = aggregate_utility(scores)
+            if abs(float(agg.sum())) > zero_sum_tolerance(scores):
+                raise InvariantViolation(f"aggregate utility violates zero-sum at step {t}")
             report = ScoreReport(step=t, agent_ids=pop.ids[active].copy(), losses=losses,
-                                 fitness=fitness(losses), log_scores=scores, margins=margins,
-                                 aggregate=agg)
+                                 fitness=fitness(losses), log_scores=scores, aggregate=agg)
 
             # rating updates; each agent draws its noise from its own stream
             scale = max(1.0, float(np.abs(agg).max()))
@@ -412,6 +410,9 @@ def simulate(config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None,
         except PopulationCollapse as exc:
             collapsed_at = exc.step
             break
+        except EpiswarmError as exc:
+            exc.step = t
+            raise
         metrics.append(snap)
         statelog.extend(rows)
         if report is not None:
@@ -425,8 +426,9 @@ def simulate(config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None,
             })
         if on_step is not None:
             on_step(sim, snap, info)
-        # the step's report holds an N x N margin matrix; drop it before the
-        # next step builds another, so finished steps add nothing to the peak
+        # drop the step's info and report before the next step allocates, so
+        # a finished step's score arrays add nothing to the peak (a report
+        # builds its margin matrix only when read)
         del info, report
     if not metrics and collapsed_at is not None:
         raise PopulationCollapse(step=collapsed_at)

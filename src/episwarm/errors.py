@@ -2,7 +2,13 @@
 
 
 class EpiswarmError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``step`` is the simulation step at which the error was raised, set by
+    ``engine.simulate``; None when it arose outside a step.
+    """
+
+    step = None
 
 
 class AllZeroWeights(EpiswarmError):
@@ -23,6 +29,11 @@ class SupportViolation(EpiswarmError):
 
 class ShapeMismatch(EpiswarmError):
     """Raised when vector/matrix dimensions are inconsistent."""
+
+
+class InvariantViolation(EpiswarmError):
+    """Raised when a runtime guard finds computed state breaking an invariant
+    of the model (zero-sum aggregate utility, a valid posterior row)."""
 
 
 class IncompatibleObservation(EpiswarmError):

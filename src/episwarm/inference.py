@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFiniteInput, ShapeMismatch, SupportViolation
+from .errors import InvariantViolation, NonFiniteInput, ShapeMismatch, SupportViolation
 from .likelihood import LikelihoodModel, Observation
 from .spaces import SUM_TOL, Belief, kl_rows, normalize_vector
 
@@ -73,7 +73,7 @@ def posterior_rows(priors: np.ndarray, like: np.ndarray, beta: float) -> np.ndar
     out = normalize_vector(weights)
     if (np.any(out < 0.0) or not np.all(np.isfinite(out))
             or float(np.abs(out.sum(axis=1) - 1.0).max()) > SUM_TOL):
-        raise ShapeMismatch("posterior produced an invalid belief row")
+        raise InvariantViolation("posterior produced an invalid belief row")
     return out
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from episwarm.competition import (MarginMatrix, aggregate_utility, fitness, log_score,
-                                  margin_matrix, oracle_loss, zero_one_table)
+                                  margin_matrix, oracle_loss, zero_one_table,
+                                  zero_sum_tolerance)
 from episwarm.errors import ShapeMismatch, ZeroMassOnTruth
 
 
@@ -125,21 +126,40 @@ class TestMarginMatrix:
 
 
 class TestAggregateUtility:
+    """aggregate_utility takes log scores; U_i = sum_j (l_j - l_i)."""
+
     def test_zero_matrix(self):
-        m = MarginMatrix(n=3, entries=np.zeros((3, 3)))
-        assert np.all(aggregate_utility(m) == 0.0)
+        # equal log scores: every margin is zero
+        assert np.all(aggregate_utility(np.full(3, 0.7)) == 0.0)
 
     def test_two_agent_pair(self):
         c = 0.37
-        m = MarginMatrix(n=2, entries=np.array([[0.0, c], [-c, 0.0]]))
-        assert np.allclose(aggregate_utility(m), [c, -c])
+        # agent 0 puts e^c times more mass on the truth than agent 1
+        assert np.allclose(aggregate_utility(np.array([0.2, 0.2 + c])), [c, -c])
 
     def test_random_skew_zero_sum(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             n = int(rng.integers(2, 30))
-            a = rng.normal(size=(n, n))
-            skew = a - a.T
-            np.fill_diagonal(skew, 0.0)
-            u = aggregate_utility(MarginMatrix(n=n, entries=skew))
+            u = aggregate_utility(rng.exponential(2.0, size=n))
             assert abs(u.sum()) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 2000])
+    def test_bitwise_equal_to_margin_row_sums(self, n):
+        rng = np.random.default_rng(n)
+        preds = list(rng.dirichlet(np.ones(4), size=n))
+        scores = log_score(np.stack(preds), 1)
+        rows = margin_matrix(preds, 1).entries.sum(axis=1)
+        assert aggregate_utility(scores).tobytes() == rows.tobytes()
+
+
+class TestZeroSumTolerance:
+    def test_honest_large_population_passes_where_absolute_tol_fails(self):
+        # N = 10^4 scores on [0, 30]: the honest rounding error of sum U
+        # exceeds the old absolute guard of 1e-9 but stays within the bound,
+        # while a change of 1e-3 in one U_i (of magnitude up to 1.5e5) trips it
+        scores = np.random.default_rng(0).uniform(0.0, 30.0, size=10_000)
+        u = aggregate_utility(scores)
+        assert 1e-9 < abs(float(u.sum())) <= zero_sum_tolerance(scores)
+        u[0] += 1e-3
+        assert abs(float(u.sum())) > zero_sum_tolerance(scores)

@@ -144,6 +144,22 @@ class TestCli:
         data["run"] = dict(REFERENCE_SMALL["run"], out_dir=str(tmp_path / "out"))
         assert main(["run", write_cfg(tmp_path, data)]) == 2
 
+    def test_run_invariant_violation_exit_one(self, tmp_path, capsys, monkeypatch):
+        from episwarm import engine
+        honest = engine.aggregate_utility
+
+        def perturbed(scores):
+            u = honest(scores)
+            u[0] += 1.0
+            return u
+
+        monkeypatch.setattr(engine, "aggregate_utility", perturbed)
+        data = dict(REFERENCE_SMALL)
+        data["run"] = dict(data["run"], out_dir=str(tmp_path / "out"))
+        assert main(["run", write_cfg(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert "run error at step 0" in err and "InvariantViolation" in err
+
     def test_verify_fresh_run_exit_zero(self, tmp_path):
         data = dict(REFERENCE_SMALL)
         data["run"] = dict(data["run"], out_dir=str(tmp_path / "out"))

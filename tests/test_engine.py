@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import small_config
+from episwarm import competition, engine, inference
+from episwarm.competition import margin_entries
 from episwarm.config import from_dict
 from episwarm.engine import (AsyncSchedule, Simulation, default_schedule,
                              generate_update_steps, run, run_async, simulate, sweep,
                              write_artifacts)
-from episwarm.errors import ConfigError, PopulationCollapse, ScheduleViolation
+from episwarm.errors import (ConfigError, InvariantViolation, PopulationCollapse,
+                             ScheduleViolation)
 from episwarm.ledger import verify_artifacts
 from episwarm.rng import DOMAIN_RATING, substream
 
@@ -68,6 +71,52 @@ class TestStepInvariants:
             assert snap.population_size == len(sim.population)
 
         simulate(small_cfg, on_step=on_step)
+
+
+class TestScoringWithoutMatrix:
+    def test_report_margins_match_log_scores(self, small_cfg):
+        seen = {"reports": 0}
+
+        def on_step(sim, snap, info):
+            if info.report is not None:
+                seen["reports"] += 1
+                m = info.report.margins.entries
+                assert np.array_equal(m, margin_entries(info.report.log_scores))
+                assert info.report.aggregate.tobytes() == m.sum(axis=1).tobytes()
+
+        simulate(small_cfg, on_step=on_step)
+        assert seen["reports"] == small_cfg.run.horizon
+
+    def test_no_step_builds_the_margin_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a step built the margin matrix")
+
+        monkeypatch.setattr(competition, "margin_entries", forbidden)
+        monkeypatch.setattr(engine, "MarginMatrix", forbidden)
+        cfg = small_config(population={"agents": 150}, evolution={"n_star": 300},
+                           run={"horizon": 10})
+        res = simulate(cfg)
+        assert len(res.score_rows) == 10
+        assert len(res.score_rows[0]["aggregate"]) == 150
+
+    def test_perturbed_aggregate_raises_invariant_violation(self, small_cfg, monkeypatch):
+        honest = engine.aggregate_utility
+
+        def perturbed(scores):
+            u = honest(scores)
+            u[0] += 1e-6
+            return u
+
+        monkeypatch.setattr(engine, "aggregate_utility", perturbed)
+        with pytest.raises(InvariantViolation, match="zero-sum at step 0") as exc:
+            simulate(small_cfg)
+        assert exc.value.step == 0
+
+    def test_invalid_posterior_row_raises_invariant_violation(self, small_cfg, monkeypatch):
+        monkeypatch.setattr(inference, "normalize_vector", lambda w: np.full_like(w, np.nan))
+        with pytest.raises(InvariantViolation, match="invalid belief row") as exc:
+            simulate(small_cfg)
+        assert exc.value.step == 0
 
 
 class TestEngineMatchesModuleOps:
