@@ -37,7 +37,9 @@ from .errors import (EpiswarmError, InvariantViolation, PopulationCollapse, Sche
 from .evolution import (IdAllocator, Population, build_smoothing_matrix, evolve,
                         update_decay_markers)
 from .inference import information_gain, posterior_rows, strength_update
-from .ledger import STRENGTH_MAX, LedgerChain, commit, encode_quantized, quantize_state
+# commit and encode_quantized stay bound though unused: bench/tracing.py wraps them here.
+from .ledger import (STRENGTH_MAX, LedgerChain, commit, commit_rows,  # noqa: F401
+                     encode_quantized, quantize_rows, state_log_rows)
 from .likelihood import (CATEGORICAL, DISCRETIZED_GAUSSIAN, LikelihoodModel,
                          Observation, predictive_distribution)
 from .rating import rating_step, reward_gradient
@@ -164,9 +166,15 @@ class RunResult:
     metrics: List[MetricsSnapshot]
     score_rows: List[dict]
     chains: Dict[int, LedgerChain]
-    statelog_rows: List[dict]
+    # one ledger.quantize_rows matrix per completed step
+    statelog: List[np.ndarray]
     population: Population
     collapsed_at: Optional[int] = None
+
+    @property
+    def statelog_rows(self) -> List[dict]:
+        """Every state-log row as a dict, in file order; built on each access."""
+        return [row for q in self.statelog for row in state_log_rows(q)]
 
     def weighted_belief(self) -> np.ndarray:
         """Rating-weighted population belief over the hypothesis space."""
@@ -281,7 +289,7 @@ class Simulation:
 
     # -- one step --------------------------------------------------------
 
-    def step(self, t: int) -> Tuple[MetricsSnapshot, StepInfo, List[dict], Optional[ScoreReport]]:
+    def step(self, t: int) -> Tuple[MetricsSnapshot, StepInfo, np.ndarray, Optional[ScoreReport]]:
         pop = self.population
         if len(pop) == 0:
             raise PopulationCollapse(step=t)
@@ -338,7 +346,7 @@ class Simulation:
         self.population = result.population
         self._register_children(t)
 
-        rows = self._commit_all(t)
+        quantized = self._commit_all(t)
         snapshot = self._snapshot(t, active, result, abs_residue=residue_abs)
         info = StepInfo(report=report, rating_delta_sum=delta_sum,
                         clamp_residue_signed=residue_signed,
@@ -346,19 +354,14 @@ class Simulation:
                         removed_rating_sum=result.removed_rating_sum,
                         mass_before=mass_before,
                         mass_after=self.population.rating_mass())
-        return snapshot, info, rows, report
+        return snapshot, info, quantized, report
 
-    def _commit_all(self, t: int) -> List[dict]:
-        """Ledger commits for every agent present at end of step t."""
-        rows = quantize_state(self.population, t)
-        for row in rows:
-            enc = encode_quantized(row["agent_id"], t, row["belief_q"], row["rating_q"],
-                                   row["strength_q"], row["parent_id"], row["birth_step"])
-            chain = self.chains.get(row["agent_id"])
-            if chain is None:
-                chain = self.chains[row["agent_id"]] = LedgerChain(row["agent_id"])
-            commit(chain, enc, t)
-        return rows
+    def _commit_all(self, t: int) -> np.ndarray:
+        """Ledger commits for every agent present at end of step t; returns the
+        step's quantized state matrix."""
+        quantized = quantize_rows(self.population, t)
+        commit_rows(self.chains, quantized, t)
+        return quantized
 
     def _snapshot(self, t: int, active: np.ndarray, result, abs_residue: float) -> MetricsSnapshot:
         pop = self.population
@@ -402,11 +405,11 @@ def simulate(config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None,
     sim = Simulation(config, schedule=schedule)
     metrics: List[MetricsSnapshot] = []
     score_rows: List[dict] = []
-    statelog: List[dict] = []
+    statelog: List[np.ndarray] = []
     collapsed_at = None
     for t in range(config.run.horizon):
         try:
-            snap, info, rows, report = sim.step(t)
+            snap, info, quantized, report = sim.step(t)
         except PopulationCollapse as exc:
             collapsed_at = exc.step
             break
@@ -414,7 +417,7 @@ def simulate(config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None,
             exc.step = t
             raise
         metrics.append(snap)
-        statelog.extend(rows)
+        statelog.append(quantized)
         if report is not None:
             score_rows.append({
                 "step": t,
@@ -433,7 +436,7 @@ def simulate(config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None,
     if not metrics and collapsed_at is not None:
         raise PopulationCollapse(step=collapsed_at)
     return RunResult(config=config, metrics=metrics, score_rows=score_rows,
-                     chains=sim.chains, statelog_rows=statelog,
+                     chains=sim.chains, statelog=statelog,
                      population=sim.population, collapsed_at=collapsed_at)
 
 
@@ -456,7 +459,7 @@ def write_artifacts(result: RunResult, out_dir: str) -> dict:
         for row in result.score_rows:
             f.write(json.dumps(row, separators=(",", ":")) + "\n")
     write_ledger(paths["ledger"], result.chains)
-    write_state_log(paths["statelog"], result.statelog_rows)
+    write_state_log(paths["statelog"], result.statelog)
     summary = result.summary()
     with open(paths["summary"], "w", newline="", encoding="ascii") as f:
         writer = csv.DictWriter(f, fieldnames=list(summary))

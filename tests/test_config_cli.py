@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -223,3 +227,61 @@ class TestCli:
                            mode="async", async_bound=3, horizon=20)
         assert main(["run", write_cfg(tmp_path, data)]) == 0
         assert (tmp_path / "out" / "divergence.json").exists()
+
+
+def _edit_field(key, change):
+    def edit(line):
+        row = json.loads(line)
+        row[key] = change(row[key])
+        return json.dumps(row, separators=(",", ":"))
+    return edit
+
+
+def _with_entry(i, value):
+    return lambda belief: belief[:i] + [value] + belief[i + 1:]
+
+
+# Each edit turns one state-log line into input the verifier must refuse as
+# malformed (exit 1), not replay and not crash on.
+MALFORMED_STATE_LINES = {
+    "truncated_line": lambda line: line[:len(line) // 2],
+    "trailing_data": lambda line: line + " {}",
+    "non_json": lambda line: "not json",
+    "non_object": lambda line: "5",
+    "float_field": _edit_field("strength_q", float),
+    "float_belief_entry": _edit_field("belief_q", lambda b: [b[0] + 0.5] + b[1:]),
+    "bool_field": _edit_field("birth_step", bool),
+    "bool_belief_entry": _edit_field("belief_q", _with_entry(1, True)),
+    "string_belief": _edit_field("belief_q", json.dumps),
+    "belief_out_of_range": _edit_field("belief_q", _with_entry(0, 2 ** 63)),
+    "scalar_out_of_range": _edit_field("rating_q", lambda v: -(2 ** 63) - 1),
+    "rating_plus_fraction": _edit_field("rating_q", lambda v: v + 0.4),
+}
+
+
+@pytest.fixture(scope="module")
+def run_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("verify") / "out"
+    data = dict(REFERENCE_SMALL)
+    data["run"] = dict(data["run"], out_dir=str(out))
+    assert main(["run", write_cfg(out.parent, data)]) == 0
+    return out
+
+
+class TestVerifyMalformedStateLog:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_STATE_LINES))
+    def test_exit_one_with_located_message(self, case, run_artifacts, tmp_path):
+        lines = (run_artifacts / "statelog.jsonl").read_text().splitlines()
+        assert json.loads(lines[7])["birth_step"] == 0  # bool_field writes false
+        lines[7] = MALFORMED_STATE_LINES[case](lines[7])
+        statelog = tmp_path / "statelog.jsonl"
+        statelog.write_text("\n".join(lines) + "\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "episwarm.cli", "verify",
+                               str(run_artifacts / "ledger.tsv"), str(statelog)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "state log line 8:" in proc.stderr

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import os
 
@@ -15,7 +16,8 @@ from episwarm.engine import (AsyncSchedule, Simulation, default_schedule,
                              write_artifacts)
 from episwarm.errors import (ConfigError, InvariantViolation, PopulationCollapse,
                              ScheduleViolation)
-from episwarm.ledger import verify_artifacts
+from episwarm.ledger import (VERSION_PREFIX, encode_quantized, verify_artifacts,
+                             write_state_log)
 from episwarm.rng import DOMAIN_RATING, substream
 
 
@@ -335,6 +337,59 @@ class TestLedgerIntegration:
             steps = [s for s, _ in chain.entries]
             # one commit per step from first appearance to removal, no gaps
             assert steps == list(range(steps[0], steps[-1] + 1))
+
+
+@pytest.fixture(scope="module")
+def k100_async_run():
+    """K = 100 asynchronous run in which agents spawn, so parent ids mix -1
+    (initial agents) with real ids."""
+    cfg = small_config(space={"hypotheses": 100}, outcomes=100, population={"agents": 12},
+                       run={"horizon": 40, "async_bound": 3})
+    res = simulate(cfg, schedule=default_schedule(cfg))
+    assert sum(m.spawns for m in res.metrics) > 0
+    assert any(m.active_count < m.population_size for m in res.metrics)
+    return res
+
+
+class TestColumnarState:
+    def test_matrix_rows_encode_like_field_encoder(self, k100_async_run):
+        res = k100_async_run
+        rows = res.statelog_rows
+        flat = [r for q in res.statelog for r in q]
+        assert len(flat) == len(rows) == sum(m.population_size for m in res.metrics)
+        for r, row in zip(flat, rows):
+            assert VERSION_PREFIX + r.tobytes() == encode_quantized(**row).data
+        parents = {row["parent_id"] for row in rows}
+        assert -1 in parents and len(parents) > 1
+        # the last step's rows name the final population's fields
+        pop = res.population
+        last = rows[-len(pop):]
+        assert [r["agent_id"] for r in last] == pop.ids.tolist()
+        assert [r["parent_id"] for r in last] == pop.parent_ids.tolist()
+        assert [r["birth_step"] for r in last] == pop.birth_steps.tolist()
+        assert [r["rating_q"] for r in last] == np.rint(pop.ratings / 1e-6).astype(int).tolist()
+        assert [r["belief_q"] for r in last] == \
+            np.rint(pop.belief_matrix / 1e-9).astype(int).tolist()
+
+    def test_state_log_bytes_match_json_rows(self, k100_async_run, tmp_path):
+        res = k100_async_run
+        path = tmp_path / "statelog.jsonl"
+        write_state_log(path, res.statelog)
+        expected = "".join(json.dumps(row, separators=(",", ":")) + "\n"
+                           for row in res.statelog_rows)
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_simulate_commits_without_per_row_encoder(self, monkeypatch):
+        def per_row(*args, **kwargs):
+            raise AssertionError("per-row ledger path called")
+
+        monkeypatch.setattr(engine, "encode_quantized", per_row)
+        monkeypatch.setattr(engine, "commit", per_row)
+        cfg = small_config(run={"horizon": 15})
+        res = simulate(cfg)
+        assert len(res.metrics) == 15
+        assert sum(len(c.entries) for c in res.chains.values()) == \
+            sum(m.population_size for m in res.metrics)
 
 
 class TestAsync:

@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from episwarm.errors import LengthMismatch, NonMonotonicStep
 from episwarm.evolution import Population
-from episwarm.ledger import (STRENGTH_MAX, LedgerChain, commit, encode_quantized,
-                             quantize_state, verify_chain, verify_artifacts,
+from episwarm.ledger import (STRENGTH_MAX, LedgerChain, commit, commit_rows,
+                             encode_quantized, quantize_rows, verify_chain, verify_artifacts,
                              write_ledger, write_state_log)
 from episwarm.spaces import HypothesisSpace
 
@@ -22,10 +20,11 @@ def agent(aid=0, rating=0.5, strength=1.0, probs=(0.25, 0.75), parent=-1, birth=
 
 
 def encode_state(pop, step):
-    """Encoding of the first agent at ``step``, as the engine commits it."""
-    row = quantize_state(pop, step)[0]
-    return encode_quantized(row["agent_id"], row["step"], row["belief_q"], row["rating_q"],
-                            row["strength_q"], row["parent_id"], row["birth_step"])
+    """Encoding of the first agent at ``step``: its quantized row packed field by
+    field, as verification replays it."""
+    r = quantize_rows(pop, step)[0].tolist()
+    k = len(r) - 6
+    return encode_quantized(r[0], r[1], r[2:k + 2], *r[k + 2:])
 
 
 class TestEncoding:
@@ -49,26 +48,24 @@ class TestEncoding:
         assert len(enc.data) == 2 + 8 * 8
 
     def test_parent_none_encoded_as_minus_one(self):
-        q = quantize_state(agent(), 0)[0]
-        assert q["parent_id"] == -1
-        q2 = quantize_state(agent(parent=7), 0)[0]
-        assert q2["parent_id"] == 7
+        q = quantize_rows(agent(), 0)[0]
+        assert q[-2] == -1
+        q2 = quantize_rows(agent(parent=7), 0)[0]
+        assert q2[-2] == 7
 
     def test_population_rows(self):
         pop = Population.create(SP2, np.array([[0.25, 0.75], [1.0, 0.0]]), r0=0.5,
                                 ids=np.array([4, 9]), birth_step=2)
         pop.ratings[1] = 0.1234567
         pop.strengths[1] = 1e12  # beyond the encodable range: saturates
-        rows = quantize_state(pop, 3)
-        assert rows == [
-            {"agent_id": 4, "step": 3, "belief_q": [250_000_000, 750_000_000],
-             "rating_q": 500_000, "strength_q": 1_000_000_000, "parent_id": -1,
-             "birth_step": 2},
-            {"agent_id": 9, "step": 3, "belief_q": [1_000_000_000, 0],
-             "rating_q": 123_457, "strength_q": round(STRENGTH_MAX / 1e-9), "parent_id": -1,
-             "birth_step": 2},
+        q = quantize_rows(pop, 3)
+        # columns in encoding order: id, step, K belief quanta, rating, strength,
+        # parent id, birth step
+        assert q.tolist() == [
+            [4, 3, 250_000_000, 750_000_000, 500_000, 1_000_000_000, -1, 2],
+            [9, 3, 1_000_000_000, 0, 123_457, round(STRENGTH_MAX / 1e-9), -1, 2],
         ]
-        json.dumps(rows)  # plain ints only: numpy integers are not JSON-serializable
+        assert q.dtype == np.dtype("<i8")
 
     def test_injectivity_fuzz(self):
         # 1e5 distinct random quantized states: no encoding or digest collisions
@@ -119,6 +116,16 @@ class TestCommit:
         with pytest.raises(NonMonotonicStep):
             commit(chain, enc, 4)
 
+    def test_commit_rows_repeated_step_rejected(self):
+        chains = {}
+        q = quantize_rows(agent(), 5)
+        commit_rows(chains, q, 5)
+        with pytest.raises(NonMonotonicStep):
+            commit_rows(chains, q, 5)
+        with pytest.raises(NonMonotonicStep):
+            commit_rows(chains, quantize_rows(agent(), 4), 4)
+        assert [step for step, _ in chains[0].entries] == [5]
+
 
 class TestVerifyChain:
     def build(self, steps=10):
@@ -157,22 +164,18 @@ class TestVerifyChain:
 class TestArtifacts:
     def write_run(self, tmp_path, steps=5):
         chains = {}
-        rows = []
+        matrices = []
         for aid in (0, 1):
             chain = LedgerChain(aid)
             for t in range(steps):
                 a = agent(aid=aid, rating=0.4 + 0.1 * aid + 0.001 * t)
-                q = quantize_state(a, t)[0]
-                enc = encode_quantized(q["agent_id"], q["step"], q["belief_q"],
-                                       q["rating_q"], q["strength_q"], q["parent_id"],
-                                       q["birth_step"])
-                commit(chain, enc, t)
-                rows.append(q)
+                commit(chain, encode_state(a, t), t)
+                matrices.append(quantize_rows(a, t))
             chains[aid] = chain
         ledger_path = tmp_path / "ledger.tsv"
         statelog_path = tmp_path / "statelog.jsonl"
         write_ledger(ledger_path, chains)
-        write_state_log(statelog_path, rows)
+        write_state_log(statelog_path, matrices)
         return ledger_path, statelog_path
 
     def test_round_trip_verifies(self, tmp_path):
@@ -224,6 +227,14 @@ class TestGoldenDigests:
         commit(chain, encode_state(a2, 3), 3)
         assert chain.entries[0][1].hex() == GOLDEN_0
         assert chain.entries[1][1].hex() == GOLDEN_1
+
+    def test_golden_commit_rows(self):
+        chains = {}
+        a1 = agent(aid=7, rating=0.125, strength=2.0, probs=(0.25, 0.75), parent=3, birth=2)
+        a2 = agent(aid=7, rating=0.25, strength=2.5, probs=(0.1, 0.9), parent=3, birth=2)
+        commit_rows(chains, quantize_rows(a1, 2), 2)
+        commit_rows(chains, quantize_rows(a2, 3), 3)
+        assert [d.hex() for _, d in chains[7].entries] == [GOLDEN_0, GOLDEN_1]
 
 
 GOLDEN_0 = "46179aec9ddec0e7b95e376004ffaef1c76e22035a377f6c6c30f418a26bd00c"
