@@ -8,23 +8,24 @@ belief entries (K of them), quantized rating, quantized strength, parent id
 A step's quantized states are one (N, K+6) little-endian int64 matrix whose
 columns are exactly that order (``quantize_rows``), so an agent's encoding is
 the prefix followed by its row's bytes: the run commits and writes the state
-log from the matrix, and ``encode_quantized`` packs the same fields from a
-parsed state-log row when verifying.
+log from the matrices, and verification reads them back and hashes row slices.
 
 Digests are SHA-256. Genesis: C_0 = H(enc_0); then C_t = H(enc_t || C_{t-1}).
 
-File formats:
-  ledger:    one record per line, ``agent_id<TAB>step<TAB>hex(digest)``
-  state log: JSONL with the quantized integer fields exactly as encoded
+File formats: LF-terminated lines, each INT as %d prints it (0|-?[1-9][0-9]*,
+signed 64-bit). The readers accept exactly these lines (and empty lines):
+  ledger:    INT<TAB>INT<TAB>64 lowercase hex digits (agent id, step, digest)
+  state log: {"agent_id":INT,"step":INT,"belief_q":[INT,...,INT],"rating_q":INT,
+             "strength_q":INT,"parent_id":INT,"birth_step":INT}  (K belief entries)
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import re
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,14 +44,12 @@ STRENGTH_MAX = 9.2e9
 # One quantized state row: signed 8-byte little-endian integers.
 STATE_DTYPE = np.dtype("<i8")
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
-# State-log fields in encoding order; belief_q holds K integers, the rest one.
-STATE_FIELDS = ("agent_id", "step", "belief_q", "rating_q", "strength_q", "parent_id",
-                "birth_step")
 
 
 @dataclass(frozen=True)
 class StateEncoding:
-    """Canonical byte encoding of one agent state at one step."""
+    """Canonical byte encoding of one agent state at one step, as the scalar
+    ``encode_quantized``, ``commit`` and ``verify_chain`` take it."""
 
     data: bytes
 
@@ -69,7 +68,8 @@ class LedgerChain:
 
 def encode_quantized(agent_id: int, step: int, belief_q: Sequence[int], rating_q: int,
                      strength_q: int, parent_id: int, birth_step: int) -> StateEncoding:
-    """Encode already-quantized integer fields; the replay path used by verification."""
+    """Encode already-quantized integer fields one at a time: an independent
+    replay oracle for tests, since verification hashes matrix rows."""
     ints = [agent_id, step, *belief_q, rating_q, strength_q, parent_id, birth_step]
     return StateEncoding(VERSION_PREFIX + struct.pack(f"<{len(ints)}q", *ints))
 
@@ -140,6 +140,7 @@ def commit_rows(chains: dict, q: np.ndarray, step: int) -> None:
 
 def verify_chain(chain: LedgerChain, replayed: Sequence[StateEncoding]) -> Optional[int]:
     """Recompute the chain from replayed encodings; return first bad step or None.
+    An independent per-chain oracle for tests; ``verify_artifacts`` does not call it.
 
     Raises LengthMismatch when the replay and the chain disagree in length.
     """
@@ -168,26 +169,6 @@ def write_ledger(path, chains: dict) -> None:
                 f.write(f"{agent_id}\t{step}\t{digest.hex()}\n")
 
 
-def read_ledger(path) -> dict:
-    chains: dict = {}
-    with open(path, "r", encoding="ascii") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ShapeMismatch(f"ledger line {line_no}: expected 3 tab-separated fields")
-            agent_id, step, hexdigest = int(parts[0]), int(parts[1]), parts[2]
-            if len(hexdigest) != 64:
-                raise ShapeMismatch(f"ledger line {line_no}: digest must be 64 hex chars")
-            chain = chains.get(agent_id)
-            if chain is None:
-                chain = chains[agent_id] = LedgerChain(agent_id)
-            chain.entries.append((step, bytes.fromhex(hexdigest)))
-    return chains
-
-
 def _row_format(k: int) -> str:
     # One state-log line with K belief entries, as json.dumps(row,
     # separators=(",", ":")) writes it: JSON integers print as %d does.
@@ -203,110 +184,129 @@ def write_state_log(path, matrices: Sequence[np.ndarray]) -> None:
             f.write((_row_format(q.shape[1] - 6) * len(q)) % tuple(q.ravel().tolist()))
 
 
-def _reject_non_integer(literal: str):
-    raise ValueError(f"{literal} is not an integer")
+# The readers take lines in blocks of about this many bytes (a readlines size
+# hint), so verify holds one block of state-log lines and its matrix at a time.
+_BLOCK_BYTES = 1 << 18
+# An integer as %d prints it: no plus sign, no leading zeros, no -0.
+_INT = rb"(?:0|-?[1-9][0-9]*)"
+# A line as write_ledger prints it, or an empty line.
+_LEDGER_LINE = re.compile(rb"(?:" + _INT + rb"\t" + _INT + rb"\t[0-9a-f]{64})?\n")
+# bytes.translate table: every byte that cannot be part of an integer -> space.
+_INT_BYTES = bytes(c if c in b"-0123456789" else 0x20 for c in range(256))
 
 
-# Every state-log value is an integer: float, NaN and Infinity literals fail
-# the parse itself, at no cost to lines without them.
-_STATE_DECODER = json.JSONDecoder(parse_float=_reject_non_integer,
-                                  parse_constant=_reject_non_integer)
-_SCALAR_FIELDS = tuple(key for key in STATE_FIELDS if key != "belief_q")
+def _check_lines(pattern, lines: List[bytes], first: int, what: str, expected: str) -> None:
+    if not all(map(pattern.fullmatch, lines)):
+        bad = next(i for i, line in enumerate(lines) if not pattern.fullmatch(line))
+        raise ShapeMismatch(f"{what} line {first + bad}: expected {expected}")
 
 
-def _belief_is_int64(belief, line: str) -> bool:
-    if type(belief) is not list:
-        return False
-    try:
-        # abs rejects str, null, list and object entries. The sum of the
-        # magnitudes bounds every entry, so one sum inside the range clears a
-        # row without comparing entry by entry.
-        if (sum(map(abs, belief)) > INT64_MAX
-                and not (INT64_MIN <= min(belief) and max(belief) <= INT64_MAX)):
-            return False
-    except TypeError:
-        return False
-    # bools pass abs; only a line spelling true or false can hold one
-    return not (("true" in line or "false" in line)
-                and any(type(v) is bool for v in belief))
+def _int64s(parts: List[bytes], first: int, what: str) -> np.ndarray:
+    """The integers of a block of lines that match their grammar, in order, as
+    int64. ``np.fromstring`` is exact inside the int64 range and saturates
+    outside it, so a block holding either extreme is checked token by token."""
+    text = b"".join(parts).translate(_INT_BYTES)
+    if text.isspace():  # fromstring reads blank text as one 0
+        return np.empty(0, dtype=STATE_DTYPE)
+    values = np.fromstring(text, dtype=STATE_DTYPE, sep=" ")
+    if values.size and (values.max() == INT64_MAX or values.min() == INT64_MIN):
+        for line_no, part in enumerate(parts, first):
+            for token in part.translate(_INT_BYTES).split():
+                if not INT64_MIN <= int(token) <= INT64_MAX:
+                    raise ShapeMismatch(f"{what} line {line_no}: {token.decode()} is "
+                                        f"outside the signed 64-bit range")
+    return values
 
 
-def _parse_state_row(line: str, line_no: int) -> dict:
-    try:
-        # the line is stripped, so raw_decode must end exactly at its end
-        row, end = _STATE_DECODER.raw_decode(line)
-        if end != len(line):
-            raise ValueError(f"extra data at column {end + 1}")
-    except ValueError as exc:
-        raise ShapeMismatch(f"state log line {line_no}: invalid JSON ({exc})") from None
-    if type(row) is not dict:
-        raise ShapeMismatch(f"state log line {line_no}: expected a JSON object")
-    for key in STATE_FIELDS:
-        if key not in row:
-            raise ShapeMismatch(f"state log line {line_no}: missing field {key!r}")
-    for key in _SCALAR_FIELDS:
-        v = row[key]
-        if type(v) is not int or not INT64_MIN <= v <= INT64_MAX:
-            raise ShapeMismatch(f"state log line {line_no}: field {key!r} must be an "
-                                f"integer in the signed 64-bit range")
-    if not _belief_is_int64(row["belief_q"], line):
-        raise ShapeMismatch(f"state log line {line_no}: field 'belief_q' must be a list of "
-                            f"integers in the signed 64-bit range")
-    return row
+def read_ledger(path) -> Tuple[np.ndarray, np.ndarray, bytes]:
+    """Read a ledger as columns in file order: int64 agent ids, int64 steps,
+    and the 32-byte digests concatenated. Every non-empty line must be one
+    ``write_ledger`` prints; otherwise raises ShapeMismatch naming the line."""
+    ints, digests, first = [np.empty(0, dtype=STATE_DTYPE)], [], 1
+    with open(path, "rb") as f:
+        for lines in iter(lambda: f.readlines(_BLOCK_BYTES), []):
+            _check_lines(_LEDGER_LINE, lines, first, "ledger",
+                         "agent_id<TAB>step<TAB>64 lowercase hex digits")
+            # a matching non-empty line ends in TAB, 64 hex digits and LF
+            ints.append(_int64s([line[:-65] for line in lines], first, "ledger"))
+            digests.append(bytes.fromhex(b"".join(line[-65:-1] for line in lines).decode()))
+            first += len(lines)
+    ids_steps = np.concatenate(ints).reshape(-1, 2)
+    return ids_steps[:, 0], ids_steps[:, 1], b"".join(digests)
 
 
-def read_state_log(path) -> List[dict]:
-    """Parse a state log; every line must be a JSON object whose quantized
-    fields are JSON integers in the signed 64-bit range (belief_q a list of
-    them). Raises ShapeMismatch naming the first bad line."""
-    rows = []
-    with open(path, "r", encoding="ascii") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if line:
-                rows.append(_parse_state_row(line, line_no))
-    return rows
+def read_state_log(path) -> Iterator[np.ndarray]:
+    """Yield the state log as (B, K+6) little-endian int64 matrices in
+    ``quantize_rows`` column order, one per block of lines: the inverse of
+    ``write_state_log``. K comes from the first row; every non-empty line must
+    be one ``write_state_log`` prints for that K, with integers in the signed
+    64-bit range. Otherwise raises ShapeMismatch naming the line."""
+    pattern, first = None, 1
+    with open(path, "rb") as f:
+        for lines in iter(lambda: f.readlines(_BLOCK_BYTES), []):
+            if pattern is None and (row := next((x for x in lines if x != b"\n"), b"")):
+                # a line as write_state_log prints it for this K, or an empty line
+                width = max(len(row.translate(_INT_BYTES).split()), 6)
+                fmt = _row_format(width - 6)[:-1].encode().split(b"%d")
+                pattern = re.compile(b"(?:" + _INT.join(map(re.escape, fmt)) + b")?\n")
+            if pattern is not None:
+                _check_lines(pattern, lines, first, "state log",
+                             f"a state row as write_state_log prints it with K={width - 6}")
+                yield _int64s(lines, first, "state log").reshape(-1, width)
+            first += len(lines)
 
 
 def verify_artifacts(ledger_path, statelog_path) -> List[Tuple[int, int]]:
-    """Replay a state log against a ledger file.
+    """Replay a state log against a ledger file, streaming the state log once.
 
-    Returns a list of (agent_id, step) findings; empty means every chain
-    verifies. Structural inconsistencies (length mismatches, agents present on
-    one side only, misaligned steps) are reported as findings too, since they
-    are tamper evidence rather than I/O failures.
+    Returns a sorted list of (agent_id, step) findings, at most one per agent;
+    empty means every chain verifies. An agent's n-th state-log row is checked
+    against its n-th ledger entry: first the step, then H(enc || recorded
+    digest of entry n-1). Length mismatches, agents present on one side only
+    and misaligned steps are findings too: tamper evidence, not I/O failures.
     """
-    chains = read_ledger(ledger_path)
-    rows = read_state_log(statelog_path)
-
-    replay: dict = {}
-    for row in rows:
-        replay.setdefault(row["agent_id"], []).append(row)
-
-    findings: List[Tuple[int, int]] = []
-    for agent_id in sorted(set(chains) | set(replay)):
-        chain = chains.get(agent_id)
-        agent_rows = replay.get(agent_id, [])
-        if chain is None:
-            findings.append((agent_id, agent_rows[0]["step"]))
-            continue
-        if len(agent_rows) != len(chain.entries):
-            n = min(len(agent_rows), len(chain.entries))
-            step = chain.entries[n][0] if len(chain.entries) > n else agent_rows[n]["step"]
-            findings.append((agent_id, step))
-            continue
-        misaligned = False
-        for (step, _), row in zip(chain.entries, agent_rows):
-            if row["step"] != step:
-                findings.append((agent_id, step))
-                misaligned = True
-                break
-        if misaligned:
-            continue
-        encodings = [encode_quantized(r["agent_id"], r["step"], r["belief_q"], r["rating_q"],
-                                      r["strength_q"], r["parent_id"], r["birth_step"])
-                     for r in agent_rows]
-        bad_step = verify_chain(chain, encodings)
-        if bad_step is not None:
-            findings.append((agent_id, bad_step))
-    return findings
+    ids, steps, digests = read_ledger(ledger_path)
+    # Group the ledger by agent, keeping file order within each agent: entry
+    # n of agent slots[a] is at position start[a] + n of the grouped columns.
+    order = np.argsort(ids, kind="stable")
+    agents, start, length = np.unique(ids[order], return_index=True, return_counts=True)
+    steps = steps[order]
+    digests = memoryview(np.frombuffer(digests, dtype=np.uint8).reshape(-1, 32)[order].ravel())
+    # A last slot, with no entries, takes the rows of agents absent from the ledger.
+    slots = np.append(agents, INT64_MAX)
+    start, length = np.append(start, 0), np.append(length, 0)
+    seen = np.zeros(len(slots), dtype=np.int64)  # rows replayed per slot
+    misaligned = length.copy()  # first row index whose step differs, else length
+    bad = length.copy()  # first row index whose digest differs, else length
+    unmatched: dict = {}  # agent id -> step of its first row with no ledger entry
+    for q in read_state_log(statelog_path):
+        a = np.searchsorted(slots, q[:, 0])
+        a[slots[a] != q[:, 0]] = len(agents)
+        # n: each row's index among its agent's rows, earlier blocks included
+        by_slot = np.argsort(a, kind="stable")
+        n = np.empty_like(a)
+        n[by_slot] = np.arange(len(a)) - np.searchsorted(a[by_slot], a[by_slot])
+        n += seen[a]
+        seen += np.bincount(a, minlength=len(slots))
+        over = n >= length[a]
+        for agent_id, step in q[over, :2].tolist():
+            unmatched.setdefault(agent_id, step)
+        rows, a, n = np.flatnonzero(~over), a[~over], n[~over]
+        pos = start[a] + n
+        off = steps[pos] != q[rows, 1]
+        np.minimum.at(misaligned, a[off], n[off])
+        # digests[prev:at] is the previous entry's digest, empty at genesis (n = 0)
+        for j, (i, prev, at) in enumerate(zip(rows.tolist(), (32 * (pos - (n > 0))).tolist(),
+                                              (32 * pos).tolist())):
+            h = hashlib.sha256(VERSION_PREFIX)
+            h.update(q[i])
+            h.update(digests[prev:at])
+            if h.digest() != digests[at:at + 32]:
+                bad[a[j]] = min(bad[a[j]], n[j])
+    # Per agent, a length mismatch outranks a misaligned step, which outranks a
+    # digest mismatch, each reported at its first index; rows past the end of
+    # a chain, or of an agent the ledger lacks, are reported at the first one.
+    index = np.where(seen < length, seen, np.where(misaligned < length, misaligned, bad))
+    hit = np.flatnonzero((seen <= length) & (index < length))
+    return sorted([*unmatched.items(),
+                   *zip(slots[hit].tolist(), steps[start[hit] + index[hit]].tolist())])

@@ -256,6 +256,14 @@ MALFORMED_STATE_LINES = {
     "belief_out_of_range": _edit_field("belief_q", _with_entry(0, 2 ** 63)),
     "scalar_out_of_range": _edit_field("rating_q", lambda v: -(2 ** 63) - 1),
     "rating_plus_fraction": _edit_field("rating_q", lambda v: v + 0.4),
+    # valid JSON with the right values, but not a line write_state_log prints
+    "spaced_json": lambda line: json.dumps(json.loads(line)),
+    "reordered_keys": lambda line: json.dumps(dict(reversed(json.loads(line).items())),
+                                              separators=(",", ":")),
+    "extra_key": lambda line: line[:-1] + ',"extra":1}',
+    "negative_zero": lambda line: line.replace('"birth_step":0}', '"birth_step":-0}'),
+    "crlf_ending": lambda line: line + "\r",
+    "belief_entry_dropped": _edit_field("belief_q", lambda b: b[:-1]),
 }
 
 
@@ -268,6 +276,14 @@ def run_artifacts(tmp_path_factory):
     return out
 
 
+def _cli_verify(ledger, statelog):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "episwarm.cli", "verify", str(ledger),
+                           str(statelog)], capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestVerifyMalformedStateLog:
     @pytest.mark.parametrize("case", sorted(MALFORMED_STATE_LINES))
     def test_exit_one_with_located_message(self, case, run_artifacts, tmp_path):
@@ -276,12 +292,40 @@ class TestVerifyMalformedStateLog:
         lines[7] = MALFORMED_STATE_LINES[case](lines[7])
         statelog = tmp_path / "statelog.jsonl"
         statelog.write_text("\n".join(lines) + "\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", "episwarm.cli", "verify",
-                               str(run_artifacts / "ledger.tsv"), str(statelog)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = _cli_verify(run_artifacts / "ledger.tsv", statelog)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "state log line 8:" in proc.stderr
+
+
+def _ledger_fields(change):
+    def edit(line):
+        return "\t".join(change(line.split("\t")))
+    return edit
+
+
+# Each edit turns one ledger line into input the verifier must refuse as
+# malformed (exit 1) and locate.
+MALFORMED_LEDGER_LINES = {
+    "non_integer_id": _ledger_fields(lambda f: ["bad"] + f[1:]),
+    "plus_signed_id": lambda line: "+" + line,
+    "non_hex_digest": _ledger_fields(lambda f: f[:2] + ["g" + f[2][1:]]),
+    "uppercase_digest": _ledger_fields(lambda f: f[:2] + [f[2].upper()]),
+    "short_digest": lambda line: line[:-1],
+    "two_fields": _ledger_fields(lambda f: [f[0], f[2]]),
+    "id_out_of_range": _ledger_fields(lambda f: [str(2 ** 63)] + f[1:]),
+}
+
+
+class TestVerifyMalformedLedger:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LEDGER_LINES))
+    def test_exit_one_with_located_message(self, case, run_artifacts, tmp_path):
+        lines = (run_artifacts / "ledger.tsv").read_text().splitlines()
+        assert lines[3].split("\t")[2] != lines[3].split("\t")[2].upper()
+        lines[3] = MALFORMED_LEDGER_LINES[case](lines[3])
+        ledger = tmp_path / "ledger.tsv"
+        ledger.write_text("\n".join(lines) + "\n")
+        proc = _cli_verify(ledger, run_artifacts / "statelog.jsonl")
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "ledger line 4:" in proc.stderr

@@ -1,11 +1,20 @@
+import json
+import random
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import small_config
+from episwarm import ledger
+from episwarm.engine import default_schedule, simulate
 from episwarm.errors import LengthMismatch, NonMonotonicStep
 from episwarm.evolution import Population
-from episwarm.ledger import (STRENGTH_MAX, LedgerChain, commit, commit_rows,
-                             encode_quantized, quantize_rows, verify_chain, verify_artifacts,
-                             write_ledger, write_state_log)
+from episwarm.ledger import (INT64_MAX, INT64_MIN, STRENGTH_MAX, LedgerChain, commit,
+                             commit_rows, encode_quantized, quantize_rows, read_state_log,
+                             verify_chain, verify_artifacts, write_ledger, write_state_log)
 from episwarm.spaces import HypothesisSpace
 
 SP2 = HypothesisSpace.indexed(2)
@@ -239,3 +248,190 @@ class TestGoldenDigests:
 
 GOLDEN_0 = "46179aec9ddec0e7b95e376004ffaef1c76e22035a377f6c6c30f418a26bd00c"
 GOLDEN_1 = "434d46760aa417bcc83cbb0725e7b4435a6c4df470deb2c87307a814af2f5929"
+
+
+def reference_findings(ledger_path, statelog_path):
+    """The per-row verifier that verify_artifacts replaced, kept as its oracle:
+    JSON rows grouped per agent, replayed through encode_quantized and
+    verify_chain."""
+    chains = {}
+    for line in Path(ledger_path).read_text().splitlines():
+        if line:
+            agent_id, step, digest = line.split("\t")
+            chain = chains.setdefault(int(agent_id), LedgerChain(int(agent_id)))
+            chain.entries.append((int(step), bytes.fromhex(digest)))
+    replay = {}
+    for line in Path(statelog_path).read_text().splitlines():
+        if line:
+            row = json.loads(line)
+            replay.setdefault(row["agent_id"], []).append(row)
+    findings = []
+    for agent_id in sorted(set(chains) | set(replay)):
+        chain, rows = chains.get(agent_id), replay.get(agent_id, [])
+        if chain is None:
+            findings.append((agent_id, rows[0]["step"]))
+            continue
+        if len(rows) != len(chain.entries):
+            n = min(len(rows), len(chain.entries))
+            findings.append((agent_id, chain.entries[n][0] if len(chain.entries) > n
+                             else rows[n]["step"]))
+            continue
+        misaligned = [step for (step, _), row in zip(chain.entries, rows) if row["step"] != step]
+        if misaligned:
+            findings.append((agent_id, misaligned[0]))
+            continue
+        bad = verify_chain(chain, [encode_quantized(**row) for row in rows])
+        if bad is not None:
+            findings.append((agent_id, bad))
+    return findings
+
+
+def _flip_digit(line, rng):
+    """Change one digit of one number in a line so that the line keeps its
+    grammar: a non-leading digit, or a single digit to another non-zero one;
+    in a ledger line the number may also be the hex digest."""
+    tokens = list(re.finditer(r"[0-9a-f]{64}|[0-9]+", line))
+    token = rng.choice(tokens)
+    if len(token.group()) == 64:
+        i = token.start() + rng.randrange(64)
+        return line[:i] + rng.choice([c for c in "0123456789abcdef" if c != line[i]]) + line[i + 1:]
+    if len(token.group()) == 1:
+        i, digits = token.start(), "123456789"
+    else:
+        i, digits = token.start() + rng.randrange(1, len(token.group())), "0123456789"
+    return line[:i] + rng.choice([c for c in digits if c != line[i]]) + line[i + 1:]
+
+
+def _swap(lines, rng):
+    i, j = rng.sample(range(len(lines)), 2)
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _move(lines, rng):
+    i, j = rng.sample(range(len(lines)), 2)
+    lines.insert(j, lines.pop(i))
+
+
+def _truncate(lines, rng):
+    del lines[rng.randrange(len(lines)):]
+
+
+def _flip(lines, rng):
+    i = rng.randrange(len(lines))
+    lines[i] = _flip_digit(lines[i], rng)
+
+
+# Structural tampers; each edits a list of lines in place, drawing from rng.
+# Blank lines change nothing: both verifiers skip them.
+TAMPERS = {
+    "blank_lines": lambda lines, rng: lines.insert(rng.randrange(len(lines) + 1), "\n" * 400),
+    "delete": lambda lines, rng: lines.pop(rng.randrange(len(lines))),
+    "duplicate": lambda lines, rng: lines.insert(rng.randrange(len(lines) + 1),
+                                                 lines[rng.randrange(len(lines))]),
+    "swap": _swap,
+    "move": _move,
+    "truncate": _truncate,
+    "flip_digit": _flip,
+}
+
+
+@pytest.fixture(scope="module")
+def async_artifacts(tmp_path_factory):
+    """Ledger and state-log lines of an asynchronous run with spawns and deaths."""
+    cfg = small_config(evolution={"tau_ext": 0.2, "tau_rep": 0.6, "grace": 3},
+                       rating={"sigma": 0.05}, run={"horizon": 40, "async_bound": 3})
+    res = simulate(cfg, schedule=default_schedule(cfg))
+    assert sum(m.spawns for m in res.metrics) > 0 and sum(m.deaths for m in res.metrics) > 0
+    assert any(m.active_count < m.population_size for m in res.metrics)
+    out = tmp_path_factory.mktemp("async")
+    write_ledger(out / "ledger.tsv", res.chains)
+    write_state_log(out / "statelog.jsonl", res.statelog)
+    return {name: (out / name).read_text().splitlines(keepends=True)
+            for name in ("ledger.tsv", "statelog.jsonl")}
+
+
+class TestStreamingVerify:
+    @pytest.mark.parametrize("block_bytes", [ledger._BLOCK_BYTES, 300])
+    @pytest.mark.parametrize("kind", sorted(TAMPERS))
+    def test_findings_match_reference(self, kind, block_bytes, async_artifacts, tmp_path,
+                                      monkeypatch):
+        monkeypatch.setattr(ledger, "_BLOCK_BYTES", block_bytes)
+        found = 0
+        for name in sorted(async_artifacts):
+            for seed in range(8):
+                files = {n: list(lines) for n, lines in async_artifacts.items()}
+                TAMPERS[kind](files[name], random.Random(seed))
+                for n, lines in files.items():
+                    (tmp_path / n).write_text("".join(lines))
+                paths = (tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl")
+                expected = reference_findings(*paths)
+                assert verify_artifacts(*paths) == expected, (name, seed)
+                found += bool(expected)
+        assert found == 0 if kind == "blank_lines" else found >= 8
+
+    def test_misaligned_step_outranks_earlier_digest(self, async_artifacts, tmp_path):
+        lines = list(async_artifacts["statelog.jsonl"])
+        agent_id = json.loads(lines[0])["agent_id"]
+        mine = [i for i, line in enumerate(lines) if json.loads(line)["agent_id"] == agent_id]
+        for i, key, change in ((mine[0], "rating_q", 1), (mine[2], "step", 1000)):
+            row = json.loads(lines[i])
+            row[key] += change
+            lines[i] = json.dumps(row, separators=(",", ":")) + "\n"
+        (tmp_path / "statelog.jsonl").write_text("".join(lines))
+        (tmp_path / "ledger.tsv").write_text("".join(async_artifacts["ledger.tsv"]))
+        paths = (tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl")
+        step_2 = json.loads(async_artifacts["statelog.jsonl"][mine[2]])["step"]
+        assert verify_artifacts(*paths) == reference_findings(*paths) == [(agent_id, step_2)]
+
+    def test_untampered_run_verifies(self, async_artifacts, tmp_path, monkeypatch):
+        for n, lines in async_artifacts.items():
+            (tmp_path / n).write_text("".join(lines))
+        for block_bytes in (1, 300, ledger._BLOCK_BYTES):
+            monkeypatch.setattr(ledger, "_BLOCK_BYTES", block_bytes)
+            assert verify_artifacts(tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl") == []
+
+    @pytest.mark.parametrize("block_bytes", [1, 300, ledger._BLOCK_BYTES])
+    def test_read_state_log_inverts_writer(self, block_bytes, tmp_path, monkeypatch):
+        monkeypatch.setattr(ledger, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(3)
+        matrices = [rng.integers(INT64_MIN, INT64_MAX, size=(n, 9), endpoint=True)
+                    for n in (1, 7, 0, 40)]
+        matrices[0][0, 2:4] = INT64_MAX, INT64_MIN
+        matrices[1][:, 4:6] = 0, -1
+        path = tmp_path / "statelog.jsonl"
+        write_state_log(path, matrices)
+        blocks = list(read_state_log(path))
+        assert all(b.dtype == np.dtype("<i8") and b.shape[1] == 9 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), np.concatenate(matrices))
+
+    def test_int64_extremes_verify_clean(self, tmp_path):
+        q = np.array([[3, 0, INT64_MAX, INT64_MIN, INT64_MIN, INT64_MAX, -1, 0],
+                      [4, 0, 0, 1, INT64_MAX, 5, 3, 0]], dtype="<i8")
+        chains = {}
+        commit_rows(chains, q, 0)
+        write_ledger(tmp_path / "ledger.tsv", chains)
+        write_state_log(tmp_path / "statelog.jsonl", [q])
+        assert verify_artifacts(tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl") == []
+
+    def test_verify_memory_below_state_log_size(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n, k, steps = 100, 100, 100
+        chains, matrices = {}, []
+        for t in range(steps):
+            q = rng.integers(10 ** 9, 10 ** 10, size=(n, k + 6))
+            q[:, 0], q[:, 1] = np.arange(n), t
+            commit_rows(chains, q, t)
+            matrices.append(q)
+        write_ledger(tmp_path / "ledger.tsv", chains)
+        write_state_log(tmp_path / "statelog.jsonl", matrices)
+        del chains, matrices
+        size = (tmp_path / "statelog.jsonl").stat().st_size
+        assert size >= 10 * 2 ** 20
+        tracemalloc.start()
+        try:
+            findings = verify_artifacts(tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert findings == []
+        assert peak < size, (peak, size)
