@@ -1,14 +1,17 @@
 """Scenario configuration: schema, validation, file loading, serialization.
 
 Config files are YAML (JSON is a YAML subset and loads through the same
-parser). The schema is nested; unknown keys are rejected with their full field
-path. All defaults mirror the reference scenario, so an empty config file
-reproduces the headline truth-concentration experiment.
+parser). The schema is nested; unknown keys and values that do not fit their
+field annotation are rejected with their full field path. ``rating``,
+``inference`` and ``evolution`` are the modules' own config dataclasses, which
+check their ranges when built. All defaults mirror the reference scenario, so
+an empty config file reproduces the headline truth-concentration experiment.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -16,7 +19,7 @@ import numpy as np
 import yaml
 
 from .competition import zero_one_table
-from .errors import ConfigError
+from .errors import ConfigError, ShapeMismatch
 from .evolution import EvolutionConfig
 from .inference import InferenceConfig
 from .ledger import STRENGTH_MAX
@@ -58,33 +61,6 @@ class PopulationSection:
 
 
 @dataclass
-class RatingSection:
-    r0: float = 0.5
-    sigma: float = 0.01
-    schedule: str = "harmonic"
-    alpha: float = 0.05
-    shape_scale: float = 1.0
-
-
-@dataclass
-class InferenceSection:
-    beta: float = 0.0
-    alpha_strength: float = 1.0
-    gain_cap: float = 10.0
-
-
-@dataclass
-class EvolutionSection:
-    tau_rep: float = 0.8
-    tau_ext: float = 0.1
-    grace: int = 5
-    lam: float = 0.45          # config key: "lambda"
-    sigma_mut: float = 0.05
-    mutation_kind: str = "exp-tilt"
-    n_star: Optional[int] = 128
-
-
-@dataclass
 class RunSection:
     horizon: int = 500
     seed: int = 42
@@ -101,38 +77,10 @@ class ScenarioConfig:
     task: TaskSection = field(default_factory=TaskSection)
     oracle: object = "zero-one"
     population: PopulationSection = field(default_factory=PopulationSection)
-    rating: RatingSection = field(default_factory=RatingSection)
-    inference: InferenceSection = field(default_factory=InferenceSection)
-    evolution: EvolutionSection = field(default_factory=EvolutionSection)
+    rating: RatingConfig = field(default_factory=RatingConfig)
+    inference: InferenceConfig = field(default_factory=InferenceConfig)
+    evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     run: RunSection = field(default_factory=RunSection)
-
-    def rating_config(self) -> RatingConfig:
-        r = self.rating
-        try:
-            return RatingConfig(r0=r.r0, sigma=r.sigma, schedule=r.schedule,
-                                alpha=r.alpha, shape_scale=r.shape_scale)
-        except Exception as exc:
-            raise ConfigError("rating", str(exc)) from exc
-
-    def inference_config(self) -> InferenceConfig:
-        i = self.inference
-        try:
-            return InferenceConfig(beta=i.beta, alpha_strength=i.alpha_strength,
-                                   gain_cap=i.gain_cap)
-        except Exception as exc:
-            raise ConfigError("inference", str(exc)) from exc
-
-    def evolution_config(self) -> EvolutionConfig:
-        e = self.evolution
-        try:
-            return EvolutionConfig(tau_rep=e.tau_rep, tau_ext=e.tau_ext, grace=e.grace,
-                                   lam=e.lam, sigma_mut=e.sigma_mut,
-                                   mutation_kind=e.mutation_kind, n_star=e.n_star)
-        except Exception as exc:
-            if e.tau_ext >= e.tau_rep:
-                raise ConfigError("evolution.tau_ext", f"must be below evolution.tau_rep "
-                                  f"({e.tau_ext} >= {e.tau_rep})") from exc
-            raise ConfigError("evolution", str(exc)) from exc
 
 
 # Config keys that differ from attribute names (``lambda`` is a Python keyword).
@@ -144,25 +92,48 @@ _SECTIONS = {
     "likelihood": LikelihoodSection,
     "task": TaskSection,
     "population": PopulationSection,
-    "rating": RatingSection,
-    "inference": InferenceSection,
-    "evolution": EvolutionSection,
+    "rating": RatingConfig,
+    "inference": InferenceConfig,
+    "evolution": EvolutionConfig,
     "run": RunSection,
 }
 _SCALAR_FIELDS = ("outcomes", "oracle")
+_HINTS = {cls: typing.get_type_hints(cls) for cls in (ScenarioConfig, *_SECTIONS.values())}
+_SCALAR_TYPES = {int: ((int, np.integer), "an integer"),
+                 float: ((int, float, np.integer, np.floating), "a number"),
+                 str: ((str,), "a string")}
+
+
+def _check_type(value, hint, path: str) -> None:
+    """Refuse a value that does not fit its field annotation: int refuses floats
+    and bools, float takes ints, Optional admits null, List checks each item."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        if value is None:
+            return
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"must be a list, got {type(value).__name__}")
+        for i, item in enumerate(value):
+            _check_type(item, (typing.get_args(hint) or (object,))[0], f"{path}[{i}]")
+    elif hint in _SCALAR_TYPES:
+        allowed, name = _SCALAR_TYPES[hint]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(path, f"must be {name}, got {value!r}")
 
 
 def _fill_section(cls, data: dict, path: str):
-    known = {f.name for f in dataclasses.fields(cls)}
+    hints = _HINTS[cls]
     kwargs = {}
     for key, value in data.items():
         attr = _KEY_TO_ATTR.get(key, key)
-        if attr not in known:
+        if attr not in hints:
             raise ConfigError(f"{path}.{key}", "unknown field")
+        _check_type(value, hints[attr], f"{path}.{key}")
         kwargs[attr] = value
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except (ShapeMismatch, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -178,6 +149,7 @@ def from_dict(data: dict) -> ScenarioConfig:
                 raise ConfigError(key, "must be a mapping")
             kwargs[key] = _fill_section(_SECTIONS[key], value, key)
         elif key in _SCALAR_FIELDS:
+            _check_type(value, _HINTS[ScenarioConfig][key], key)
             kwargs[key] = value
         else:
             raise ConfigError(key, "unknown field")
@@ -193,18 +165,16 @@ def to_dict(cfg: ScenarioConfig) -> dict:
     out: dict = {}
     for name, cls in _SECTIONS.items():
         section = getattr(cfg, name)
-        sec_dict = {}
-        for f in dataclasses.fields(cls):
-            key = _ATTR_TO_KEY.get(f.name, f.name)
-            sec_dict[key] = getattr(section, f.name)
-        out[name] = sec_dict
+        out[name] = {_ATTR_TO_KEY.get(f.name, f.name): getattr(section, f.name)
+                     for f in dataclasses.fields(cls)}
     out["outcomes"] = cfg.outcomes
     out["oracle"] = cfg.oracle
     return out
 
 
 def validate(cfg: ScenarioConfig) -> None:
-    """Range checks re-validating every module constraint, with field paths."""
+    """Cross-field and range checks of the sections config.py declares, with
+    field paths; ``rating``, ``inference`` and ``evolution`` check themselves."""
     def bad(fieldpath, msg):
         raise ConfigError(fieldpath, msg)
 
@@ -212,8 +182,9 @@ def validate(cfg: ScenarioConfig) -> None:
         bad("space.hypotheses", "must be >= 1")
     if cfg.outcomes < 2:
         bad("outcomes", "must be >= 2")
-    if cfg.space.embedding is not None and len(cfg.space.embedding) != cfg.space.hypotheses:
-        bad("space.embedding", f"needs exactly {cfg.space.hypotheses} points")
+    emb = cfg.space.embedding
+    if emb is not None and (len(emb) != cfg.space.hypotheses or len({len(p) for p in emb}) > 1):
+        bad("space.embedding", f"needs exactly {cfg.space.hypotheses} points of one dimension")
 
     lk = cfg.likelihood
     if lk.kind not in (CATEGORICAL, BERNOULLI, DISCRETIZED_GAUSSIAN):
@@ -251,7 +222,10 @@ def validate(cfg: ScenarioConfig) -> None:
                     f"truth label must be an integer in [0, {cfg.outcomes})")
 
     if cfg.oracle != "zero-one":
-        table = np.asarray(cfg.oracle, dtype=float)
+        try:
+            table = np.asarray(cfg.oracle, dtype=float)
+        except (TypeError, ValueError):
+            bad("oracle", "must be zero-one or a numeric loss table")
         if table.shape != (cfg.outcomes, cfg.outcomes):
             bad("oracle", f"loss table must be {cfg.outcomes}x{cfg.outcomes}")
         if np.any(table < 0) or not np.all(np.isfinite(table)):
@@ -280,11 +254,6 @@ def validate(cfg: ScenarioConfig) -> None:
             and cfg.space.embedding is None:
         bad("space.embedding", "kernel-convolution mutation requires an embedding")
 
-    # Module-level invariants (ranges, threshold ordering) re-checked here.
-    cfg.rating_config()
-    cfg.inference_config()
-    cfg.evolution_config()
-
 
 def load_config(path) -> ScenarioConfig:
     try:
@@ -306,17 +275,14 @@ def resolve_param(name: str) -> str:
         section, key = name.split(".", 1)
         if section not in _SECTIONS:
             raise ConfigError(name, "unknown section")
-        attr = _KEY_TO_ATTR.get(key, key)
-        if attr not in {f.name for f in dataclasses.fields(_SECTIONS[section])}:
+        if _KEY_TO_ATTR.get(key, key) not in _HINTS[_SECTIONS[section]]:
             raise ConfigError(name, "unknown field")
         return f"{section}.{key}"
     if name in _SCALAR_FIELDS:
         return name
-    hits = []
-    for section, cls in _SECTIONS.items():
-        attr = _KEY_TO_ATTR.get(name, name)
-        if attr in {f.name for f in dataclasses.fields(cls)}:
-            hits.append(f"{section}.{name}")
+    attr = _KEY_TO_ATTR.get(name, name)
+    hits = [f"{section}.{name}" for section, cls in _SECTIONS.items()
+            if attr in _HINTS[cls]]
     if len(hits) == 1:
         return hits[0]
     if not hits:

@@ -208,9 +208,9 @@ class Simulation:
         self.space, self.outcomes = build_spaces(config)
         self.model = build_model(config, self.space, self.outcomes)
         self.oracle = build_oracle(config, self.outcomes)
-        self.rating_cfg = config.rating_config()
-        self.inference_cfg = config.inference_config()
-        self.evolution_cfg = config.evolution_config()
+        self.rating_cfg = config.rating
+        self.inference_cfg = config.inference
+        self.evolution_cfg = config.evolution
         self.seed = config.run.seed
         self.horizon = config.run.horizon
 

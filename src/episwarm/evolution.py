@@ -14,7 +14,7 @@ cannot express "never triggers".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
 
@@ -128,10 +128,6 @@ class Population:
         )
 
     def __len__(self) -> int:
-        return len(self.ids)
-
-    @property
-    def size(self) -> int:
         return len(self.ids)
 
     def rating_mass(self) -> float:
@@ -252,9 +248,7 @@ class EvolveResult:
     spawn_count: int = 0
     death_count: int = 0
     delayed_split_count: int = 0
-    split_parent_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     split_parent_rating_sum: float = 0.0
-    removed_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     removed_rating_sum: float = 0.0
 
 
@@ -276,7 +270,6 @@ def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
         split_mask = np.zeros(len(pop), dtype=bool)
         split_mask[admitted] = True
         split_rating_sum = float(pop.ratings[admitted].sum())
-        split_parent_ids = pop.ids[admitted].copy()
 
         child_ids = ids.take(2 * len(admitted))
         child_ratings = np.repeat(replication_attenuation(pop.ratings[admitted], cfg.lam), 2)
@@ -293,27 +286,20 @@ def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
                                      smoothing=smoothing)
 
         child_decay = np.full(2 * len(admitted), -1, dtype=np.int64)
-        if len(admitted) == len(pop):
-            pop = Population(space=pop.space, ids=child_ids, parent_ids=child_parents,
-                             birth_steps=child_births, ratings=child_ratings,
-                             strengths=child_strengths, decay_since=child_decay,
-                             belief_matrix=child_beliefs)
-        else:
-            survivors = pop.keep(~split_mask)
-            pop = Population(
-                space=pop.space,
-                ids=np.concatenate([survivors.ids, child_ids]),
-                parent_ids=np.concatenate([survivors.parent_ids, child_parents]),
-                birth_steps=np.concatenate([survivors.birth_steps, child_births]),
-                ratings=np.concatenate([survivors.ratings, child_ratings]),
-                strengths=np.concatenate([survivors.strengths, child_strengths]),
-                decay_since=np.concatenate([survivors.decay_since, child_decay]),
-                belief_matrix=np.concatenate([survivors.belief_matrix, child_beliefs]),
-            )
+        survivors = pop.keep(~split_mask)
+        pop = Population(
+            space=pop.space,
+            ids=np.concatenate([survivors.ids, child_ids]),
+            parent_ids=np.concatenate([survivors.parent_ids, child_parents]),
+            birth_steps=np.concatenate([survivors.birth_steps, child_births]),
+            ratings=np.concatenate([survivors.ratings, child_ratings]),
+            strengths=np.concatenate([survivors.strengths, child_strengths]),
+            decay_since=np.concatenate([survivors.decay_since, child_decay]),
+            belief_matrix=np.concatenate([survivors.belief_matrix, child_beliefs]),
+        )
         spawn_count = 2 * len(admitted)
     else:
         split_rating_sum = 0.0
-        split_parent_ids = np.empty(0, dtype=np.int64)
         spawn_count = 0
 
     pop, removed_ids, removed_mass = extinction_sweep(pop, t, cfg)
@@ -325,8 +311,6 @@ def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
         spawn_count=spawn_count,
         death_count=len(removed_ids),
         delayed_split_count=delayed,
-        split_parent_ids=split_parent_ids,
         split_parent_rating_sum=split_rating_sum,
-        removed_ids=removed_ids,
         removed_rating_sum=removed_mass,
     )

@@ -104,10 +104,6 @@ class Belief:
             raise ShapeMismatch(f"belief sums to {s!r}, outside 1 +/- {SUM_TOL}")
         object.__setattr__(self, "probs", _readonly(p))
 
-    @property
-    def k(self) -> int:
-        return self.space.size
-
     @classmethod
     def uniform(cls, space: HypothesisSpace) -> "Belief":
         return cls(space, np.full(space.size, 1.0 / space.size))

@@ -11,6 +11,11 @@ from episwarm.cli import main
 from episwarm.config import (dump_config, from_dict, load_config, resolve_param,
                              set_param, to_dict)
 from episwarm.errors import ConfigError
+from episwarm.evolution import EvolutionConfig
+from episwarm.inference import InferenceConfig
+from episwarm.rating import RatingConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConfig:
@@ -105,6 +110,34 @@ class TestConfig:
             set_param(cfg, "evolution.lambda", 1.5)
 
 
+
+class TestDefaults:
+    """Each default is declared once; these pin the copies that document it."""
+
+    def test_sections_are_module_configs(self):
+        cfg = from_dict({})
+        assert cfg.rating == RatingConfig()
+        assert cfg.inference == InferenceConfig()
+        assert cfg.evolution == EvolutionConfig()
+
+    def test_readme_block_lists_the_defaults(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme[readme.index("## Configuration"):]
+        block = section[section.index("```yaml\n") + 8:section.index("```\n", 10)]
+        assert yaml.safe_load(block) == to_dict(from_dict({}))
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
+                             ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        load_config(path)
+
+    def test_reference_config_is_the_defaults(self):
+        ref = to_dict(load_config(ROOT / "configs" / "reference.yaml"))
+        defaults = to_dict(from_dict({}))
+        assert ref["run"].pop("out_dir") != defaults["run"].pop("out_dir")
+        assert ref == defaults
+
+
 REFERENCE_SMALL = {
     "space": {"hypotheses": 4},
     "outcomes": 4,
@@ -137,6 +170,25 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "tau_ext" in err and "tau_rep" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("run.horizon", "abc"), ("population.agents", "x"), ("space.hypotheses", "x"),
+        ("outcomes", "x"), ("likelihood.peak", "x"), ("task.true_hypothesis", "x"),
+        ("space.embedding", 5), ("task.observations", 5), ("oracle", "abc"),
+        ("run.async_bound", None), ("population.agents", 2.5), ("run.horizon", 2.5),
+        ("run.seed", 1.5),
+    ])
+    def test_run_malformed_value_exit_one(self, tmp_path, capsys, field, value):
+        data = {**REFERENCE_SMALL, "run": dict(REFERENCE_SMALL["run"],
+                                               out_dir=str(tmp_path / "out"))}
+        if "." in field:
+            section, key = field.split(".")
+            data[section] = dict(data.get(section, {}), **{key: value})
+        else:
+            data[field] = value
+        assert main(["run", write_cfg(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
 
     def test_run_missing_file_exit_one(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.yaml")]) == 1
