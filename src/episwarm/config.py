@@ -1,17 +1,21 @@
-"""Scenario configuration: schema, validation, file loading, serialization.
+"""Scenario configuration: schema, file loading, serialization, and ``build``.
 
 Config files are YAML (JSON is a YAML subset and loads through the same
-parser). The schema is nested; unknown keys and values that do not fit their
-field annotation are rejected with their full field path. ``rating``,
-``inference`` and ``evolution`` are the modules' own config dataclasses, which
-check their ranges when built. All defaults mirror the reference scenario, so
-an empty config file reproduces the headline truth-concentration experiment.
+parser). Unknown keys, values that do not fit their field annotation and
+non-finite numbers are rejected with their full field path. Each section
+checks its own ranges when built (``rating``, ``inference`` and ``evolution``
+are the modules' own config dataclasses); ``build`` makes the objects a run is
+made of, so whatever spans sections is checked at load too. All defaults
+mirror the reference scenario, so an empty config file reproduces the headline
+truth-concentration experiment.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -19,12 +23,12 @@ import numpy as np
 import yaml
 
 from .competition import zero_one_table
-from .errors import ConfigError, ShapeMismatch
-from .evolution import EvolutionConfig
+from .errors import ConfigError, IncompatibleObservation, ShapeMismatch
+from .evolution import KERNEL_CONVOLUTION, EvolutionConfig, build_smoothing_matrix
 from .inference import InferenceConfig
 from .ledger import STRENGTH_MAX
 from .likelihood import (BERNOULLI, CATEGORICAL, DISCRETIZED_GAUSSIAN, Bernoulli,
-                         CategoricalTable, DiscretizedGaussian)
+                         CategoricalTable, DiscretizedGaussian, Observation)
 from .rating import RatingConfig
 from .spaces import HypothesisSpace, OutcomeSpace
 
@@ -45,6 +49,14 @@ class LikelihoodSection:
     scale: float = 1.0
     bin_edges: Optional[List[float]] = None
 
+    def __post_init__(self):
+        if self.kind == "categorical-table":  # accepted alias
+            self.kind = CATEGORICAL
+        if self.kind not in (CATEGORICAL, BERNOULLI, DISCRETIZED_GAUSSIAN):
+            raise ShapeMismatch(f"unknown kind {self.kind!r}")
+        if self.kind == CATEGORICAL and self.rows is None and self.peak is None:
+            raise ShapeMismatch("categorical model needs rows or peak")
+
 
 @dataclass
 class TaskSection:
@@ -59,6 +71,16 @@ class PopulationSection:
     dirichlet_alpha: float = 1.0
     strength0: float = 1.0
 
+    def __post_init__(self):
+        if self.agents < 1:
+            raise ShapeMismatch("agents must be >= 1")
+        if self.prior not in ("dirichlet", "uniform"):
+            raise ShapeMismatch(f"unknown prior kind {self.prior!r}")
+        if not 0 < self.dirichlet_alpha < math.inf:
+            raise ShapeMismatch("dirichlet_alpha must be positive and finite")
+        if not 0 < self.strength0 <= STRENGTH_MAX:
+            raise ShapeMismatch(f"strength0 must lie in (0, {STRENGTH_MAX:g}]")
+
 
 @dataclass
 class RunSection:
@@ -67,6 +89,16 @@ class RunSection:
     mode: str = "sync"         # sync | async
     async_bound: int = 5
     out_dir: str = "out"
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ShapeMismatch("horizon must be >= 1")
+        if self.mode not in ("sync", "async"):
+            raise ShapeMismatch(f"unknown mode {self.mode!r}")
+        if self.async_bound < 1:
+            raise ShapeMismatch("async_bound must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ShapeMismatch("seed must be a 64-bit unsigned integer")
 
 
 @dataclass
@@ -105,8 +137,8 @@ _SCALAR_TYPES = {int: ((int, np.integer), "an integer"),
 
 
 def _check_type(value, hint, path: str) -> None:
-    """Refuse a value that does not fit its field annotation: int refuses floats
-    and bools, float takes ints, Optional admits null, List checks each item."""
+    """Refuse a value that does not fit its field annotation: int refuses floats and
+    bools, float takes finite numbers, Optional admits null, List checks each item."""
     if typing.get_origin(hint) is typing.Union:  # Optional[X]
         if value is None:
             return
@@ -120,6 +152,17 @@ def _check_type(value, hint, path: str) -> None:
         allowed, name = _SCALAR_TYPES[hint]
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ConfigError(path, f"must be {name}, got {value!r}")
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise ConfigError(path, f"must be finite, got {value!r}")
+
+
+@contextmanager
+def _located(path: str):
+    """Re-raise a constructor's complaint as a ConfigError at ``path``."""
+    try:
+        yield
+    except (ShapeMismatch, IncompatibleObservation, TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _fill_section(cls, data: dict, path: str):
@@ -131,15 +174,12 @@ def _fill_section(cls, data: dict, path: str):
             raise ConfigError(f"{path}.{key}", "unknown field")
         _check_type(value, hints[attr], f"{path}.{key}")
         kwargs[attr] = value
-    try:
+    with _located(path):
         return cls(**kwargs)
-    except (ShapeMismatch, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
 
 
 def from_dict(data: dict) -> ScenarioConfig:
-    if data is None:
-        data = {}
+    data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a mapping")
     kwargs = {}
@@ -154,9 +194,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         else:
             raise ConfigError(key, "unknown field")
     cfg = ScenarioConfig(**kwargs)
-    if cfg.likelihood.kind == "categorical-table":  # accepted alias
-        cfg.likelihood.kind = CATEGORICAL
-    validate(cfg)
+    build(cfg)
     return cfg
 
 
@@ -170,89 +208,6 @@ def to_dict(cfg: ScenarioConfig) -> dict:
     out["outcomes"] = cfg.outcomes
     out["oracle"] = cfg.oracle
     return out
-
-
-def validate(cfg: ScenarioConfig) -> None:
-    """Cross-field and range checks of the sections config.py declares, with
-    field paths; ``rating``, ``inference`` and ``evolution`` check themselves."""
-    def bad(fieldpath, msg):
-        raise ConfigError(fieldpath, msg)
-
-    if cfg.space.hypotheses < 1:
-        bad("space.hypotheses", "must be >= 1")
-    if cfg.outcomes < 2:
-        bad("outcomes", "must be >= 2")
-    emb = cfg.space.embedding
-    if emb is not None and (len(emb) != cfg.space.hypotheses or len({len(p) for p in emb}) > 1):
-        bad("space.embedding", f"needs exactly {cfg.space.hypotheses} points of one dimension")
-
-    lk = cfg.likelihood
-    if lk.kind not in (CATEGORICAL, BERNOULLI, DISCRETIZED_GAUSSIAN):
-        bad("likelihood.kind", f"unknown kind {lk.kind!r}")
-    if lk.kind == CATEGORICAL and lk.rows is None and lk.peak is None:
-        bad("likelihood", "categorical model needs rows or peak")
-    if lk.kind == CATEGORICAL and lk.rows is None and lk.peak is not None:
-        if not 0 < lk.peak < 1:
-            bad("likelihood.peak", "must lie in (0, 1)")
-        if cfg.outcomes != cfg.space.hypotheses:
-            bad("likelihood.peak", "peaked shorthand requires outcomes == hypotheses")
-    if lk.kind == BERNOULLI:
-        if lk.probs is None:
-            bad("likelihood.probs", "bernoulli model needs per-hypothesis probabilities")
-        if cfg.outcomes != 2:
-            bad("outcomes", "bernoulli model requires exactly 2 outcomes")
-    if lk.kind == DISCRETIZED_GAUSSIAN:
-        if lk.means is None or lk.bin_edges is None:
-            bad("likelihood", "gaussian model needs means and bin_edges")
-        if len(lk.bin_edges) - 1 != cfg.outcomes:
-            bad("likelihood.bin_edges", f"must define exactly {cfg.outcomes} bins")
-
-    t = cfg.task
-    if t.observations is None:
-        if t.true_hypothesis is None:
-            bad("task", "need true_hypothesis or observations")
-        if not 0 <= t.true_hypothesis < cfg.space.hypotheses:
-            bad("task.true_hypothesis", f"outside [0, {cfg.space.hypotheses})")
-    else:
-        for i, pair in enumerate(t.observations):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                bad(f"task.observations[{i}]", "must be a [datum, truth_label] pair")
-            if not isinstance(pair[1], int) or not 0 <= pair[1] < cfg.outcomes:
-                bad(f"task.observations[{i}]",
-                    f"truth label must be an integer in [0, {cfg.outcomes})")
-
-    if cfg.oracle != "zero-one":
-        try:
-            table = np.asarray(cfg.oracle, dtype=float)
-        except (TypeError, ValueError):
-            bad("oracle", "must be zero-one or a numeric loss table")
-        if table.shape != (cfg.outcomes, cfg.outcomes):
-            bad("oracle", f"loss table must be {cfg.outcomes}x{cfg.outcomes}")
-        if np.any(table < 0) or not np.all(np.isfinite(table)):
-            bad("oracle", "loss table entries must be finite and >= 0")
-
-    p = cfg.population
-    if p.agents < 1:
-        bad("population.agents", "must be >= 1")
-    if p.prior not in ("dirichlet", "uniform"):
-        bad("population.prior", f"unknown prior kind {p.prior!r}")
-    if p.dirichlet_alpha <= 0:
-        bad("population.dirichlet_alpha", "must be positive")
-    if not 0 < p.strength0 <= STRENGTH_MAX:
-        bad("population.strength0", f"must lie in (0, {STRENGTH_MAX:g}]")
-
-    if cfg.run.horizon < 1:
-        bad("run.horizon", "must be >= 1")
-    if cfg.run.mode not in ("sync", "async"):
-        bad("run.mode", f"unknown mode {cfg.run.mode!r}")
-    if cfg.run.async_bound < 1:
-        bad("run.async_bound", "must be >= 1")
-    if not 0 <= cfg.run.seed < 2 ** 64:
-        bad("run.seed", "must be a 64-bit unsigned integer")
-
-    if cfg.evolution.mutation_kind == "kernel-convolution" and cfg.evolution.sigma_mut > 0 \
-            and cfg.space.embedding is None:
-        bad("space.embedding", "kernel-convolution mutation requires an embedding")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -291,7 +246,7 @@ def resolve_param(name: str) -> str:
 
 
 def set_param(cfg: ScenarioConfig, dotted: str, value) -> ScenarioConfig:
-    """New config with one parameter replaced; full validation re-runs."""
+    """New config with one parameter replaced; every check re-runs."""
     data = to_dict(cfg)
     if "." in dotted:
         section, key = dotted.split(".", 1)
@@ -301,30 +256,55 @@ def set_param(cfg: ScenarioConfig, dotted: str, value) -> ScenarioConfig:
     return from_dict(data)
 
 
-def build_spaces(cfg: ScenarioConfig):
-    emb = None if cfg.space.embedding is None else np.asarray(cfg.space.embedding, dtype=float)
-    space = HypothesisSpace.indexed(cfg.space.hypotheses, embedding=emb)
-    outcomes = OutcomeSpace.indexed(cfg.outcomes)
-    return space, outcomes
+def build(cfg: ScenarioConfig):
+    """``(space, outcomes, model, oracle, observations, smoothing)`` of a run, each
+    made by the constructor that checks it, a failure raised as a ConfigError
+    naming its section; observations and smoothing may be None."""
+    with _located("space" if cfg.space.embedding is None else "space.embedding"):
+        space = HypothesisSpace.indexed(cfg.space.hypotheses, embedding=cfg.space.embedding)
+    with _located("outcomes"):
+        outcomes = OutcomeSpace.indexed(cfg.outcomes)
+    n = outcomes.size
 
-
-def build_model(cfg: ScenarioConfig, space: HypothesisSpace, outcomes: OutcomeSpace):
     lk = cfg.likelihood
-    try:
-        if lk.kind == CATEGORICAL:
-            if lk.rows is not None:
-                return CategoricalTable(space, outcomes, lk.rows)
-            return CategoricalTable.peaked(space, outcomes, lk.peak)
+    with _located("likelihood"):
         if lk.kind == BERNOULLI:
-            return Bernoulli(space, lk.probs)
-        return DiscretizedGaussian(space, lk.means, lk.scale, lk.bin_edges)
-    except Exception as exc:
-        raise ConfigError("likelihood", str(exc)) from exc
+            model = Bernoulli(space, lk.probs)
+        elif lk.kind == DISCRETIZED_GAUSSIAN:
+            model = DiscretizedGaussian(space, lk.means, lk.scale, lk.bin_edges)
+        elif lk.rows is not None:
+            model = CategoricalTable(space, outcomes, lk.rows)
+        else:
+            model = CategoricalTable.peaked(space, outcomes, lk.peak)
+        if model.outcomes.size != n:
+            raise ShapeMismatch(f"model has {model.outcomes.size} outcomes, config has {n}")
 
+    if isinstance(cfg.oracle, str) and cfg.oracle == "zero-one":
+        oracle = zero_one_table(n)
+    else:
+        with _located("oracle"):
+            oracle = np.asarray(cfg.oracle, dtype=float)
+            if oracle.shape != (n, n) or not np.all(np.isfinite(oracle)) or np.any(oracle < 0):
+                raise ShapeMismatch(f"must be zero-one or a {n}x{n} table of finite losses >= 0")
+        oracle.setflags(write=False)
 
-def build_oracle(cfg: ScenarioConfig, outcomes: OutcomeSpace) -> np.ndarray:
-    if cfg.oracle == "zero-one":
-        return zero_one_table(outcomes.size)
-    table = np.asarray(cfg.oracle, dtype=float)
-    table.setflags(write=False)
-    return table
+    t = cfg.task
+    if t.observations is None and t.true_hypothesis is None:
+        raise ConfigError("task", "need true_hypothesis or observations")
+    if t.true_hypothesis is not None and not 0 <= t.true_hypothesis < space.size:
+        raise ConfigError("task.true_hypothesis", f"outside [0, {space.size})")
+    observations = None if t.observations is None else []
+    for i, pair in enumerate(t.observations or ()):
+        with _located(f"task.observations[{i}]"):
+            datum, label = pair  # anything but a [datum, truth_label] pair raises
+            if isinstance(label, bool) or not isinstance(label, int) or not 0 <= label < n:
+                raise ShapeMismatch(f"truth label must be an integer in [0, {n})")
+            obs = Observation(datum=datum, truth_label=label, step=i)
+            model.validate_observation(obs)
+        observations.append(obs)
+
+    smoothing = None
+    if cfg.evolution.mutation_kind == KERNEL_CONVOLUTION:
+        with _located("evolution"):
+            smoothing = build_smoothing_matrix(space, cfg.evolution.sigma_mut)
+    return space, outcomes, model, oracle, observations, smoothing

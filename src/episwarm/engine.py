@@ -30,12 +30,10 @@ import numpy as np
 # MarginMatrix stays bound though unused: bench/tracing.py wraps it here.
 from .competition import (MarginMatrix, ScoreReport, aggregate_utility,  # noqa: F401
                           fitness, log_score, oracle_loss, zero_sum_tolerance)
-from .config import (ScenarioConfig, build_model, build_oracle, build_spaces,
-                     resolve_param, set_param)
+from .config import ScenarioConfig, build, resolve_param, set_param
 from .errors import (EpiswarmError, InvariantViolation, PopulationCollapse, ScheduleViolation,
                      ShapeMismatch)
-from .evolution import (IdAllocator, Population, build_smoothing_matrix, evolve,
-                        update_decay_markers)
+from .evolution import IdAllocator, Population, evolve, update_decay_markers
 from .inference import information_gain, posterior_rows, strength_update
 # commit and encode_quantized stay bound though unused: bench/tracing.py wraps them here.
 from .ledger import (STRENGTH_MAX, LedgerChain, commit, commit_rows,  # noqa: F401
@@ -100,21 +98,19 @@ class AsyncSchedule:
     bound: int
     update_steps: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
-    def validate(self, horizon: int, birth_steps: Optional[Dict[int, int]] = None) -> None:
+    def validate(self, horizon: int) -> None:
         if self.bound < 1:
             raise ScheduleViolation("bound must be >= 1")
         for aid, steps in self.update_steps.items():
-            start = 0 if birth_steps is None else birth_steps.get(aid, 0)
             if len(steps) == 0:
-                if horizon - start > self.bound:
+                if horizon > self.bound:
                     raise ScheduleViolation(f"agent {aid}: empty update set")
                 continue
             if any(b <= a for a, b in zip(steps, steps[1:])):
                 raise ScheduleViolation(f"agent {aid}: update steps must be strictly increasing")
-            if steps[0] - start >= self.bound:
+            if steps[0] >= self.bound:
                 raise ScheduleViolation(
-                    f"agent {aid}: first update {steps[0]} misses window "
-                    f"[{start}, {start + self.bound})")
+                    f"agent {aid}: first update {steps[0]} misses window [0, {self.bound})")
             gaps = [b - a for a, b in zip(steps, steps[1:])]
             if any(g > self.bound for g in gaps):
                 raise ScheduleViolation(f"agent {aid}: update gap exceeds bound {self.bound}")
@@ -205,21 +201,16 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None):
         self.config = config
-        self.space, self.outcomes = build_spaces(config)
-        self.model = build_model(config, self.space, self.outcomes)
-        self.oracle = build_oracle(config, self.outcomes)
+        (self.space, self.outcomes, self.model, self.oracle, observations,
+         self.smoothing) = build(config)
         self.rating_cfg = config.rating
         self.inference_cfg = config.inference
         self.evolution_cfg = config.evolution
         self.seed = config.run.seed
         self.horizon = config.run.horizon
 
-        if config.task.observations is not None:
-            sched = [Observation(datum=d, truth_label=int(y), step=i)
-                     for i, (d, y) in enumerate(config.task.observations)]
-            self.env = TaskEnvironment(self.model, schedule=sched)
-        else:
-            self.env = TaskEnvironment(self.model, true_hypothesis=config.task.true_hypothesis)
+        self.env = TaskEnvironment(self.model, true_hypothesis=config.task.true_hypothesis,
+                                   schedule=observations)
         self.task_rng = substream(self.seed, DOMAIN_TASK)
 
         n = config.population.agents
@@ -228,9 +219,6 @@ class Simulation:
         self.population = Population.create(
             self.space, beliefs, r0=self.rating_cfg.r0,
             strength0=config.population.strength0)
-
-        self.smoothing = (build_smoothing_matrix(self.space, self.evolution_cfg.sigma_mut)
-                          if self.evolution_cfg.mutation_kind == "kernel-convolution" else None)
 
         self.chains: Dict[int, LedgerChain] = {}
         self._rating_rngs: Dict[int, np.random.Generator] = {}

@@ -14,6 +14,7 @@ cannot express "never triggers".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
@@ -55,8 +56,8 @@ class EvolutionConfig:
             raise ShapeMismatch("grace must be a positive integer")
         if not 0 < self.lam < 1:
             raise ShapeMismatch("lambda must lie in (0, 1)")
-        if self.sigma_mut < 0:
-            raise ShapeMismatch("sigma_mut must be >= 0")
+        if not 0 <= self.sigma_mut < math.inf:
+            raise ShapeMismatch("sigma_mut must be finite and >= 0")
         if self.mutation_kind not in (EXP_TILT, KERNEL_CONVOLUTION):
             raise ShapeMismatch(f"unknown mutation kind {self.mutation_kind!r}")
         if self.n_star is not None and self.n_star < 1:

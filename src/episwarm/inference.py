@@ -37,12 +37,12 @@ class InferenceConfig:
     gain_cap: float = 10.0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ShapeMismatch("beta must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise ShapeMismatch("beta must be finite and >= 0")
         if not 0 < self.alpha_strength <= 1:
             raise ShapeMismatch("alpha_strength must lie in (0, 1]")
-        if self.gain_cap <= 0:
-            raise ShapeMismatch("gain_cap must be positive")
+        if not 0 < self.gain_cap < math.inf:
+            raise ShapeMismatch("gain_cap must be positive and finite")
 
 
 def posterior_rows(priors: np.ndarray, like: np.ndarray, beta: float) -> np.ndarray:

@@ -79,6 +79,8 @@ class CategoricalTable:
         """Square table with ``peak`` on the matching outcome, rest spread evenly."""
         if space.size != outcomes.size:
             raise ShapeMismatch("peaked table requires as many outcomes as hypotheses")
+        if not 0 < peak < 1:
+            raise ShapeMismatch("peak must lie in (0, 1)")
         n = space.size
         off = (1.0 - peak) / (n - 1)
         rows = np.full((n, n), off)
@@ -147,11 +149,11 @@ class DiscretizedGaussian:
                  bin_edges: Sequence[float]):
         mu = np.asarray(means, dtype=np.float64)
         edges = np.asarray(bin_edges, dtype=np.float64)
-        if mu.shape != (space.size,):
-            raise ShapeMismatch(f"need one mean per hypothesis ({space.size})")
+        if mu.shape != (space.size,) or not np.all(np.isfinite(mu)):
+            raise ShapeMismatch(f"need one finite mean per hypothesis ({space.size})")
         if scale <= 0 or not math.isfinite(scale):
             raise ShapeMismatch("scale must be a positive finite real")
-        if edges.ndim != 1 or len(edges) < 3 or np.any(np.diff(edges) <= 0):
+        if edges.ndim != 1 or len(edges) < 3 or not np.all(np.diff(edges) > 0):
             raise ShapeMismatch("bin_edges must be strictly increasing with >= 3 values")
         self.space = space
         self.outcomes = OutcomeSpace.indexed(len(edges) - 1)

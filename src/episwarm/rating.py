@@ -32,14 +32,14 @@ class RatingConfig:
     def __post_init__(self):
         if not 0 < self.r0 < 1:
             raise ShapeMismatch("r0 must lie in (0, 1)")
-        if self.sigma < 0:
-            raise ShapeMismatch("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ShapeMismatch("sigma must be finite and >= 0")
         if self.schedule not in (HARMONIC, CONSTANT):
             raise ShapeMismatch(f"unknown schedule {self.schedule!r}")
         if self.schedule == CONSTANT and not 0 < self.alpha <= 1:
             raise ShapeMismatch("constant schedule needs alpha in (0, 1]")
-        if self.shape_scale <= 0:
-            raise ShapeMismatch("shape_scale must be positive")
+        if not 0 < self.shape_scale < math.inf:
+            raise ShapeMismatch("shape_scale must be positive and finite")
 
 
 def learning_rate(t: int, cfg: RatingConfig) -> float:

@@ -4,13 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from episwarm.cli import main
-from episwarm.config import (dump_config, from_dict, load_config, resolve_param,
-                             set_param, to_dict)
-from episwarm.errors import ConfigError
+from episwarm.config import (ScenarioConfig, SpaceSection, TaskSection, dump_config,
+                             from_dict, load_config, resolve_param, set_param, to_dict)
+from episwarm.engine import Simulation
+from episwarm.errors import ConfigError, ShapeMismatch
 from episwarm.evolution import EvolutionConfig
 from episwarm.inference import InferenceConfig
 from episwarm.rating import RatingConfig
@@ -279,6 +281,124 @@ class TestCli:
                            mode="async", async_bound=3, horizon=20)
         assert main(["run", write_cfg(tmp_path, data)]) == 0
         assert (tmp_path / "out" / "divergence.json").exists()
+
+
+GAUSSIAN = {"kind": "discretized-gaussian", "means": [-1.5, -0.5, 0.5, 1.5],
+            "scale": 1.0, "bin_edges": [-3.0, -1.0, 0.0, 1.0, 3.0]}
+
+# Scenario kinds the reference scenario does not reach: each must run and verify.
+SCENARIO_KINDS = {
+    "bernoulli": {"outcomes": 2,
+                  "likelihood": {"kind": "bernoulli", "probs": [0.1, 0.4, 0.6, 0.9]}},
+    "discretized_gaussian": {"likelihood": GAUSSIAN},
+    "oracle_table": {"oracle": [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]},
+    "observation_list": {"task": {"observations": [[0, 0], [1, 1], [2, 2], [3, 3], [0, 1]]}},
+}
+
+# Configs whose fault only showed once the run had started, as a run error or a
+# traceback.
+LATE_FAILURES = {
+    "short_table": ({"likelihood": {"rows": [[0.5, 0.5]]}}, "likelihood:"),
+    "short_probs": ({"outcomes": 2, "likelihood": {"kind": "bernoulli", "probs": [0.1, 0.5]}},
+                    "likelihood:"),
+    "bad_datum": ({"task": {"observations": [[0, 0], [1, 1], [99, 2]]}},
+                  "task.observations[2]:"),
+    "truth_outside_space": ({"task": {"true_hypothesis": 99, "observations": [[0, 0]]}},
+                            "task.true_hypothesis:"),
+}
+
+NAN, INF = float("nan"), float("inf")
+
+# Non-finite values that used to run to exit 0 with NaN output, or fail mid-run.
+NON_FINITE = {
+    "gain_cap_nan": ({"inference": {"gain_cap": NAN}}, "inference.gain_cap"),
+    "gain_cap_inf": ({"inference": {"gain_cap": INF}}, "inference.gain_cap"),
+    "beta_nan": ({"inference": {"beta": NAN}}, "inference.beta"),
+    "beta_inf": ({"inference": {"beta": INF}}, "inference.beta"),
+    "sigma_nan": ({"rating": {"sigma": NAN}}, "rating.sigma"),
+    "sigma_inf": ({"rating": {"sigma": INF}}, "rating.sigma"),
+    "shape_scale_nan": ({"rating": {"shape_scale": NAN}}, "rating.shape_scale"),
+    "dirichlet_alpha_nan": ({"population": {"agents": 6, "dirichlet_alpha": NAN}},
+                            "population.dirichlet_alpha"),
+    "dirichlet_alpha_inf": ({"population": {"agents": 6, "dirichlet_alpha": INF}},
+                            "population.dirichlet_alpha"),
+    "sigma_mut_nan": ({"evolution": {"sigma_mut": NAN}}, "evolution.sigma_mut"),
+    "sigma_mut_inf": ({"evolution": {"sigma_mut": INF}}, "evolution.sigma_mut"),
+    "gaussian_mean_nan": ({"likelihood": dict(GAUSSIAN, means=[-1.5, NAN, 0.5, 1.5])},
+                          "likelihood.means[1]"),
+}
+
+
+def _small_run(tmp_path, extra):
+    data = {**REFERENCE_SMALL, **extra}
+    data["run"] = dict(REFERENCE_SMALL["run"], out_dir=str(tmp_path / "out"))
+    return write_cfg(tmp_path, data)
+
+
+class TestBuild:
+    """``from_dict`` builds the scenario, so a config that loads is one that runs."""
+
+    @pytest.mark.parametrize("kind", sorted(SCENARIO_KINDS))
+    def test_scenario_kind_runs_and_verifies(self, tmp_path, kind):
+        assert main(["run", _small_run(tmp_path, SCENARIO_KINDS[kind])]) == 0
+        out = tmp_path / "out"
+        assert main(["verify", str(out / "ledger.tsv"), str(out / "statelog.jsonl")]) == 0
+
+    @pytest.mark.parametrize("case", sorted(LATE_FAILURES))
+    def test_late_failure_is_config_error(self, tmp_path, capsys, case):
+        extra, where = LATE_FAILURES[case]
+        assert main(["run", _small_run(tmp_path, extra)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}")
+        assert "run error" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_value_refused(self, tmp_path, capsys, case):
+        extra, field = NON_FINITE[case]
+        with pytest.raises(ConfigError) as e:
+            from_dict({**REFERENCE_SMALL, **extra})
+        assert field in str(e.value)
+        assert main(["run", _small_run(tmp_path, extra)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("make", [
+        lambda: RatingConfig(sigma=NAN), lambda: RatingConfig(shape_scale=INF),
+        lambda: InferenceConfig(beta=NAN), lambda: InferenceConfig(gain_cap=INF),
+        lambda: EvolutionConfig(sigma_mut=NAN),
+    ], ids=["rating_sigma", "rating_shape_scale", "inference_beta", "inference_gain_cap",
+            "evolution_sigma_mut"])
+    def test_module_config_refuses_non_finite(self, make):
+        with pytest.raises(ShapeMismatch):
+            make()
+
+    @pytest.mark.parametrize("extra,where", [
+        ({"likelihood": {"peak": 1.5}}, "likelihood"),
+        ({"likelihood": {"kind": "bernoulli", "probs": [0.1, 0.4, 0.6, 0.9]}}, "likelihood"),
+        ({"likelihood": dict(GAUSSIAN, bin_edges=[-1.0, 0.0, 1.0])}, "likelihood"),
+        ({"oracle": [[0, 1], [1, 0]]}, "oracle"),
+        ({"task": {"observations": [[0, 0, 0]]}}, "task.observations[0]"),
+        ({"space": {"hypotheses": 4, "embedding": [[0.0], [1.0]]}}, "space.embedding"),
+    ], ids=["peak_outside_unit", "bernoulli_four_outcomes", "gaussian_three_bins",
+            "oracle_shape", "observation_triple", "embedding_points"])
+    def test_cross_section_check_names_section(self, extra, where):
+        with pytest.raises(ConfigError) as e:
+            from_dict({**REFERENCE_SMALL, **extra})
+        assert str(e.value).startswith(f"{where}:")
+
+    def test_simulation_checks_a_config_built_in_python(self):
+        cfg = ScenarioConfig(space=SpaceSection(hypotheses=4), outcomes=4,
+                             task=TaskSection(true_hypothesis=4))
+        with pytest.raises(ConfigError) as e:
+            Simulation(cfg)
+        assert e.value.field == "task.true_hypothesis"
+
+    def test_simulation_takes_an_array_oracle(self):
+        table = np.ones((4, 4)) - np.eye(4)
+        cfg = ScenarioConfig(space=SpaceSection(hypotheses=4), outcomes=4, oracle=table)
+        assert np.array_equal(Simulation(cfg).oracle, table)
 
 
 def _edit_field(key, change):
