@@ -37,13 +37,13 @@ from .evolution import IdAllocator, Population, evolve, update_decay_markers
 from .inference import information_gain, posterior_rows, strength_update
 # commit and encode_quantized stay bound though unused: bench/tracing.py wraps them here.
 from .ledger import (STRENGTH_MAX, LedgerChain, commit, commit_rows,  # noqa: F401
-                     encode_quantized, quantize_rows, state_log_rows)
+                     encode_quantized, quantize_rows)
 from .likelihood import (CATEGORICAL, DISCRETIZED_GAUSSIAN, LikelihoodModel,
                          Observation, predictive_distribution)
 from .rating import rating_step, reward_gradient
 from .rng import (DOMAIN_MUTATION, DOMAIN_PRIOR, DOMAIN_RATING, DOMAIN_SCHEDULE,
                   DOMAIN_TASK, substream)
-from .spaces import Belief, entropy_rows, tv_distance_vectors
+from .spaces import entropy_rows, tv_distance_vectors
 
 
 def _sequential_sum(x: np.ndarray) -> float:
@@ -158,19 +158,16 @@ class StepInfo:
 
 @dataclass
 class RunResult:
+    """A run's record, which ``write_artifacts`` turns into files: one ScoreReport
+    per scored step and one ledger.quantize_rows matrix per completed step."""
+
     config: ScenarioConfig
     metrics: List[MetricsSnapshot]
-    score_rows: List[dict]
+    reports: List[ScoreReport]
     chains: Dict[int, LedgerChain]
-    # one ledger.quantize_rows matrix per completed step
     statelog: List[np.ndarray]
     population: Population
     collapsed_at: Optional[int] = None
-
-    @property
-    def statelog_rows(self) -> List[dict]:
-        """Every state-log row as a dict, in file order; built on each access."""
-        return [row for q in self.statelog for row in state_log_rows(q)]
 
     def weighted_belief(self) -> np.ndarray:
         """Rating-weighted population belief over the hypothesis space."""
@@ -214,10 +211,15 @@ class Simulation:
         self.task_rng = substream(self.seed, DOMAIN_TASK)
 
         n = config.population.agents
-        beliefs = [self._initial_belief(i) for i in range(n)]
+        if config.population.prior == "uniform":
+            priors = np.full((n, self.space.size), 1.0 / self.space.size)
+        else:
+            alpha = np.full(self.space.size, config.population.dirichlet_alpha)
+            priors = np.array([substream(self.seed, DOMAIN_PRIOR, i).dirichlet(alpha)
+                               for i in range(n)])
         self.ids = IdAllocator(start=n)
         self.population = Population.create(
-            self.space, beliefs, r0=self.rating_cfg.r0,
+            self.space, priors, r0=self.rating_cfg.r0,
             strength0=config.population.strength0)
 
         self.chains: Dict[int, LedgerChain] = {}
@@ -239,14 +241,6 @@ class Simulation:
         self._prev_mean_entropy = float(entropy_rows(self.population.belief_matrix).mean())
 
     # -- helpers ---------------------------------------------------------
-
-    def _initial_belief(self, agent_id: int) -> Belief:
-        pcfg = self.config.population
-        if pcfg.prior == "uniform":
-            return Belief.uniform(self.space)
-        rng = substream(self.seed, DOMAIN_PRIOR, agent_id)
-        probs = rng.dirichlet(np.full(self.space.size, pcfg.dirichlet_alpha))
-        return Belief(self.space, probs)
 
     def _rating_rng(self, agent_id: int) -> np.random.Generator:
         rng = self._rating_rngs.get(agent_id)
@@ -277,7 +271,9 @@ class Simulation:
 
     # -- one step --------------------------------------------------------
 
-    def step(self, t: int) -> Tuple[MetricsSnapshot, StepInfo, np.ndarray, Optional[ScoreReport]]:
+    def step(self, t: int) -> Tuple[MetricsSnapshot, StepInfo, np.ndarray]:
+        """Advance one step: the metrics snapshot, the bookkeeping (with the
+        ScoreReport, if any agent was scored) and the committed quantize_rows."""
         pop = self.population
         if len(pop) == 0:
             raise PopulationCollapse(step=t)
@@ -334,7 +330,9 @@ class Simulation:
         self.population = result.population
         self._register_children(t)
 
-        quantized = self._commit_all(t)
+        # ledger commits for every agent present at the end of the step
+        quantized = quantize_rows(self.population, t)
+        commit_rows(self.chains, quantized, t)
         snapshot = self._snapshot(t, active, result, abs_residue=residue_abs)
         info = StepInfo(report=report, rating_delta_sum=delta_sum,
                         clamp_residue_signed=residue_signed,
@@ -342,14 +340,7 @@ class Simulation:
                         removed_rating_sum=result.removed_rating_sum,
                         mass_before=mass_before,
                         mass_after=self.population.rating_mass())
-        return snapshot, info, quantized, report
-
-    def _commit_all(self, t: int) -> np.ndarray:
-        """Ledger commits for every agent present at end of step t; returns the
-        step's quantized state matrix."""
-        quantized = quantize_rows(self.population, t)
-        commit_rows(self.chains, quantized, t)
-        return quantized
+        return snapshot, info, quantized
 
     def _snapshot(self, t: int, active: np.ndarray, result, abs_residue: float) -> MetricsSnapshot:
         pop = self.population
@@ -392,12 +383,12 @@ def simulate(config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None,
         raise ShapeMismatch("horizon must be >= 1")
     sim = Simulation(config, schedule=schedule)
     metrics: List[MetricsSnapshot] = []
-    score_rows: List[dict] = []
+    reports: List[ScoreReport] = []
     statelog: List[np.ndarray] = []
     collapsed_at = None
     for t in range(config.run.horizon):
         try:
-            snap, info, quantized, report = sim.step(t)
+            snap, info, quantized = sim.step(t)
         except PopulationCollapse as exc:
             collapsed_at = exc.step
             break
@@ -406,30 +397,20 @@ def simulate(config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None,
             raise
         metrics.append(snap)
         statelog.append(quantized)
-        if report is not None:
-            score_rows.append({
-                "step": t,
-                "agent_ids": [int(a) for a in report.agent_ids],
-                "losses": [float(x) for x in report.losses],
-                "log_scores": [float(x) for x in report.log_scores],
-                "fitness": [float(x) for x in report.fitness],
-                "aggregate": [float(x) for x in report.aggregate],
-            })
+        if info.report is not None:
+            reports.append(info.report)
         if on_step is not None:
             on_step(sim, snap, info)
-        # drop the step's info and report before the next step allocates, so
-        # a finished step's score arrays add nothing to the peak (a report
-        # builds its margin matrix only when read)
-        del info, report
     if not metrics and collapsed_at is not None:
         raise PopulationCollapse(step=collapsed_at)
-    return RunResult(config=config, metrics=metrics, score_rows=score_rows,
+    return RunResult(config=config, metrics=metrics, reports=reports,
                      chains=sim.chains, statelog=statelog,
                      population=sim.population, collapsed_at=collapsed_at)
 
 
 def write_artifacts(result: RunResult, out_dir: str) -> dict:
-    """Write metrics JSONL, score rows, ledger, state log, and the summary CSV."""
+    """Write metrics JSONL, one score row per ScoreReport, ledger, state log, and
+    the summary CSV."""
     from .ledger import write_ledger, write_state_log
 
     os.makedirs(out_dir, exist_ok=True)
@@ -444,7 +425,10 @@ def write_artifacts(result: RunResult, out_dir: str) -> dict:
         for snap in result.metrics:
             f.write(json.dumps(asdict(snap), separators=(",", ":")) + "\n")
     with open(paths["scores"], "w", encoding="ascii") as f:
-        for row in result.score_rows:
+        for r in result.reports:
+            row = {"step": r.step, "agent_ids": r.agent_ids.tolist(), "losses": r.losses.tolist(),
+                   "log_scores": r.log_scores.tolist(), "fitness": r.fitness.tolist(),
+                   "aggregate": r.aggregate.tolist()}
             f.write(json.dumps(row, separators=(",", ":")) + "\n")
     write_ledger(paths["ledger"], result.chains)
     write_state_log(paths["statelog"], result.statelog)
@@ -456,9 +440,14 @@ def write_artifacts(result: RunResult, out_dir: str) -> dict:
     return paths
 
 
+def _schedule(config: ScenarioConfig) -> Optional[AsyncSchedule]:
+    return default_schedule(config) if config.run.mode == "async" else None
+
+
 def run(config: ScenarioConfig, on_step: Optional[Callable] = None) -> RunResult:
-    """Synchronous run; writes artifacts under config.run.out_dir."""
-    result = simulate(config, on_step=on_step)
+    """Run in ``config.run.mode`` (async uses ``default_schedule``); writes
+    artifacts under config.run.out_dir."""
+    result = simulate(config, schedule=_schedule(config), on_step=on_step)
     write_artifacts(result, config.run.out_dir)
     return result
 
@@ -500,7 +489,8 @@ SWEEP_OBSERVABLES = ("final_mass", "final_population", "final_mean_entropy",
 
 
 def sweep(config: ScenarioConfig, param: str, values: Sequence) -> List[dict]:
-    """Run the scenario across a 1-D parameter grid with the same seed.
+    """Run the scenario across a 1-D parameter grid with the same seed, each
+    point in its own ``run.mode``.
 
     Returns one row per grid point with summary observables, a status column,
     and centered finite-difference sensitivities for interior points.
@@ -515,7 +505,7 @@ def sweep(config: ScenarioConfig, param: str, values: Sequence) -> List[dict]:
             row[name] = None
         try:
             point = set_param(config, dotted, v)
-            result = simulate(point)
+            result = simulate(point, schedule=_schedule(point))
             if result.collapsed_at is not None:
                 row["status"] = f"collapse@{result.collapsed_at}"
             summary = result.summary()

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PopulationCollapse, ShapeMismatch
 from .rating import replication_attenuation
-from .spaces import Belief, HypothesisSpace, normalize_vector
+from .spaces import HypothesisSpace, normalize_vector
 
 EXP_TILT = "exp-tilt"
 KERNEL_CONVOLUTION = "kernel-convolution"
@@ -85,48 +85,39 @@ class IdAllocator:
 
 
 class Population:
-    """Parallel-array population store. ``decay_since`` uses -1 for "no streak"."""
+    """The agents as columns: each column ``COLUMNS`` names (with its dtype)
+    holds one entry per agent, ``belief_matrix`` one (K,) row; ``decay_since``
+    uses -1 for "no streak". A missing, extra or misaligned column raises
+    ShapeMismatch."""
 
-    __slots__ = ("space", "ids", "parent_ids", "birth_steps", "ratings", "strengths",
-                 "decay_since", "belief_matrix")
+    COLUMNS = {"ids": np.int64, "parent_ids": np.int64, "birth_steps": np.int64,
+               "ratings": np.float64, "strengths": np.float64, "decay_since": np.int64,
+               "belief_matrix": np.float64}
+    __slots__ = ("space", *COLUMNS)
 
-    def __init__(self, space: HypothesisSpace, ids, parent_ids, birth_steps, ratings,
-                 strengths, decay_since, belief_matrix):
+    def __init__(self, space: HypothesisSpace, **columns):
+        if columns.keys() != self.COLUMNS.keys():
+            raise ShapeMismatch(f"population columns {sorted(columns)} are not "
+                                f"{sorted(self.COLUMNS)}")
         self.space = space
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.parent_ids = np.asarray(parent_ids, dtype=np.int64)
-        self.birth_steps = np.asarray(birth_steps, dtype=np.int64)
-        self.ratings = np.asarray(ratings, dtype=np.float64)
-        self.strengths = np.asarray(strengths, dtype=np.float64)
-        self.decay_since = np.asarray(decay_since, dtype=np.int64)
-        self.belief_matrix = np.asarray(belief_matrix, dtype=np.float64)
+        for name, dtype in self.COLUMNS.items():
+            setattr(self, name, np.asarray(columns[name], dtype=dtype))
         n = len(self.ids)
-        for name in ("parent_ids", "birth_steps", "ratings", "strengths", "decay_since"):
-            if len(getattr(self, name)) != n:
+        for name in self.COLUMNS:
+            if np.shape(getattr(self, name))[:1] != (n,):
                 raise ShapeMismatch(f"population arrays misaligned on {name}")
         if self.belief_matrix.shape != (n, space.size):
             raise ShapeMismatch("belief matrix misaligned with population")
 
     @classmethod
-    def create(cls, space: HypothesisSpace, beliefs, r0: float, strength0: float = 1.0,
+    def create(cls, space: HypothesisSpace, belief_matrix, r0: float, strength0: float = 1.0,
                ids: Optional[np.ndarray] = None, birth_step: int = 0) -> "Population":
-        if len(beliefs) and isinstance(beliefs[0], Belief):
-            matrix = np.stack([b.probs for b in beliefs])
-        else:
-            matrix = np.asarray(beliefs, dtype=np.float64)
-        n = matrix.shape[0]
-        if ids is None:
-            ids = np.arange(n, dtype=np.int64)
-        return cls(
-            space=space,
-            ids=ids,
-            parent_ids=np.full(n, -1, dtype=np.int64),
-            birth_steps=np.full(n, birth_step, dtype=np.int64),
-            ratings=np.full(n, r0, dtype=np.float64),
-            strengths=np.full(n, strength0, dtype=np.float64),
-            decay_since=np.full(n, -1, dtype=np.int64),
-            belief_matrix=matrix,
-        )
+        """Founders: one agent per row of the (N, K) ``belief_matrix``."""
+        n = len(belief_matrix)
+        return cls(space, ids=np.arange(n) if ids is None else ids,
+                   parent_ids=np.full(n, -1), birth_steps=np.full(n, birth_step),
+                   ratings=np.full(n, r0), strengths=np.full(n, strength0),
+                   decay_since=np.full(n, -1), belief_matrix=belief_matrix)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -138,16 +129,15 @@ class Population:
         mask = np.asarray(mask, dtype=bool)
         if mask.all():
             return self
-        return Population(
-            space=self.space,
-            ids=self.ids[mask],
-            parent_ids=self.parent_ids[mask],
-            birth_steps=self.birth_steps[mask],
-            ratings=self.ratings[mask],
-            strengths=self.strengths[mask],
-            decay_since=self.decay_since[mask],
-            belief_matrix=self.belief_matrix[mask],
-        )
+        return Population(self.space, **{name: getattr(self, name)[mask]
+                                         for name in self.COLUMNS})
+
+    def extend(self, **columns) -> "Population":
+        """A new population: these agents, then the agents given as ``columns``."""
+        tail = Population(self.space, **columns)
+        return Population(self.space, **{
+            name: np.concatenate([getattr(self, name), getattr(tail, name)])
+            for name in self.COLUMNS})
 
 
 def build_smoothing_matrix(space: HypothesisSpace, sigma_mut: float) -> np.ndarray:
@@ -271,33 +261,22 @@ def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
         split_mask = np.zeros(len(pop), dtype=bool)
         split_mask[admitted] = True
         split_rating_sum = float(pop.ratings[admitted].sum())
-
         child_ids = ids.take(2 * len(admitted))
-        child_ratings = np.repeat(replication_attenuation(pop.ratings[admitted], cfg.lam), 2)
-        child_strengths = np.repeat(pop.strengths[admitted], 2)
-        child_parents = np.repeat(pop.ids[admitted], 2)
-        child_births = np.full(2 * len(admitted), t, dtype=np.int64)
         noise = None
         if cfg.sigma_mut > 0.0 and cfg.mutation_kind == EXP_TILT:
             if child_noise is None:
                 raise ShapeMismatch("exp-tilt mutation needs a child_noise source")
             noise = np.stack([child_noise(int(cid)) for cid in child_ids])
-        child_beliefs = mutate_prior(np.repeat(pop.belief_matrix[admitted], 2, axis=0),
-                                     cfg.sigma_mut, noise, cfg.mutation_kind,
-                                     smoothing=smoothing)
-
-        child_decay = np.full(2 * len(admitted), -1, dtype=np.int64)
-        survivors = pop.keep(~split_mask)
-        pop = Population(
-            space=pop.space,
-            ids=np.concatenate([survivors.ids, child_ids]),
-            parent_ids=np.concatenate([survivors.parent_ids, child_parents]),
-            birth_steps=np.concatenate([survivors.birth_steps, child_births]),
-            ratings=np.concatenate([survivors.ratings, child_ratings]),
-            strengths=np.concatenate([survivors.strengths, child_strengths]),
-            decay_since=np.concatenate([survivors.decay_since, child_decay]),
-            belief_matrix=np.concatenate([survivors.belief_matrix, child_beliefs]),
-        )
+        pop = pop.keep(~split_mask).extend(
+            ids=child_ids,
+            parent_ids=np.repeat(pop.ids[admitted], 2),
+            birth_steps=np.full(2 * len(admitted), t),
+            ratings=np.repeat(replication_attenuation(pop.ratings[admitted], cfg.lam), 2),
+            strengths=np.repeat(pop.strengths[admitted], 2),
+            decay_since=np.full(2 * len(admitted), -1),
+            belief_matrix=mutate_prior(np.repeat(pop.belief_matrix[admitted], 2, axis=0),
+                                       cfg.sigma_mut, noise, cfg.mutation_kind,
+                                       smoothing=smoothing))
         spawn_count = 2 * len(admitted)
     else:
         split_rating_sum = 0.0

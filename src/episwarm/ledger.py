@@ -90,14 +90,6 @@ def quantize_rows(pop: Population, step: int) -> np.ndarray:
     return q
 
 
-def state_log_rows(q: np.ndarray) -> List[dict]:
-    """The state-log rows of one quantized matrix, as plain-int dicts."""
-    k = q.shape[1] - 6
-    return [{"agent_id": r[0], "step": r[1], "belief_q": r[2:k + 2], "rating_q": r[k + 2],
-             "strength_q": r[k + 3], "parent_id": r[k + 4], "birth_step": r[k + 5]}
-            for r in q.tolist()]
-
-
 def _digest(encoding: StateEncoding, prev: Optional[bytes]) -> bytes:
     h = hashlib.sha256()
     h.update(encoding.data)

@@ -72,7 +72,6 @@ class CategoricalTable:
         self.space = space
         self.outcomes = outcomes
         self.rows = rows
-        self.max_bound = float(rows.max())
 
     @classmethod
     def peaked(cls, space: HypothesisSpace, outcomes: OutcomeSpace, peak: float):
@@ -119,7 +118,6 @@ class Bernoulli:
         self.space = space
         self.outcomes = OutcomeSpace.indexed(2)
         self.probs = p
-        self.max_bound = float(np.maximum(p, 1.0 - p).max())
 
     def validate_observation(self, obs: Observation) -> int:
         d = obs.datum
@@ -166,7 +164,6 @@ class DiscretizedGaussian:
         mass = np.maximum(np.diff(cdf, axis=1), MASS_FLOOR)
         mass.setflags(write=False)
         self.bin_mass = mass
-        self.max_bound = float(mass.max())
 
     def bin_of(self, x: float) -> int:
         """Bin index of a real payload, clamping into the declared range."""
@@ -193,7 +190,7 @@ LikelihoodModel = Union[CategoricalTable, Bernoulli, DiscretizedGaussian]
 
 
 def likelihood(model: LikelihoodModel, obs: Observation, h: int) -> float:
-    """Plausibility of ``obs`` under hypothesis index ``h``; in (0, model.max_bound]."""
+    """Plausibility of ``obs`` under hypothesis index ``h``; in (0, 1]."""
     if not 0 <= h < model.space.size:
         raise ShapeMismatch(f"hypothesis index {h} outside [0, {model.space.size})")
     return float(model.likelihood_vector(obs)[h])

@@ -24,6 +24,19 @@ def small_config(**overrides):
     return from_dict(base)
 
 
+def statelog_rows(result):
+    """Every state-log row of a run as a plain-int dict, in file order: the
+    JSON rows of ``statelog.jsonl``, built from ``result.statelog`` without
+    the writer."""
+    rows = []
+    for q in result.statelog:
+        k = q.shape[1] - 6
+        rows += [{"agent_id": r[0], "step": r[1], "belief_q": r[2:k + 2], "rating_q": r[k + 2],
+                  "strength_q": r[k + 3], "parent_id": r[k + 4], "birth_step": r[k + 5]}
+                 for r in q.tolist()]
+    return rows
+
+
 @pytest.fixture
 def small_cfg():
     return small_config()

@@ -7,11 +7,11 @@ import os
 import numpy as np
 import pytest
 
-from conftest import small_config
+from conftest import small_config, statelog_rows
 from episwarm import competition, engine, inference
 from episwarm.competition import margin_entries
-from episwarm.config import from_dict
-from episwarm.engine import (AsyncSchedule, Simulation, default_schedule,
+from episwarm.config import from_dict, set_param
+from episwarm.engine import (SWEEP_OBSERVABLES, AsyncSchedule, Simulation, default_schedule,
                              generate_update_steps, run, run_async, simulate, sweep,
                              write_artifacts)
 from episwarm.errors import (ConfigError, InvariantViolation, PopulationCollapse,
@@ -27,7 +27,7 @@ class TestDeterminism:
         b = simulate(small_cfg)
         assert [dataclasses.asdict(m) for m in a.metrics] == \
                [dataclasses.asdict(m) for m in b.metrics]
-        assert a.statelog_rows == b.statelog_rows
+        assert statelog_rows(a) == statelog_rows(b)
         assert {k: v.entries for k, v in a.chains.items()} == \
                {k: v.entries for k, v in b.chains.items()}
 
@@ -98,8 +98,8 @@ class TestScoringWithoutMatrix:
         cfg = small_config(population={"agents": 150}, evolution={"n_star": 300},
                            run={"horizon": 10})
         res = simulate(cfg)
-        assert len(res.score_rows) == 10
-        assert len(res.score_rows[0]["aggregate"]) == 150
+        assert len(res.reports) == 10
+        assert len(res.reports[0].aggregate) == 150
 
     def test_perturbed_aggregate_raises_invariant_violation(self, small_cfg, monkeypatch):
         honest = engine.aggregate_utility
@@ -149,7 +149,8 @@ class TestEngineMatchesModuleOps:
             obs = probe.env.emit(t, probe.task_rng)
             y = obs.truth_label
 
-            snap, info, rows, report = sim.step(t)
+            snap, info, rows = sim.step(t)
+            report = info.report
 
             # scores: predictive mixture, expected loss, log score, margins
             preds = []
@@ -308,13 +309,40 @@ class TestArtifactDigests:
         assert digests == self.DIGESTS
 
 
+
+class TestAsyncArtifactDigests:
+    """Byte-level guard for an asynchronous run: each ``scores.jsonl`` row
+    names a strict subset of the population, and spawns, deaths and clamping
+    occur. Regenerate as ``TestArtifactDigests`` says, with the run below."""
+
+    DIGESTS = {
+        "ledger.tsv": "5b950ef092fee089d11b497a5ef8a608b6a4e85752946d97e69334455d2b0d12",
+        "metrics.jsonl": "542b02d529ee6364d12cd75cd1d78fdb1c16910e12b38279f9dcf7553ea54015",
+        "scores.jsonl": "6ae38545a71ab1b4e2dd4a97116433da568bd0cc48d43c6d7e865b4baf81a8d1",
+        "statelog.jsonl": "f9c0e8b2c8e680f07f0aa4e547be1fa0cc160b9995904db5241d6fab8e3b0394",
+        "summary.csv": "2871520688d271820a14e832484c23645fae9a4ba16fc26c0f99df846ee2c3f4",
+    }
+
+    def test_async_scenario_artifacts(self, tmp_path):
+        cfg = small_config(run={"horizon": 40, "seed": 0, "mode": "async", "async_bound": 3})
+        res = simulate(cfg, schedule=default_schedule(cfg))
+        assert sum(m.spawns for m in res.metrics) > 0
+        assert sum(m.deaths for m in res.metrics) > 0
+        assert max(m.clamp_residue for m in res.metrics) > 0
+        assert any(m.active_count < m.population_size for m in res.metrics)
+        paths = write_artifacts(res, str(tmp_path))
+        digests = {os.path.basename(path): hashlib.sha256(open(path, "rb").read()).hexdigest()
+                   for path in paths.values()}
+        assert digests == self.DIGESTS
+
+
 class TestLedgerIntegration:
     def test_every_chain_replays_clean(self, small_cfg):
         from episwarm.ledger import encode_quantized, verify_chain
 
         res = simulate(small_cfg)
         replay = {}
-        for row in res.statelog_rows:
+        for row in statelog_rows(res):
             enc = encode_quantized(row["agent_id"], row["step"], row["belief_q"],
                                    row["rating_q"], row["strength_q"], row["parent_id"],
                                    row["birth_step"])
@@ -354,7 +382,7 @@ def k100_async_run():
 class TestColumnarState:
     def test_matrix_rows_encode_like_field_encoder(self, k100_async_run):
         res = k100_async_run
-        rows = res.statelog_rows
+        rows = statelog_rows(res)
         flat = [r for q in res.statelog for r in q]
         assert len(flat) == len(rows) == sum(m.population_size for m in res.metrics)
         for r, row in zip(flat, rows):
@@ -376,7 +404,7 @@ class TestColumnarState:
         path = tmp_path / "statelog.jsonl"
         write_state_log(path, res.statelog)
         expected = "".join(json.dumps(row, separators=(",", ":")) + "\n"
-                           for row in res.statelog_rows)
+                           for row in statelog_rows(res))
         assert path.read_bytes() == expected.encode("ascii")
 
     def test_simulate_commits_without_per_row_encoder(self, monkeypatch):
@@ -409,7 +437,7 @@ class TestAsync:
         async_res = simulate(cfg, schedule=sched)
         assert [dataclasses.asdict(m) for m in sync.metrics] == \
                [dataclasses.asdict(m) for m in async_res.metrics]
-        assert sync.statelog_rows == async_res.statelog_rows
+        assert statelog_rows(sync) == statelog_rows(async_res)
 
     def test_schedule_violation_double_gap(self):
         cfg = small_config(run={"horizon": 40})
@@ -454,6 +482,15 @@ class TestAsync:
         sched.validate(cfg.run.horizon)
 
 
+    def test_run_follows_async_mode(self, tmp_path):
+        cfg = small_config(run={"horizon": 30, "seed": 0, "mode": "async", "async_bound": 3})
+        run(set_param(cfg, "run.out_dir", str(tmp_path / "run")))
+        run_async(set_param(cfg, "run.out_dir", str(tmp_path / "run_async")))
+        for name in ("metrics.jsonl", "scores.jsonl", "ledger.tsv", "statelog.jsonl"):
+            assert (tmp_path / "run" / name).read_bytes() == \
+                (tmp_path / "run_async" / name).read_bytes()
+
+
 class TestSweep:
     def test_lambda_grid_mass_ordering(self):
         cfg = small_config(
@@ -488,6 +525,16 @@ class TestSweep:
     def test_unknown_parameter_rejected(self, small_cfg):
         with pytest.raises(ConfigError):
             sweep(small_cfg, "nonexistent_knob", [1, 2])
+
+    def test_async_sweep_follows_async_mode(self):
+        cfg = small_config(run={"horizon": 40, "seed": 0, "mode": "async", "async_bound": 3})
+        async_rows = sweep(cfg, "lambda", [0.4, 0.45])
+        sync_rows = sweep(set_param(cfg, "run.mode", "sync"), "lambda", [0.4, 0.45])
+        assert async_rows != sync_rows
+        point = set_param(cfg, "evolution.lambda", 0.45)
+        expected = simulate(point, schedule=default_schedule(point)).summary()
+        assert {k: async_rows[1][k] for k in SWEEP_OBSERVABLES} == \
+            {k: expected[k] for k in SWEEP_OBSERVABLES}
 
     def test_per_point_failure_recorded(self, small_cfg):
         rows = sweep(small_cfg, "lambda", [0.45, 1.7])

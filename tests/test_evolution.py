@@ -25,6 +25,45 @@ def make_population(ratings, space=SP2, decay=None):
 CFG = EvolutionConfig(tau_rep=0.8, tau_ext=0.1, grace=3, lam=0.45, sigma_mut=0.0)
 
 
+
+def columns_of(pop):
+    return {name: getattr(pop, name) for name in Population.COLUMNS}
+
+
+class TestPopulationColumns:
+    def test_extend_appends_rows_in_column_dtypes(self):
+        pop = make_population([0.9, 0.05, 0.5])
+        out = pop.extend(ids=[7, 8], parent_ids=[0, 0], birth_steps=[4, 4],
+                         ratings=[0.2, 0.3], strengths=[2, 2], decay_since=[-1, 3],
+                         belief_matrix=[[0.25, 0.75], [1.0, 0.0]])
+        assert len(out) == 5 and len(pop) == 3
+        assert out.ids.tolist() == [0, 1, 2, 7, 8]
+        assert out.parent_ids.tolist() == [-1, -1, -1, 0, 0]
+        assert out.ratings.tolist() == [0.9, 0.05, 0.5, 0.2, 0.3]
+        assert out.decay_since.tolist() == [-1, -1, -1, -1, 3]
+        assert out.belief_matrix[3:].tolist() == [[0.25, 0.75], [1.0, 0.0]]
+        for name, dtype in Population.COLUMNS.items():
+            assert getattr(out, name).dtype == dtype
+
+    def test_missing_or_extra_column_raises(self):
+        cols = columns_of(make_population([0.5, 0.5]))
+        missing = {k: v for k, v in cols.items() if k != "strengths"}
+        with pytest.raises(ShapeMismatch, match="population columns"):
+            Population(SP2, **missing)
+        with pytest.raises(ShapeMismatch, match="population columns"):
+            Population(SP2, **cols, colour=[0, 0])
+        pop = Population(SP2, **cols)
+        with pytest.raises(ShapeMismatch, match="population columns"):
+            pop.extend(**missing)
+
+    def test_misaligned_column_raises(self):
+        cols = columns_of(make_population([0.5, 0.5]))
+        with pytest.raises(ShapeMismatch, match="misaligned on birth_steps"):
+            Population(SP2, **dict(cols, birth_steps=[0, 0, 0]))
+        with pytest.raises(ShapeMismatch, match="belief matrix"):
+            Population(SP2, **dict(cols, belief_matrix=np.full((2, 3), 1 / 3)))
+
+
 class TestSelect:
     def test_threshold_marks(self):
         pop = make_population([0.9, 0.05, 0.5])

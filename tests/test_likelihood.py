@@ -65,7 +65,7 @@ def test_positivity_fuzz():
         for y in range(3):
             vec = model.likelihood_vector(Observation(datum=y, truth_label=y))
             assert np.all(vec > 0.0)
-            assert np.all(vec <= model.max_bound)
+            assert np.all(vec <= model.rows.max())
 
 
 def test_repeated_evaluation_bit_identical():
