@@ -9,12 +9,14 @@ seed; all randomness flows through named substreams.
 
 Each phase calls its module's operation once over the population arrays: the
 rows of the (N, K) belief matrix, or the ratings and strengths of the agents
-active at the step. Only the random draws run per agent, from each agent's
-own substream.
+active at the step. Each agent draws from its own substreams, rating noise a
+block of ``NOISE_BLOCK`` values per call, held in an array indexed by agent id.
 
 Asynchronous mode freezes both belief and rating updates for agents whose
 update schedule skips the step; skipped observations are dropped, never
-replayed. Evolution and ledger commits run every step in both modes.
+replayed. Update steps sit in one array with a cursor per agent id, so steps
+must run in order 0, 1, 2, ... Evolution and ledger commits run every step in
+both modes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +46,17 @@ from .rating import rating_step, reward_gradient
 from .rng import (DOMAIN_MUTATION, DOMAIN_PRIOR, DOMAIN_RATING, DOMAIN_SCHEDULE,
                   DOMAIN_TASK, substream)
 from .spaces import entropy_rows, tv_distance_vectors
+
+
+# Rating-noise values drawn per call of an agent's generator.
+NOISE_BLOCK = 64
+
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """``a`` if it has ``size`` rows, else ``a`` zero-padded to max(size, 2 len(a)) rows."""
+    if size <= len(a):
+        return a
+    return np.concatenate([a, np.zeros((max(size, 2 * len(a)) - len(a),) + a.shape[1:], a.dtype)])
 
 
 def _sequential_sum(x: np.ndarray) -> float:
@@ -77,14 +90,12 @@ class TaskEnvironment:
 
 def generate_update_steps(seed: int, agent_id: int, start: int, horizon: int,
                           bound: int) -> Tuple[int, ...]:
-    """Random update steps with first step in [start, start+bound) and gaps <= bound."""
+    """Random update steps with first step in [start, start+bound) and gaps <= bound:
+    step k is start + k + the sum of the stream's first k + 1 draws from [0, bound).
+    One draw per possible step, in one call, gives the values of a call per step."""
     rng = substream(seed, DOMAIN_SCHEDULE, agent_id)
-    s = start + int(rng.integers(0, bound))
-    steps = []
-    while s < horizon:
-        steps.append(s)
-        s += 1 + int(rng.integers(0, bound))
-    return tuple(steps)
+    steps = start - 1 + np.cumsum(1 + rng.integers(0, bound, size=max(horizon - start, 0) + 1))
+    return tuple(steps[steps < horizon].tolist())
 
 
 @dataclass
@@ -223,51 +234,58 @@ class Simulation:
             strength0=config.population.strength0)
 
         self.chains: Dict[int, LedgerChain] = {}
+        # Row `id` of _noise is the agent's block, _noise_left[id] of it unread. Async:
+        # _steps[:_end] holds each agent's update steps then -1; _cursor[id] is its next.
         self._rating_rngs: Dict[int, np.random.Generator] = {}
-        self._active_sets: Optional[Dict[int, frozenset]] = None
+        self._noise, self._noise_left = np.empty((0, NOISE_BLOCK)), np.empty(0, dtype=np.int64)
+        self._steps: Optional[np.ndarray] = None
         self.async_bound: Optional[int] = None
         if schedule is not None:
             schedule.validate(self.horizon)
             self.async_bound = schedule.bound
-            self._active_sets = {}
-            for i in range(n):
-                aid = int(self.population.ids[i])
-                steps = schedule.update_steps.get(aid)
-                if steps is None:
-                    steps = generate_update_steps(self.seed, aid, 0, self.horizon,
-                                                  schedule.bound)
-                self._active_sets[aid] = frozenset(steps)
+            self._steps, self._cursor, self._end = np.empty(0, np.int64), np.empty(0, np.int64), 0
+            self._schedule(self.population.ids.tolist(), 0, schedule.update_steps)
 
         self._prev_mean_entropy = float(entropy_rows(self.population.belief_matrix).mean())
 
     # -- helpers ---------------------------------------------------------
 
-    def _rating_rng(self, agent_id: int) -> np.random.Generator:
-        rng = self._rating_rngs.get(agent_id)
-        if rng is None:
-            rng = substream(self.seed, DOMAIN_RATING, agent_id)
-            self._rating_rngs[agent_id] = rng
-        return rng
+    def _rating_noise(self, aids: np.ndarray, sigma: float) -> np.ndarray:
+        """Each agent's next N(0, sigma) value from its own DOMAIN_RATING
+        substream, as one ``normal`` call per agent and step would draw it."""
+        self._noise = _grown(self._noise, int(aids.max()) + 1)
+        self._noise_left = _grown(self._noise_left, len(self._noise))
+        for aid in aids[self._noise_left[aids] == 0].tolist():
+            if aid not in self._rating_rngs:
+                self._rating_rngs[aid] = substream(self.seed, DOMAIN_RATING, aid)
+            self._noise[aid] = self._rating_rngs[aid].normal(0.0, sigma, size=NOISE_BLOCK)
+            self._noise_left[aid] = NOISE_BLOCK
+        self._noise_left[aids] -= 1
+        return self._noise[aids, NOISE_BLOCK - 1 - self._noise_left[aids]]
 
     def _child_noise(self, child_id: int) -> np.ndarray:
         return substream(self.seed, DOMAIN_MUTATION, child_id).standard_normal(self.space.size)
 
-    def _register_children(self, t: int) -> None:
-        if self._active_sets is None:
-            return
-        for aid in self.population.ids:
-            aid = int(aid)
-            if aid not in self._active_sets:
-                self._active_sets[aid] = frozenset(
-                    generate_update_steps(self.seed, aid, t + 1, self.horizon,
-                                          self.async_bound))
+    def _schedule(self, aids: List[int], start: int, given: Dict[int, Sequence[int]]) -> None:
+        """Append the update steps of ``aids`` (``given``, else generated from
+        step ``start``) to ``_steps`` and point their cursors at them."""
+        runs = [given[aid] if aid in given else
+                generate_update_steps(self.seed, aid, start, self.horizon, self.async_bound)
+                for aid in aids]
+        flat = np.array([step for r in runs for step in (*r, -1)], dtype=np.int64)
+        self._steps = _grown(self._steps, self._end + len(flat))
+        self._steps[self._end:self._end + len(flat)] = flat
+        self._cursor = _grown(self._cursor, max(aids, default=-1) + 1)
+        self._cursor[aids] = self._end + np.cumsum([0] + [len(r) + 1 for r in runs[:-1]])
+        self._end += len(flat)
 
     def _active_indices(self, t: int) -> np.ndarray:
-        if self._active_sets is None:
+        if self._steps is None:
             return np.arange(len(self.population))
-        return np.array([i for i in range(len(self.population))
-                         if t in self._active_sets[int(self.population.ids[i])]],
-                        dtype=np.int64)
+        ids = self.population.ids
+        active = np.flatnonzero(self._steps[self._cursor[ids]] == t)
+        self._cursor[ids[active]] += 1
+        return active
 
     # -- one step --------------------------------------------------------
 
@@ -299,8 +317,7 @@ class Simulation:
             scale = max(1.0, float(np.abs(agg).max()))
             grads = reward_gradient(agg, scale, self.rating_cfg.shape_scale)
             sigma = self.rating_cfg.sigma
-            noise = (np.array([self._rating_rng(int(aid)).normal(0.0, sigma)
-                               for aid in pop.ids[active]]) if sigma > 0
+            noise = (self._rating_noise(report.agent_ids, sigma) if sigma > 0
                      else np.zeros(len(active)))
             old = pop.ratings[active]
             new, raw = rating_step(old, grads, t, self.rating_cfg, noise)
@@ -325,10 +342,13 @@ class Simulation:
 
         # evolution
         update_decay_markers(pop, t, self.evolution_cfg)
+        first_id = self.ids.next_id
         result = evolve(pop, t, self.evolution_cfg, self.ids,
                         child_noise=self._child_noise, smoothing=self.smoothing)
         self.population = result.population
-        self._register_children(t)
+        if self._steps is not None:  # children still present update from step t + 1
+            born = self.population.ids[self.population.ids >= first_id]
+            self._schedule(born.tolist(), t + 1, {})
 
         # ledger commits for every agent present at the end of the step
         quantized = quantize_rows(self.population, t)
@@ -423,7 +443,7 @@ def write_artifacts(result: RunResult, out_dir: str) -> dict:
     }
     with open(paths["metrics"], "w", encoding="ascii") as f:
         for snap in result.metrics:
-            f.write(json.dumps(asdict(snap), separators=(",", ":")) + "\n")
+            f.write(json.dumps(vars(snap), separators=(",", ":")) + "\n")
     with open(paths["scores"], "w", encoding="ascii") as f:
         for r in result.reports:
             row = {"step": r.step, "agent_ids": r.agent_ids.tolist(), "losses": r.losses.tolist(),

@@ -21,6 +21,7 @@ signed 64-bit). The readers accept exactly these lines (and empty lines):
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import re
 import struct
@@ -210,21 +211,28 @@ def _int64s(parts: List[bytes], first: int, what: str) -> np.ndarray:
     return values
 
 
-def read_ledger(path) -> Tuple[np.ndarray, np.ndarray, bytes]:
+def read_ledger(path) -> Tuple[np.ndarray, np.ndarray, bytearray]:
     """Read a ledger as columns in file order: int64 agent ids, int64 steps,
     and the 32-byte digests concatenated. Every non-empty line must be one
-    ``write_ledger`` prints; otherwise raises ShapeMismatch naming the line."""
-    ints, digests, first = [np.empty(0, dtype=STATE_DTYPE)], [], 1
+    ``write_ledger`` prints; otherwise raises ShapeMismatch naming the line.
+    A first pass counts the lines; the columns (48 bytes an entry) fill in place."""
     with open(path, "rb") as f:
+        count = sum(block.count(b"\n") for block in iter(lambda: f.read(_BLOCK_BYTES), b""))
+        f.seek(0)
+        ids_steps, digests = np.empty((count, 2), STATE_DTYPE), bytearray(32 * count)
+        n, first = 0, 1
         for lines in iter(lambda: f.readlines(_BLOCK_BYTES), []):
             _check_lines(_LEDGER_LINE, lines, first, "ledger",
                          "agent_id<TAB>step<TAB>64 lowercase hex digits")
             # a matching non-empty line ends in TAB, 64 hex digits and LF
-            ints.append(_int64s([line[:-65] for line in lines], first, "ledger"))
-            digests.append(bytes.fromhex(b"".join(line[-65:-1] for line in lines).decode()))
+            block = _int64s([line[:-65] for line in lines], first, "ledger").reshape(-1, 2)
+            ids_steps[n:n + len(block)] = block
+            digests[32 * n:32 * (n + len(block))] = binascii.unhexlify(
+                b"".join(line[-65:-1] for line in lines))
+            n += len(block)
             first += len(lines)
-    ids_steps = np.concatenate(ints).reshape(-1, 2)
-    return ids_steps[:, 0], ids_steps[:, 1], b"".join(digests)
+    del digests[32 * n:]  # the empty lines' share
+    return ids_steps[:n, 0], ids_steps[:n, 1], digests
 
 
 def read_state_log(path) -> Iterator[np.ndarray]:
@@ -259,11 +267,16 @@ def verify_artifacts(ledger_path, statelog_path) -> List[Tuple[int, int]]:
     """
     ids, steps, digests = read_ledger(ledger_path)
     # Group the ledger by agent, keeping file order within each agent: entry
-    # n of agent slots[a] is at position start[a] + n of the grouped columns.
-    order = np.argsort(ids, kind="stable")
-    agents, start, length = np.unique(ids[order], return_index=True, return_counts=True)
-    steps = steps[order]
-    digests = memoryview(np.frombuffer(digests, dtype=np.uint8).reshape(-1, 32)[order].ravel())
+    # n of agent slots[a] is grouped entry start[a] + n, at file position
+    # file_pos(start[a] + n). write_ledger groups already; other orders are
+    # grouped by one stable sort, while steps and digests stay in file order.
+    file_pos = np.asarray
+    if not np.all(ids[1:] >= ids[:-1]):
+        order = np.argsort(ids, kind="stable")
+        ids, file_pos = ids[order], order.__getitem__
+    # each agent's first grouped entry; [:len(ids)] drops the 0 of an empty ledger
+    start = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])[:len(ids)]
+    agents, length, digests = ids[start], np.diff(start, append=len(ids)), memoryview(digests)
     # A last slot, with no entries, takes the rows of agents absent from the ledger.
     slots = np.append(agents, INT64_MAX)
     start, length = np.append(start, 0), np.append(length, 0)
@@ -285,15 +298,16 @@ def verify_artifacts(ledger_path, statelog_path) -> List[Tuple[int, int]]:
             unmatched.setdefault(agent_id, step)
         rows, a, n = np.flatnonzero(~over), a[~over], n[~over]
         pos = start[a] + n
-        off = steps[pos] != q[rows, 1]
+        off = steps[file_pos(pos)] != q[rows, 1]
         np.minimum.at(misaligned, a[off], n[off])
-        # digests[prev:at] is the previous entry's digest, empty at genesis (n = 0)
-        for j, (i, prev, at) in enumerate(zip(rows.tolist(), (32 * (pos - (n > 0))).tolist(),
-                                              (32 * pos).tolist())):
+        # the previous entry's digest is digests[p:p + 32], none (p = -1) at genesis
+        prev = np.where(n > 0, 32 * file_pos(pos - (n > 0)), -1).tolist()
+        for j, (i, p, e) in enumerate(zip(rows.tolist(), prev, (32 * file_pos(pos)).tolist())):
             h = hashlib.sha256(VERSION_PREFIX)
             h.update(q[i])
-            h.update(digests[prev:at])
-            if h.digest() != digests[at:at + 32]:
+            if p >= 0:
+                h.update(digests[p:p + 32])
+            if h.digest() != digests[e:e + 32]:
                 bad[a[j]] = min(bad[a[j]], n[j])
     # Per agent, a length mismatch outranks a misaligned step, which outranks a
     # digest mismatch, each reported at its first index; rows past the end of
@@ -301,4 +315,4 @@ def verify_artifacts(ledger_path, statelog_path) -> List[Tuple[int, int]]:
     index = np.where(seen < length, seen, np.where(misaligned < length, misaligned, bad))
     hit = np.flatnonzero((seen <= length) & (index < length))
     return sorted([*unmatched.items(),
-                   *zip(slots[hit].tolist(), steps[start[hit] + index[hit]].tolist())])
+                   *zip(slots[hit].tolist(), steps[file_pos(start[hit] + index[hit])].tolist())])

@@ -435,3 +435,24 @@ class TestStreamingVerify:
             tracemalloc.stop()
         assert findings == []
         assert peak < size, (peak, size)
+
+    def test_verify_memory_per_ledger_entry(self, tmp_path):
+        # Ledger columns take 48 bytes per entry (two int64s and a digest);
+        # the peaks' difference between two ledger sizes leaves out the
+        # per-block buffers. An empty state log leaves every chain unreplayed.
+        def peak(agents, steps=100):
+            with open(tmp_path / "ledger.tsv", "w") as f:
+                f.writelines(f"{a}\t{t}\t{(a * 7919 + t) % 997:064x}\n"
+                             for a in range(agents) for t in range(steps))
+            (tmp_path / "statelog.jsonl").write_text("")
+            tracemalloc.start()
+            try:
+                findings = verify_artifacts(tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl")
+                used = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert findings == [(a, 0) for a in range(agents)]
+            return used
+
+        per_entry = (peak(1000) - peak(100)) / (100_000 - 10_000)
+        assert per_entry <= 56, per_entry
