@@ -18,8 +18,9 @@ from .rating import (RatingConfig, learning_rate, rating_step, replication_atten
                      reward_gradient)
 from .evolution import (EvolutionConfig, Mark, Population, evolve, extinction_sweep,
                         mutate_prior, saturation_cap, select)
-from .ledger import (LedgerChain, StateEncoding, commit, commit_rows, encode_quantized,
-                     quantize_rows, verify_chain, verify_artifacts)
+from .ledger import (LedgerChain, LedgerColumns, StateEncoding, chain_digests, commit,
+                     commit_rows, encode_quantized, quantize_rows, verify_chain,
+                     verify_artifacts)
 from .engine import (AsyncSchedule, MetricsSnapshot, RunResult, Simulation,
                      TaskEnvironment, run, run_async, simulate, sweep)
 from .config import ScenarioConfig, from_dict, load_config

@@ -10,7 +10,9 @@ seed; all randomness flows through named substreams.
 Each phase calls its module's operation once over the population arrays: the
 rows of the (N, K) belief matrix, or the ratings and strengths of the agents
 active at the step. Each agent draws from its own substreams, rating noise a
-block of ``NOISE_BLOCK`` values per call, held in an array indexed by agent id.
+block of ``NOISE_BLOCK`` values per call, held in an array indexed by agent id;
+a dead agent's generator is dropped. Chain heads also sit in arrays indexed by
+agent id (``ledger.LedgerColumns``), so a step's commits are one batched hash.
 
 Asynchronous mode freezes both belief and rating updates for agents whose
 update schedule skips the step; skipped observations are dropped, never
@@ -38,8 +40,8 @@ from .errors import (EpiswarmError, InvariantViolation, PopulationCollapse, Sche
 from .evolution import IdAllocator, Population, evolve, update_decay_markers
 from .inference import information_gain, posterior_rows, strength_update
 # commit and encode_quantized stay bound though unused: bench/tracing.py wraps them here.
-from .ledger import (STRENGTH_MAX, LedgerChain, commit, commit_rows,  # noqa: F401
-                     encode_quantized, quantize_rows)
+from .ledger import (STRENGTH_MAX, LedgerColumns, commit, commit_rows,  # noqa: F401
+                     encode_quantized, grown, quantize_rows)
 from .likelihood import (CATEGORICAL, DISCRETIZED_GAUSSIAN, LikelihoodModel,
                          Observation, predictive_distribution)
 from .rating import rating_step, reward_gradient
@@ -50,13 +52,6 @@ from .spaces import entropy_rows, tv_distance_vectors
 
 # Rating-noise values drawn per call of an agent's generator.
 NOISE_BLOCK = 64
-
-
-def _grown(a: np.ndarray, size: int) -> np.ndarray:
-    """``a`` if it has ``size`` rows, else ``a`` zero-padded to max(size, 2 len(a)) rows."""
-    if size <= len(a):
-        return a
-    return np.concatenate([a, np.zeros((max(size, 2 * len(a)) - len(a),) + a.shape[1:], a.dtype)])
 
 
 def _sequential_sum(x: np.ndarray) -> float:
@@ -170,12 +165,13 @@ class StepInfo:
 @dataclass
 class RunResult:
     """A run's record, which ``write_artifacts`` turns into files: one ScoreReport
-    per scored step and one ledger.quantize_rows matrix per completed step."""
+    per scored step, one ledger.quantize_rows matrix per completed step, and
+    every agent's chain as ledger.LedgerColumns."""
 
     config: ScenarioConfig
     metrics: List[MetricsSnapshot]
     reports: List[ScoreReport]
-    chains: Dict[int, LedgerChain]
+    chains: LedgerColumns
     statelog: List[np.ndarray]
     population: Population
     collapsed_at: Optional[int] = None
@@ -233,7 +229,7 @@ class Simulation:
             self.space, priors, r0=self.rating_cfg.r0,
             strength0=config.population.strength0)
 
-        self.chains: Dict[int, LedgerChain] = {}
+        self.chains = LedgerColumns()
         # Row `id` of _noise is the agent's block, _noise_left[id] of it unread. Async:
         # _steps[:_end] holds each agent's update steps then -1; _cursor[id] is its next.
         self._rating_rngs: Dict[int, np.random.Generator] = {}
@@ -253,8 +249,8 @@ class Simulation:
     def _rating_noise(self, aids: np.ndarray, sigma: float) -> np.ndarray:
         """Each agent's next N(0, sigma) value from its own DOMAIN_RATING
         substream, as one ``normal`` call per agent and step would draw it."""
-        self._noise = _grown(self._noise, int(aids.max()) + 1)
-        self._noise_left = _grown(self._noise_left, len(self._noise))
+        self._noise = grown(self._noise, int(aids.max()) + 1)
+        self._noise_left = grown(self._noise_left, len(self._noise))
         for aid in aids[self._noise_left[aids] == 0].tolist():
             if aid not in self._rating_rngs:
                 self._rating_rngs[aid] = substream(self.seed, DOMAIN_RATING, aid)
@@ -273,9 +269,9 @@ class Simulation:
                 generate_update_steps(self.seed, aid, start, self.horizon, self.async_bound)
                 for aid in aids]
         flat = np.array([step for r in runs for step in (*r, -1)], dtype=np.int64)
-        self._steps = _grown(self._steps, self._end + len(flat))
+        self._steps = grown(self._steps, self._end + len(flat))
         self._steps[self._end:self._end + len(flat)] = flat
-        self._cursor = _grown(self._cursor, max(aids, default=-1) + 1)
+        self._cursor = grown(self._cursor, max(aids, default=-1) + 1)
         self._cursor[aids] = self._end + np.cumsum([0] + [len(r) + 1 for r in runs[:-1]])
         self._end += len(flat)
 
@@ -346,6 +342,8 @@ class Simulation:
         result = evolve(pop, t, self.evolution_cfg, self.ids,
                         child_noise=self._child_noise, smoothing=self.smoothing)
         self.population = result.population
+        for aid in np.setdiff1d(pop.ids, self.population.ids, assume_unique=True).tolist():
+            self._rating_rngs.pop(aid, None)  # ids are never reused
         if self._steps is not None:  # children still present update from step t + 1
             born = self.population.ids[self.population.ids >= first_id]
             self._schedule(born.tolist(), t + 1, {})

@@ -7,10 +7,18 @@ belief entries (K of them), quantized rating, quantized strength, parent id
 
 A step's quantized states are one (N, K+6) little-endian int64 matrix whose
 columns are exactly that order (``quantize_rows``), so an agent's encoding is
-the prefix followed by its row's bytes: the run commits and writes the state
-log from the matrices, and verification reads them back and hashes row slices.
+the prefix followed by its row's bytes. Digests are SHA-256. Genesis:
+C_0 = H(enc_0); then C_t = H(enc_t || C_{t-1}).
 
-Digests are SHA-256. Genesis: C_0 = H(enc_0); then C_t = H(enc_t || C_{t-1}).
+``chain_digests`` is the one batched hash of the chains: it lays a block's
+messages (prefix, row bytes, previous digest) out as one byte matrix and makes
+one hash call a row. Committing (``commit_rows``) and verifying
+(``verify_artifacts``) both go through it. A run's chains are ``LedgerColumns``:
+each commit's ascending agent ids and (n, 32) digests, about 40 bytes an entry,
+plus every agent's head and last step in arrays indexed by agent id; its
+per-agent ``LedgerChain``-like views build their entries only when read. The
+scalar ``encode_quantized``, ``commit`` and ``verify_chain`` are independent
+oracles for the tests.
 
 File formats: LF-terminated lines, each INT as %d prints it (0|-?[1-9][0-9]*,
 signed 64-bit). The readers accept exactly these lines (and empty lines):
@@ -25,6 +33,7 @@ import binascii
 import hashlib
 import re
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -109,26 +118,117 @@ def commit(chain: LedgerChain, encoding: StateEncoding, step: int) -> LedgerChai
     return chain
 
 
-def commit_rows(chains: dict, q: np.ndarray, step: int) -> None:
+def grown(a: np.ndarray, size: int) -> np.ndarray:
+    """``a`` if it has ``size`` rows, else ``a`` zero-padded to max(size, 2 len(a)) rows."""
+    if size <= len(a):
+        return a
+    return np.concatenate([a, np.zeros((max(size, 2 * len(a)) - len(a),) + a.shape[1:], a.dtype)])
+
+
+def chain_digests(q: np.ndarray, prev: np.ndarray, chained: np.ndarray) -> np.ndarray:
+    """The (n, 32) uint8 SHA-256 digests of the rows of a ``quantize_rows``
+    matrix as their chains commit them: H(enc || prev[i]) where ``chained[i]``,
+    else the genesis H(enc), with ``prev`` (n, 32) uint8. The messages (prefix,
+    row bytes, previous digest) are one byte matrix; each row takes one hash
+    call, a genesis row's without its last 32 bytes."""
+    n = len(q)
+    if n == 0:  # memoryview.cast refuses a zero-size buffer
+        return np.empty((0, 32), np.uint8)
+    width = len(VERSION_PREFIX) + STATE_DTYPE.itemsize * q.shape[1]
+    msg = np.empty((n, width + 32), np.uint8)
+    msg[:, :len(VERSION_PREFIX)] = np.frombuffer(VERSION_PREFIX, np.uint8)
+    msg[:, len(VERSION_PREFIX):width] = np.ascontiguousarray(q, STATE_DTYPE).view(np.uint8)
+    msg[:, width:] = prev
+    starts = np.arange(0, n * (width + 32), width + 32)
+    ends = starts + width + 32 * np.asarray(chained, dtype=bool)
+    data, sha256 = memoryview(msg).cast("B"), hashlib.sha256
+    return np.frombuffer(b"".join([sha256(data[s:e]).digest()
+                                   for s, e in zip(starts.tolist(), ends.tolist())]),
+                         np.uint8).reshape(n, 32)
+
+
+class ChainView:
+    """One agent's chain in a ``LedgerColumns``, read as a ``LedgerChain``:
+    ``head`` reads the heads array; ``entries`` builds the (step, digest) list
+    from the commit blocks on each read."""
+
+    __slots__ = ("columns", "agent_id")
+
+    def __init__(self, columns: "LedgerColumns", agent_id: int):
+        self.columns, self.agent_id = columns, agent_id
+
+    @property
+    def head(self) -> bytes:
+        return self.columns.heads[self.agent_id].tobytes()
+
+    @property
+    def entries(self) -> List[Tuple[int, bytes]]:
+        c, a = self.columns, self.agent_id
+        out: List[Tuple[int, bytes]] = []
+        for ids, step, digests in c.blocks[c.first_blocks[a]:]:
+            i = ids.searchsorted(a)
+            if i < len(ids) and ids[i] == a:
+                out.append((step, digests[i].tobytes()))
+                if len(out) == c.counts[a]:
+                    break
+        return out
+
+
+class LedgerColumns(Mapping):
+    """Every agent's hash chain, held as columns: one (ascending agent ids,
+    step, (n, 32) uint8 digests) block per ``commit_rows`` call, about 40 bytes
+    an entry, plus each agent's head, last step, entry count and first block in
+    arrays indexed by agent id. A read-only mapping from the id of every agent
+    with a chain to its ``ChainView``."""
+
+    def __init__(self) -> None:
+        self.blocks: List[Tuple[np.ndarray, int, np.ndarray]] = []
+        self.heads = np.zeros((0, 32), np.uint8)
+        self.last_steps = np.zeros(0, STATE_DTYPE)
+        self.counts = np.zeros(0, np.int64)
+        self.first_blocks = np.zeros(0, np.int64)
+
+    def __getitem__(self, agent_id) -> ChainView:
+        if agent_id not in range(len(self.counts)) or not self.counts[int(agent_id)]:
+            raise KeyError(agent_id)
+        return ChainView(self, int(agent_id))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(self.counts).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.counts))
+
+
+def commit_rows(chains: LedgerColumns, q: np.ndarray, step: int) -> None:
     """Commit every row of a ``quantize_rows`` matrix to its agent's chain in
-    ``chains`` (created at genesis): the same H(enc || prev digest) as
-    ``commit``, hashed from slices of one ``tobytes()`` buffer."""
-    data = memoryview(q.astype(STATE_DTYPE, copy=False).tobytes())
-    width = q.shape[1] * STATE_DTYPE.itemsize
-    sha256 = hashlib.sha256
-    for i, agent_id in enumerate(q[:, 0].tolist()):
-        chain = chains.get(agent_id)
-        if chain is None:
-            chain = chains[agent_id] = LedgerChain(agent_id)
-        h = sha256(VERSION_PREFIX)
-        h.update(data[i * width:(i + 1) * width])
-        if chain.entries:
-            last_step, prev = chain.entries[-1]
-            if step <= last_step:
-                raise NonMonotonicStep(
-                    f"step {step} does not advance past {last_step} for agent {agent_id}")
-            h.update(prev)
-        chain.entries.append((step, h.digest()))
+    ``chains`` at ``step`` (a chain starts at an agent's first commit), hashed
+    by ``chain_digests``. Each agent id must be >= 0 and appear once, and the
+    step must advance past each agent's last commit; otherwise this raises,
+    naming the first offending row's agent, before committing any row."""
+    ids = q[:, 0]
+    if len(ids) and ids.min() < 0:
+        raise ShapeMismatch(f"agent id {ids.min()} is negative")
+    size = int(ids.max()) + 1 if len(ids) else 0
+    chains.heads, chains.last_steps, chains.counts, chains.first_blocks = (
+        grown(a, size) for a in (chains.heads, chains.last_steps, chains.counts,
+                                 chains.first_blocks))
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    chained = chains.counts[ids] > 0
+    stale = chained & (chains.last_steps[ids] >= step)
+    repeat = np.zeros(len(ids), dtype=bool)  # a later row of an agent already in q
+    repeat[order[1:][sorted_ids[1:] == sorted_ids[:-1]]] = True
+    if stale.any() or repeat.any():
+        i = int(np.argmax(stale | repeat))
+        last = int(chains.last_steps[ids[i]]) if stale[i] else step
+        raise NonMonotonicStep(f"step {step} does not advance past {last} for agent {ids[i]}")
+    digests = chain_digests(q, chains.heads[ids], chained)
+    chains.first_blocks[ids[~chained]] = len(chains.blocks)
+    chains.heads[ids] = digests
+    chains.last_steps[ids] = step
+    chains.counts[ids] += 1
+    chains.blocks.append((sorted_ids, step, digests[order]))
 
 
 def verify_chain(chain: LedgerChain, replayed: Sequence[StateEncoding]) -> Optional[int]:
@@ -155,11 +255,35 @@ def verify_chain(chain: LedgerChain, replayed: Sequence[StateEncoding]) -> Optio
 # File I/O
 
 
-def write_ledger(path, chains: dict) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for agent_id in sorted(chains):
-            for step, digest in chains[agent_id].entries:
-                f.write(f"{agent_id}\t{step}\t{digest.hex()}\n")
+# Ledger entries rendered per write: about 300 KB of text.
+_WRITE_ENTRIES = 1 << 12
+
+
+def write_ledger(path, chains: LedgerColumns) -> None:
+    """Write every chain, agent by agent in ascending id and each in commit
+    order, from the columns: the agents are taken in id ranges of about
+    ``_WRITE_ENTRIES`` entries, each gathered from every commit block, so the
+    writer holds one range's entries and text at a time."""
+    ends = np.cumsum(chains.counts)  # entries of the agents with ids <= i
+    # a range ends after each id whose entries reach the next multiple of _WRITE_ENTRIES
+    reach = ends.searchsorted(np.arange(_WRITE_ENTRIES, ends[-1] if len(ends) else 0,
+                                        _WRITE_ENTRIES))
+    cuts = np.unique(np.r_[0, reach + 1, len(ends)]).tolist()
+    with open(path, "wb") as f:
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            parts = [(ids[s:e], step, digests[s:e]) for ids, step, digests in chains.blocks
+                     for s, e in [ids.searchsorted((lo, hi)).tolist()] if e > s]
+            if not parts:
+                continue
+            ids = np.concatenate([p[0] for p in parts])
+            order = np.argsort(ids, kind="stable")
+            values: list = [None] * (3 * len(ids))
+            values[0::3] = ids[order].tolist()
+            steps = np.repeat([p[1] for p in parts], [len(p[0]) for p in parts])
+            values[1::3] = steps[order].tolist()
+            values[2::3] = np.frombuffer(binascii.hexlify(
+                np.concatenate([p[2] for p in parts])[order]), "S64").tolist()
+            f.write((b"%d\t%d\t%s\n" * len(ids)) % tuple(values))
 
 
 def _row_format(k: int) -> str:
@@ -189,7 +313,11 @@ _INT_BYTES = bytes(c if c in b"-0123456789" else 0x20 for c in range(256))
 
 
 def _check_lines(pattern, lines: List[bytes], first: int, what: str, expected: str) -> None:
-    if not all(map(pattern.fullmatch, lines)):
+    # One call checks the block: deleting every match of the line pattern leaves
+    # nothing only if the matches tile the block, line after line. Only a bad
+    # block is searched line by line, for the message. (Matching the block with
+    # the pattern repeated keeps a backtracking stack of about 14 bytes a byte.)
+    if pattern.sub(b"", b"".join(lines)):
         bad = next(i for i, line in enumerate(lines) if not pattern.fullmatch(line))
         raise ShapeMismatch(f"{what} line {first + bad}: expected {expected}")
 
@@ -276,7 +404,8 @@ def verify_artifacts(ledger_path, statelog_path) -> List[Tuple[int, int]]:
         ids, file_pos = ids[order], order.__getitem__
     # each agent's first grouped entry; [:len(ids)] drops the 0 of an empty ledger
     start = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])[:len(ids)]
-    agents, length, digests = ids[start], np.diff(start, append=len(ids)), memoryview(digests)
+    agents, length = ids[start], np.diff(start, append=len(ids))
+    recorded = np.frombuffer(digests, np.uint8).reshape(-1, 32)  # a view, in file order
     # A last slot, with no entries, takes the rows of agents absent from the ledger.
     slots = np.append(agents, INT64_MAX)
     start, length = np.append(start, 0), np.append(length, 0)
@@ -300,15 +429,11 @@ def verify_artifacts(ledger_path, statelog_path) -> List[Tuple[int, int]]:
         pos = start[a] + n
         off = steps[file_pos(pos)] != q[rows, 1]
         np.minimum.at(misaligned, a[off], n[off])
-        # the previous entry's digest is digests[p:p + 32], none (p = -1) at genesis
-        prev = np.where(n > 0, 32 * file_pos(pos - (n > 0)), -1).tolist()
-        for j, (i, p, e) in enumerate(zip(rows.tolist(), prev, (32 * file_pos(pos)).tolist())):
-            h = hashlib.sha256(VERSION_PREFIX)
-            h.update(q[i])
-            if p >= 0:
-                h.update(digests[p:p + 32])
-            if h.digest() != digests[e:e + 32]:
-                bad[a[j]] = min(bad[a[j]], n[j])
+        # each row chains onto its agent's previous recorded digest, if any
+        chained = n > 0
+        wrong = (chain_digests(q[rows], recorded[file_pos(pos - chained)], chained)
+                 != recorded[file_pos(pos)]).any(axis=1)
+        np.minimum.at(bad, a[wrong], n[wrong])
     # Per agent, a length mismatch outranks a misaligned step, which outranks a
     # digest mismatch, each reported at its first index; rows past the end of
     # a chain, or of an agent the ledger lacks, are reported at the first one.

@@ -243,6 +243,19 @@ class TestRegimes:
             simulate(cfg)
 
 
+class TestRatingGenerators:
+    def test_dead_agents_generators_freed(self):
+        cfg = small_config(evolution={"tau_ext": 0.2, "tau_rep": 0.6, "grace": 3},
+                           rating={"sigma": 0.05}, run={"horizon": 40})
+        sim = Simulation(cfg)
+        spawns = deaths = 0
+        for t in range(cfg.run.horizon):
+            snap = sim.step(t)[0]
+            spawns, deaths = spawns + snap.spawns, deaths + snap.deaths
+            assert set(sim._rating_rngs) <= set(sim.population.ids.tolist())
+        assert spawns > 0 and deaths > 0 and len(sim._rating_rngs) > 0
+
+
 class TestGoldenRun:
     # RNG-free pipeline golden: uniform priors, explicit observations, zero
     # noise and mutation. Pins the step order, belief arithmetic, quantization,

@@ -10,11 +10,12 @@ import pytest
 from conftest import small_config
 from episwarm import ledger
 from episwarm.engine import default_schedule, simulate
-from episwarm.errors import LengthMismatch, NonMonotonicStep
+from episwarm.errors import LengthMismatch, NonMonotonicStep, ShapeMismatch
 from episwarm.evolution import Population
-from episwarm.ledger import (INT64_MAX, INT64_MIN, STRENGTH_MAX, LedgerChain, commit,
-                             commit_rows, encode_quantized, quantize_rows, read_state_log,
-                             verify_chain, verify_artifacts, write_ledger, write_state_log)
+from episwarm.ledger import (INT64_MAX, INT64_MIN, STRENGTH_MAX, LedgerChain, LedgerColumns,
+                             chain_digests, commit, commit_rows, encode_quantized,
+                             quantize_rows, read_state_log, verify_chain, verify_artifacts,
+                             write_ledger, write_state_log)
 from episwarm.spaces import HypothesisSpace
 
 SP2 = HypothesisSpace.indexed(2)
@@ -126,7 +127,7 @@ class TestCommit:
             commit(chain, enc, 4)
 
     def test_commit_rows_repeated_step_rejected(self):
-        chains = {}
+        chains = LedgerColumns()
         q = quantize_rows(agent(), 5)
         commit_rows(chains, q, 5)
         with pytest.raises(NonMonotonicStep):
@@ -134,6 +135,169 @@ class TestCommit:
         with pytest.raises(NonMonotonicStep):
             commit_rows(chains, quantize_rows(agent(), 4), 4)
         assert [step for step, _ in chains[0].entries] == [5]
+
+
+    def test_failed_commit_commits_nothing(self):
+        chains = LedgerColumns()
+        both = np.concatenate([quantize_rows(agent(aid=0), 2), quantize_rows(agent(aid=1), 2)])
+        commit_rows(chains, both, 2)
+        commit_rows(chains, quantize_rows(agent(aid=1), 3), 3)
+        before = chains[0].entries, chains[0].head
+        both[:, 1] = 3
+        # the second agent's step 3 repeats: the first agent's row must not commit
+        with pytest.raises(NonMonotonicStep, match="past 3 for agent 1"):
+            commit_rows(chains, both, 3)
+        assert (chains[0].entries, chains[0].head) == before
+        assert [step for step, _ in chains[1].entries] == [2, 3]
+        # an agent twice in one block, even at a step past its last commit
+        with pytest.raises(NonMonotonicStep, match="past 4 for agent 0"):
+            commit_rows(chains, quantize_rows(agent(aid=0), 4)[[0, 0]], 4)
+        # agent ids index the heads array: a negative one is refused
+        with pytest.raises(ShapeMismatch, match="negative"):
+            commit_rows(chains, np.concatenate([quantize_rows(agent(aid=0), 4),
+                                                quantize_rows(agent(aid=-3), 4)]), 4)
+        assert (chains[0].entries, chains[0].head) == before
+
+
+class TestChainDigests:
+    """``chain_digests`` against the scalar oracle: ``encode_quantized`` then
+    ``commit`` onto a chain whose last entry holds the previous digest."""
+
+    @staticmethod
+    def oracle(q, prev, chained):
+        out = []
+        for row, p, c in zip(q.tolist(), prev, chained):
+            k = len(row) - 6
+            enc = encode_quantized(row[0], row[1], row[2:k + 2], *row[k + 2:])
+            chain = LedgerChain(row[0], [(row[1] - 1, p.tobytes())] if c else [])
+            out.append(commit(chain, enc, row[1]).head)
+        return out
+
+    @pytest.mark.parametrize("k", [1, 10, 100])
+    def test_matches_scalar_oracle(self, k):
+        rng = np.random.default_rng(k)
+        n = 50
+        q = rng.integers(INT64_MIN, INT64_MAX, size=(n, k + 6), endpoint=True)
+        q[:, 1] = rng.integers(1, 1000, size=n)
+        q[0, 2:] = INT64_MAX
+        q[1, 2:] = INT64_MIN
+        q[2, 0], q[3, 0] = INT64_MAX, INT64_MIN
+        prev = rng.integers(0, 256, size=(n, 32), dtype=np.uint8)
+        chained = rng.random(n) < 0.5
+        chained[:2] = True, False
+        digests = chain_digests(q, prev, chained)
+        assert digests.shape == (n, 32) and digests.dtype == np.uint8
+        assert [d.tobytes() for d in digests] == self.oracle(q, prev, chained)
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(7)
+        wide = rng.integers(-10 ** 12, 10 ** 12, size=(40, 2 * 16))
+        q = wide[::-2, ::2]  # neither row- nor column-contiguous
+        assert not q.flags.c_contiguous and not q.flags.f_contiguous
+        prev = rng.integers(0, 256, size=(40, 32), dtype=np.uint8)[::2]
+        chained = np.arange(20) % 3 > 0
+        expected = self.oracle(np.ascontiguousarray(q), np.ascontiguousarray(prev), chained)
+        assert [d.tobytes() for d in chain_digests(q, prev, chained)] == expected
+        assert [d.tobytes() for d in chain_digests(np.asfortranarray(q), prev,
+                                                   chained.tolist())] == expected
+
+    def test_empty_block(self):
+        digests = chain_digests(np.empty((0, 16), "<i8"), np.empty((0, 32), np.uint8),
+                                np.empty(0, dtype=bool))
+        assert digests.shape == (0, 32) and digests.dtype == np.uint8
+
+
+class TestLedgerColumns:
+    def commit_run(self, agents, steps, k=2):
+        chains, rng = LedgerColumns(), np.random.default_rng(0)
+        for t in range(steps):
+            q = rng.integers(0, 10 ** 9, size=(agents, k + 6))
+            q[:, 0], q[:, 1] = np.arange(agents), t
+            commit_rows(chains, q, t)
+        return chains
+
+    def test_mapping_reads_the_columns(self):
+        chains = LedgerColumns()
+        for t, ids in enumerate(([4, 1], [1, 4, 9], [9], [2, 9])):
+            q = np.zeros((len(ids), 8), "<i8")
+            q[:, 0], q[:, 1], q[:, 2] = ids, t, np.arange(len(ids)) + 10 * t
+            commit_rows(chains, q, t)
+        assert list(chains) == [1, 2, 4, 9] and len(chains) == 4
+        assert [[s for s, _ in chains[a].entries] for a in chains] == \
+            [[0, 1], [3], [0, 1], [1, 2, 3]]
+        for a in chains:
+            assert chains[a].agent_id == a and chains[a].head == chains[a].entries[-1][1]
+        for absent in (0, 3, 10, -1, 2.5, "1"):
+            assert absent not in chains
+            with pytest.raises(KeyError):
+                chains[absent]
+
+    @pytest.mark.parametrize("write_entries", [1, 7, ledger._WRITE_ENTRIES])
+    def test_writer_prints_each_chain_in_order(self, write_entries, tmp_path, monkeypatch):
+        # an asynchronous run with spawns and deaths, so agents join and leave blocks
+        monkeypatch.setattr(ledger, "_WRITE_ENTRIES", write_entries)
+        cfg = small_config(evolution={"tau_ext": 0.2, "tau_rep": 0.6, "grace": 3},
+                           run={"horizon": 30, "async_bound": 3})
+        chains = simulate(cfg, schedule=default_schedule(cfg)).chains
+        write_ledger(tmp_path / "ledger.tsv", chains)
+        expected = "".join(f"{a}\t{step}\t{digest.hex()}\n"
+                           for a in sorted(chains) for step, digest in chains[a].entries)
+        assert (tmp_path / "ledger.tsv").read_text() == expected
+
+    def test_run_record_bytes_per_entry(self):
+        # Each entry holds its agent id (8 bytes) and digest (32). Per agent id
+        # there are a head, a last step, a count and a first block (56 bytes,
+        # in arrays grown by doubling: at most 112), and per commit block two
+        # array headers and a tuple (under 400 bytes). With 500 agents and 100
+        # steps that adds at most (500 * 112 + 100 * 400) / 50,000 < 2 bytes an
+        # entry: the bound is 42.
+        self.commit_run(2, 2)  # lazy imports first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            chains = self.commit_run(500, 100)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(len(chains[a].entries) for a in chains) == 50_000
+        assert held / 50_000 <= 42, held / 50_000
+
+    def test_reading_every_chain_allocates_per_agent(self):
+        # Reading each chain's length and head builds one chain's entries at a
+        # time, freed before the next: a list slot, a (step, digest) tuple, a
+        # 32-byte bytes object and an int, under 200 bytes an entry for the
+        # longest chain (100 entries), plus a head list of under 200 bytes an
+        # agent. Building every chain at once would take over 10 MB here.
+        chains = self.commit_run(500, 100)
+        tracemalloc.start()
+        try:
+            count = sum(len(c.entries) for c in chains.values())
+            heads = [chains[a].head for a in sorted(chains)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 50_000 and len(heads) == 500
+        assert peak <= 200 * (100 + 500), peak
+
+    def test_write_peak_one_block(self, tmp_path):
+        # The writer holds one id range of about _WRITE_ENTRIES entries. At its
+        # peak, the final format call, an entry has its id and order (16
+        # bytes), three slots of the values list and of its tuple (48), an id
+        # int (32), a hex bytes object (about 104), a template share (9) and its
+        # text (under 80): under 300 bytes, bounded at 400. A step int is
+        # shared here (steps < 256). Per commit block the range holds a tuple
+        # of three slices (under 400 bytes). The 100,000-entry ledger written
+        # here is 7.2 MB of text.
+        chains = self.commit_run(1000, 100)
+        write_ledger(tmp_path / "ledger.tsv", self.commit_run(2, 2))  # lazy imports first
+        tracemalloc.start()
+        try:
+            write_ledger(tmp_path / "ledger.tsv", chains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "ledger.tsv").stat().st_size > 7 * 10 ** 6
+        assert peak <= 400 * ledger._WRITE_ENTRIES + 400 * 100, peak
 
 
 class TestVerifyChain:
@@ -172,15 +336,13 @@ class TestVerifyChain:
 
 class TestArtifacts:
     def write_run(self, tmp_path, steps=5):
-        chains = {}
+        chains = LedgerColumns()
         matrices = []
         for aid in (0, 1):
-            chain = LedgerChain(aid)
             for t in range(steps):
                 a = agent(aid=aid, rating=0.4 + 0.1 * aid + 0.001 * t)
-                commit(chain, encode_state(a, t), t)
+                commit_rows(chains, quantize_rows(a, t), t)
                 matrices.append(quantize_rows(a, t))
-            chains[aid] = chain
         ledger_path = tmp_path / "ledger.tsv"
         statelog_path = tmp_path / "statelog.jsonl"
         write_ledger(ledger_path, chains)
@@ -238,7 +400,7 @@ class TestGoldenDigests:
         assert chain.entries[1][1].hex() == GOLDEN_1
 
     def test_golden_commit_rows(self):
-        chains = {}
+        chains = LedgerColumns()
         a1 = agent(aid=7, rating=0.125, strength=2.0, probs=(0.25, 0.75), parent=3, birth=2)
         a2 = agent(aid=7, rating=0.25, strength=2.5, probs=(0.1, 0.9), parent=3, birth=2)
         commit_rows(chains, quantize_rows(a1, 2), 2)
@@ -407,7 +569,7 @@ class TestStreamingVerify:
     def test_int64_extremes_verify_clean(self, tmp_path):
         q = np.array([[3, 0, INT64_MAX, INT64_MIN, INT64_MIN, INT64_MAX, -1, 0],
                       [4, 0, 0, 1, INT64_MAX, 5, 3, 0]], dtype="<i8")
-        chains = {}
+        chains = LedgerColumns()
         commit_rows(chains, q, 0)
         write_ledger(tmp_path / "ledger.tsv", chains)
         write_state_log(tmp_path / "statelog.jsonl", [q])
@@ -416,7 +578,7 @@ class TestStreamingVerify:
     def test_verify_memory_below_state_log_size(self, tmp_path):
         rng = np.random.default_rng(0)
         n, k, steps = 100, 100, 100
-        chains, matrices = {}, []
+        chains, matrices = LedgerColumns(), []
         for t in range(steps):
             q = rng.integers(10 ** 9, 10 ** 10, size=(n, k + 6))
             q[:, 0], q[:, 1] = np.arange(n), t
