@@ -21,8 +21,8 @@ from .evolution import (EvolutionConfig, Mark, Population, evolve, extinction_sw
 from .ledger import (LedgerChain, LedgerColumns, StateEncoding, chain_digests, commit,
                      commit_rows, encode_quantized, quantize_rows, verify_chain,
                      verify_artifacts)
-from .engine import (AsyncSchedule, MetricsSnapshot, RunResult, Simulation,
-                     TaskEnvironment, run, run_async, simulate, sweep)
+from .engine import (MetricsSnapshot, RunResult, Simulation, TaskEnvironment, run, simulate,
+                     sweep)
 from .config import ScenarioConfig, from_dict, load_config
 from .errors import EpiswarmError, InvariantViolation
 

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .config import load_config, resolve_param, set_param
-from .engine import run, run_async, sweep, write_sweep_csv
+from .engine import run, sweep, write_sweep_csv
 from .errors import ConfigError, EpiswarmError, PopulationCollapse
 from .ledger import verify_artifacts
 
@@ -41,12 +41,7 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if cfg.run.mode == "async":
-            result, divergence = run_async(cfg)
-            print(f"async divergence: weighted_belief_tv={divergence['weighted_belief_tv']:.6f} "
-                  f"rating_histogram_tv={divergence['rating_histogram_tv']:.6f}")
-        else:
-            result = run(cfg)
+        result, divergence = run(cfg)
     except PopulationCollapse as exc:
         print(f"population collapse at step {exc.step}", file=sys.stderr)
         return EXIT_COLLAPSE
@@ -54,6 +49,9 @@ def cmd_run(args) -> int:
         where = "outside a step" if exc.step is None else f"at step {exc.step}"
         print(f"run error {where}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if divergence is not None:
+        print(f"async divergence: weighted_belief_tv={divergence['weighted_belief_tv']:.6f} "
+              f"rating_histogram_tv={divergence['rating_histogram_tv']:.6f}")
     s = result.summary()
     wtm = s["final_weighted_truth_mass"]
     wtm_text = "n/a" if wtm is None else f"{wtm:.6f}"

@@ -136,24 +136,31 @@ _SCALAR_TYPES = {int: ((int, np.integer), "an integer"),
                  str: ((str,), "a string")}
 
 
-def _check_type(value, hint, path: str) -> None:
-    """Refuse a value that does not fit its field annotation: int refuses floats and
-    bools, float takes finite numbers, Optional admits null, List checks each item."""
+def _check_type(value, hint, path: str):
+    """``value`` if it fits its field annotation, with a float field's numbers as
+    floats: int refuses floats and bools, float takes finite numbers, Optional
+    admits null, List checks each item."""
     if typing.get_origin(hint) is typing.Union:  # Optional[X]
         if value is None:
-            return
+            return None
         hint = typing.get_args(hint)[0]
     if typing.get_origin(hint) is list:
         if not isinstance(value, list):
             raise ConfigError(path, f"must be a list, got {type(value).__name__}")
-        for i, item in enumerate(value):
-            _check_type(item, (typing.get_args(hint) or (object,))[0], f"{path}[{i}]")
-    elif hint in _SCALAR_TYPES:
+        item = (typing.get_args(hint) or (object,))[0]
+        return [_check_type(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
+    if hint in _SCALAR_TYPES:
         allowed, name = _SCALAR_TYPES[hint]
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ConfigError(path, f"must be {name}, got {value!r}")
-        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-            raise ConfigError(path, f"must be finite, got {value!r}")
+        if hint is float:
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(path, f"must be finite, got {value!r}")
+    return value
 
 
 @contextmanager
@@ -172,8 +179,7 @@ def _fill_section(cls, data: dict, path: str):
         attr = _KEY_TO_ATTR.get(key, key)
         if attr not in hints:
             raise ConfigError(f"{path}.{key}", "unknown field")
-        _check_type(value, hints[attr], f"{path}.{key}")
-        kwargs[attr] = value
+        kwargs[attr] = _check_type(value, hints[attr], f"{path}.{key}")
     with _located(path):
         return cls(**kwargs)
 
@@ -189,8 +195,7 @@ def from_dict(data: dict) -> ScenarioConfig:
                 raise ConfigError(key, "must be a mapping")
             kwargs[key] = _fill_section(_SECTIONS[key], value, key)
         elif key in _SCALAR_FIELDS:
-            _check_type(value, _HINTS[ScenarioConfig][key], key)
-            kwargs[key] = value
+            kwargs[key] = _check_type(value, _HINTS[ScenarioConfig][key], key)
         else:
             raise ConfigError(key, "unknown field")
     cfg = ScenarioConfig(**kwargs)
@@ -260,6 +265,11 @@ def build(cfg: ScenarioConfig):
     """``(space, outcomes, model, oracle, observations, smoothing)`` of a run, each
     made by the constructor that checks it, a failure raised as a ConfigError
     naming its section; observations and smoothing may be None."""
+    # Held as ssize_t or int64 (tuple(range(k)), rng.integers): 2**63 or more overflows.
+    for path, size in (("space.hypotheses", cfg.space.hypotheses), ("outcomes", cfg.outcomes),
+                       ("run.async_bound", cfg.run.async_bound)):
+        if size >= 2 ** 63:
+            raise ConfigError(path, "must be below 2**63")
     with _located("space" if cfg.space.embedding is None else "space.embedding"):
         space = HypothesisSpace.indexed(cfg.space.hypotheses, embedding=cfg.space.embedding)
     with _located("outcomes"):

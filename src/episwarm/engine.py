@@ -14,11 +14,13 @@ block of ``NOISE_BLOCK`` values per call, held in an array indexed by agent id;
 a dead agent's generator is dropped. Chain heads also sit in arrays indexed by
 agent id (``ledger.LedgerColumns``), so a step's commits are one batched hash.
 
-Asynchronous mode freezes both belief and rating updates for agents whose
-update schedule skips the step; skipped observations are dropped, never
-replayed. Update steps sit in one array with a cursor per agent id, so steps
-must run in order 0, 1, 2, ... Evolution and ledger commits run every step in
-both modes.
+``config.run`` alone sets the mode: a run is asynchronous iff ``run.mode`` is
+``async``, with window bound ``run.async_bound``. Asynchronous mode freezes both
+belief and rating updates for agents whose update steps skip the step; skipped
+observations are dropped, never replayed. Each agent's steps are generated from
+its seed unless a schedule gives a founder's; they sit in one array with a
+cursor per agent id, so steps must run in order 0, 1, 2, ... Evolution and
+ledger commits run every step in both modes.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,36 +95,22 @@ def generate_update_steps(seed: int, agent_id: int, start: int, horizon: int,
     return tuple(steps[steps < horizon].tolist())
 
 
-@dataclass
-class AsyncSchedule:
-    """Per-agent update steps plus the window bound B.
-
-    Invariant: every listed agent has at least one update step in every
-    window [t, t+B) inside the horizon.
-    """
-
-    bound: int
-    update_steps: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-
-    def validate(self, horizon: int) -> None:
-        if self.bound < 1:
-            raise ScheduleViolation("bound must be >= 1")
-        for aid, steps in self.update_steps.items():
-            if len(steps) == 0:
-                if horizon > self.bound:
-                    raise ScheduleViolation(f"agent {aid}: empty update set")
-                continue
-            if any(b <= a for a, b in zip(steps, steps[1:])):
-                raise ScheduleViolation(f"agent {aid}: update steps must be strictly increasing")
-            if steps[0] >= self.bound:
-                raise ScheduleViolation(
-                    f"agent {aid}: first update {steps[0]} misses window [0, {self.bound})")
-            gaps = [b - a for a, b in zip(steps, steps[1:])]
-            if any(g > self.bound for g in gaps):
-                raise ScheduleViolation(f"agent {aid}: update gap exceeds bound {self.bound}")
-            if horizon - steps[-1] > self.bound:
-                raise ScheduleViolation(
-                    f"agent {aid}: no update in final window before horizon {horizon}")
+def _check_update_steps(aid: int, steps: Sequence[int], bound: int, horizon: int) -> None:
+    """Refuse a founder's update steps unless they strictly increase and every
+    window [t, t+bound) inside the horizon holds one of them (RunSection refuses
+    a bound below 1)."""
+    if len(steps) == 0:
+        if horizon > bound:
+            raise ScheduleViolation(f"agent {aid}: empty update set")
+        return
+    if any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ScheduleViolation(f"agent {aid}: update steps must be strictly increasing")
+    if steps[0] >= bound:
+        raise ScheduleViolation(f"agent {aid}: first update {steps[0]} misses window [0, {bound})")
+    if any(b - a > bound for a, b in zip(steps, steps[1:])):
+        raise ScheduleViolation(f"agent {aid}: update gap exceeds bound {bound}")
+    if horizon - steps[-1] > bound:
+        raise ScheduleViolation(f"agent {aid}: no update in final window before horizon {horizon}")
 
 
 @dataclass
@@ -201,9 +189,13 @@ class RunResult:
 
 
 class Simulation:
-    """Holds the full mutable state of one run and advances it step by step."""
+    """Holds the full mutable state of one run and advances it step by step.
 
-    def __init__(self, config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None):
+    ``schedule`` maps founder ids to update steps that replace their generated
+    ones; it needs ``run.mode: async``."""
+
+    def __init__(self, config: ScenarioConfig,
+                 schedule: Optional[Mapping[int, Sequence[int]]] = None):
         self.config = config
         (self.space, self.outcomes, self.model, self.oracle, observations,
          self.smoothing) = build(config)
@@ -235,12 +227,16 @@ class Simulation:
         self._rating_rngs: Dict[int, np.random.Generator] = {}
         self._noise, self._noise_left = np.empty((0, NOISE_BLOCK)), np.empty(0, dtype=np.int64)
         self._steps: Optional[np.ndarray] = None
-        self.async_bound: Optional[int] = None
-        if schedule is not None:
-            schedule.validate(self.horizon)
-            self.async_bound = schedule.bound
+        if config.run.mode == "async":
+            founders, given = self.population.ids.tolist(), schedule or {}
+            unknown = sorted(set(given) - set(founders))
+            if unknown:
+                raise ScheduleViolation(f"agents {unknown} are not founders")
             self._steps, self._cursor, self._end = np.empty(0, np.int64), np.empty(0, np.int64), 0
-            self._schedule(self.population.ids.tolist(), 0, schedule.update_steps)
+            for aid, steps in zip(founders, self._schedule(founders, 0, given)):
+                _check_update_steps(aid, steps, config.run.async_bound, self.horizon)
+        elif schedule is not None:
+            raise ScheduleViolation("an update schedule needs run.mode: async")
 
         self._prev_mean_entropy = float(entropy_rows(self.population.belief_matrix).mean())
 
@@ -262,11 +258,13 @@ class Simulation:
     def _child_noise(self, child_id: int) -> np.ndarray:
         return substream(self.seed, DOMAIN_MUTATION, child_id).standard_normal(self.space.size)
 
-    def _schedule(self, aids: List[int], start: int, given: Dict[int, Sequence[int]]) -> None:
+    def _schedule(self, aids: List[int], start: int,
+                  given: Mapping[int, Sequence[int]]) -> List[Sequence[int]]:
         """Append the update steps of ``aids`` (``given``, else generated from
-        step ``start``) to ``_steps`` and point their cursors at them."""
+        step ``start``) to ``_steps``, point their cursors at them, return them."""
+        bound = self.config.run.async_bound
         runs = [given[aid] if aid in given else
-                generate_update_steps(self.seed, aid, start, self.horizon, self.async_bound)
+                generate_update_steps(self.seed, aid, start, self.horizon, bound)
                 for aid in aids]
         flat = np.array([step for r in runs for step in (*r, -1)], dtype=np.int64)
         self._steps = grown(self._steps, self._end + len(flat))
@@ -274,6 +272,7 @@ class Simulation:
         self._cursor = grown(self._cursor, max(aids, default=-1) + 1)
         self._cursor[aids] = self._end + np.cumsum([0] + [len(r) + 1 for r in runs[:-1]])
         self._end += len(flat)
+        return runs
 
     def _active_indices(self, t: int) -> np.ndarray:
         if self._steps is None:
@@ -394,9 +393,10 @@ class Simulation:
         return snap
 
 
-def simulate(config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None,
+def simulate(config: ScenarioConfig, schedule: Optional[Mapping[int, Sequence[int]]] = None,
              on_step: Optional[Callable] = None) -> RunResult:
-    """Run ``horizon`` steps (or halt on collapse); no files written."""
+    """Run ``horizon`` steps in ``config.run.mode`` (or halt on collapse); no
+    files written. ``schedule`` is as for ``Simulation``."""
     if config.run.horizon < 1:
         raise ShapeMismatch("horizon must be >= 1")
     sim = Simulation(config, schedule=schedule)
@@ -458,48 +458,38 @@ def write_artifacts(result: RunResult, out_dir: str) -> dict:
     return paths
 
 
-def _schedule(config: ScenarioConfig) -> Optional[AsyncSchedule]:
-    return default_schedule(config) if config.run.mode == "async" else None
+def default_schedule(config: ScenarioConfig) -> Dict[int, Tuple[int, ...]]:
+    """The founders' generated update steps: an async run's without a schedule."""
+    r = config.run
+    return {aid: generate_update_steps(r.seed, aid, 0, r.horizon, r.async_bound)
+            for aid in range(config.population.agents)}
 
 
-def run(config: ScenarioConfig, on_step: Optional[Callable] = None) -> RunResult:
-    """Run in ``config.run.mode`` (async uses ``default_schedule``); writes
-    artifacts under config.run.out_dir."""
-    result = simulate(config, schedule=_schedule(config), on_step=on_step)
+def run(config: ScenarioConfig, schedule: Optional[Mapping[int, Sequence[int]]] = None,
+        on_step: Optional[Callable] = None) -> Tuple[RunResult, Optional[dict]]:
+    """``simulate``, then write the artifacts under ``config.run.out_dir``.
+
+    An async run is also simulated as its synchronous twin, the same config in
+    ``mode: sync``; the TV distances between the two are written to
+    ``divergence.json`` and returned with the result (None for a sync run)."""
+    result = simulate(config, schedule=schedule, on_step=on_step)
+    divergence = None
+    if config.run.mode == "async":
+        twin = simulate(replace(config, run=replace(config.run, mode="sync")))
+        divergence = {
+            "bound": config.run.async_bound,
+            "weighted_belief_tv": tv_distance_vectors(result.weighted_belief(),
+                                                      twin.weighted_belief()),
+            "rating_histogram_tv": tv_distance_vectors(result.rating_histogram(),
+                                                       twin.rating_histogram()),
+            "async_summary": result.summary(),
+            "sync_summary": twin.summary(),
+        }
     write_artifacts(result, config.run.out_dir)
-    return result
-
-
-def default_schedule(config: ScenarioConfig) -> AsyncSchedule:
-    """Seed-derived schedule for the configured bound over the initial agents."""
-    bound = config.run.async_bound
-    steps = {aid: generate_update_steps(config.run.seed, aid, 0, config.run.horizon, bound)
-             for aid in range(config.population.agents)}
-    return AsyncSchedule(bound=bound, update_steps=steps)
-
-
-def run_async(config: ScenarioConfig, schedule: Optional[AsyncSchedule] = None,
-              on_step: Optional[Callable] = None) -> Tuple[RunResult, dict]:
-    """Bounded-delay asynchronous run plus a divergence report against the
-    synchronous run with the same seed. Writes async artifacts + divergence.json."""
-    if schedule is None:
-        schedule = default_schedule(config)
-    async_result = simulate(config, schedule=schedule, on_step=on_step)
-    sync_result = simulate(config)
-
-    divergence = {
-        "bound": schedule.bound,
-        "weighted_belief_tv": tv_distance_vectors(async_result.weighted_belief(),
-                                                  sync_result.weighted_belief()),
-        "rating_histogram_tv": 0.5 * float(np.abs(async_result.rating_histogram()
-                                                  - sync_result.rating_histogram()).sum()),
-        "async_summary": async_result.summary(),
-        "sync_summary": sync_result.summary(),
-    }
-    write_artifacts(async_result, config.run.out_dir)
-    with open(os.path.join(config.run.out_dir, "divergence.json"), "w", encoding="ascii") as f:
-        json.dump(divergence, f, indent=2)
-    return async_result, divergence
+    if divergence is not None:
+        with open(os.path.join(config.run.out_dir, "divergence.json"), "w", encoding="ascii") as f:
+            json.dump(divergence, f, indent=2)
+    return result, divergence
 
 
 SWEEP_OBSERVABLES = ("final_mass", "final_population", "final_mean_entropy",
@@ -523,7 +513,7 @@ def sweep(config: ScenarioConfig, param: str, values: Sequence) -> List[dict]:
             row[name] = None
         try:
             point = set_param(config, dotted, v)
-            result = simulate(point, schedule=_schedule(point))
+            result = simulate(point)
             if result.collapsed_at is not None:
                 row["status"] = f"collapse@{result.collapsed_at}"
             summary = result.summary()

@@ -173,7 +173,7 @@ def kl_divergence(p: Belief, q: Belief) -> float:
 def tv_distance(p: Belief, q: Belief) -> float:
     """Total variation distance (1/2) sum |p_i - q_i|, in [0, 1]."""
     _check_same_space(p, q)
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
+    return tv_distance_vectors(p.probs, q.probs)
 
 
 def tv_distance_vectors(p: np.ndarray, q: np.ndarray) -> float:

@@ -19,7 +19,7 @@ import yaml
 from conftest import small_config
 from episwarm.cli import main
 from episwarm.config import from_dict, set_param
-from episwarm.engine import AsyncSchedule, Simulation, default_schedule, simulate
+from episwarm.engine import Simulation, default_schedule, simulate
 from episwarm.evolution import EvolutionConfig, IdAllocator, Population, evolve
 from episwarm.inference import posterior_update, sequential_update
 from episwarm.likelihood import CategoricalTable, Observation
@@ -303,7 +303,8 @@ def test_c10_async_convergence():
 
     cfg = reference_config(seed=pilot["seeds"][0])
     sync = simulate(cfg)
-    b1 = simulate(cfg, schedule=AsyncSchedule(bound=1, update_steps={}))
+    b1 = simulate(reference_config(seed=pilot["seeds"][0],
+                                   run={"mode": "async", "async_bound": 1}))
     tv_b1 = tv_distance_vectors(b1.weighted_belief(), sync.weighted_belief())
     assert tv_b1 == 0.0
     assert [dataclasses.asdict(m) for m in b1.metrics] == \
@@ -313,7 +314,7 @@ def test_c10_async_convergence():
     for seed in pilot["seeds"][:3]:
         acfg = reference_config(seed, run={"mode": "async", "async_bound": 5})
         async_res = simulate(acfg, schedule=default_schedule(acfg))
-        sync_res = simulate(acfg)
+        sync_res = simulate(set_param(acfg, "run.mode", "sync"))
         tvs.append(tv_distance_vectors(async_res.weighted_belief(),
                                        sync_res.weighted_belief()))
     assert all(tv <= epsilon for tv in tvs)

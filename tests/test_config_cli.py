@@ -178,7 +178,8 @@ class TestCli:
         ("outcomes", "x"), ("likelihood.peak", "x"), ("task.true_hypothesis", "x"),
         ("space.embedding", 5), ("task.observations", 5), ("oracle", "abc"),
         ("run.async_bound", None), ("population.agents", 2.5), ("run.horizon", 2.5),
-        ("run.seed", 1.5),
+        ("run.seed", 1.5), ("space.hypotheses", 10 ** 30), ("outcomes", 10 ** 30),
+        ("run.async_bound", 10 ** 23),
     ])
     def test_run_malformed_value_exit_one(self, tmp_path, capsys, field, value):
         data = {**REFERENCE_SMALL, "run": dict(REFERENCE_SMALL["run"],
@@ -363,6 +364,15 @@ class TestBuild:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_huge_int_in_float_field_runs(self, tmp_path):
+        # held as the float 1e30, not as an int numpy would make an object array of
+        extra = {"population": {"agents": 6, "dirichlet_alpha": 10 ** 30}}
+        cfg = from_dict({**REFERENCE_SMALL, **extra})
+        assert type(cfg.population.dirichlet_alpha) is float
+        assert cfg == from_dict({**REFERENCE_SMALL, "population": {"agents": 6,
+                                                                  "dirichlet_alpha": 1e30}})
+        assert main(["run", _small_run(tmp_path, extra)]) == 0
 
     @pytest.mark.parametrize("make", [
         lambda: RatingConfig(sigma=NAN), lambda: RatingConfig(shape_scale=INF),

@@ -11,9 +11,8 @@ from conftest import small_config, statelog_rows
 from episwarm import competition, engine, inference
 from episwarm.competition import margin_entries
 from episwarm.config import from_dict, set_param
-from episwarm.engine import (SWEEP_OBSERVABLES, AsyncSchedule, Simulation, default_schedule,
-                             generate_update_steps, run, run_async, simulate, sweep,
-                             write_artifacts)
+from episwarm.engine import (SWEEP_OBSERVABLES, Simulation, default_schedule,
+                             generate_update_steps, run, simulate, sweep, write_artifacts)
 from episwarm.errors import (ConfigError, InvariantViolation, PopulationCollapse,
                              ScheduleViolation)
 from episwarm.ledger import (VERSION_PREFIX, encode_quantized, verify_artifacts,
@@ -338,15 +337,17 @@ class TestAsyncArtifactDigests:
 
     def test_async_scenario_artifacts(self, tmp_path):
         cfg = small_config(run={"horizon": 40, "seed": 0, "mode": "async", "async_bound": 3})
-        res = simulate(cfg, schedule=default_schedule(cfg))
-        assert sum(m.spawns for m in res.metrics) > 0
-        assert sum(m.deaths for m in res.metrics) > 0
-        assert max(m.clamp_residue for m in res.metrics) > 0
-        assert any(m.active_count < m.population_size for m in res.metrics)
-        paths = write_artifacts(res, str(tmp_path))
-        digests = {os.path.basename(path): hashlib.sha256(open(path, "rb").read()).hexdigest()
-                   for path in paths.values()}
-        assert digests == self.DIGESTS
+        for name, schedule in (("given", default_schedule(cfg)), ("generated", None)):
+            res = simulate(cfg, schedule=schedule)
+            assert sum(m.spawns for m in res.metrics) > 0
+            assert sum(m.deaths for m in res.metrics) > 0
+            assert max(m.clamp_residue for m in res.metrics) > 0
+            assert any(m.active_count < m.population_size for m in res.metrics)
+            paths = write_artifacts(res, str(tmp_path / name))
+            digests = {os.path.basename(path):
+                       hashlib.sha256(open(path, "rb").read()).hexdigest()
+                       for path in paths.values()}
+            assert digests == self.DIGESTS
 
 
 class TestLedgerIntegration:
@@ -368,7 +369,7 @@ class TestLedgerIntegration:
         cfg = small_config(space={"embedding": [[0.0], [1.0], [2.0], [3.0], [4.0]]},
                            evolution={"mutation_kind": "kernel-convolution", "sigma_mut": 0.8},
                            run={"horizon": 40, "out_dir": str(tmp_path)})
-        res = run(cfg)
+        res, _ = run(cfg)
         assert sum(m.spawns for m in res.metrics) > 0
         assert verify_artifacts(tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl") == []
 
@@ -385,7 +386,7 @@ def k100_async_run():
     """K = 100 asynchronous run in which agents spawn, so parent ids mix -1
     (initial agents) with real ids."""
     cfg = small_config(space={"hypotheses": 100}, outcomes=100, population={"agents": 12},
-                       run={"horizon": 40, "async_bound": 3})
+                       run={"horizon": 40, "mode": "async", "async_bound": 3})
     res = simulate(cfg, schedule=default_schedule(cfg))
     assert sum(m.spawns for m in res.metrics) > 0
     assert any(m.active_count < m.population_size for m in res.metrics)
@@ -445,34 +446,32 @@ class TestAsync:
 
     def test_bound_one_matches_sync_exactly(self):
         cfg = small_config(run={"horizon": 40})
-        sched = AsyncSchedule(bound=1, update_steps={})
         sync = simulate(cfg)
-        async_res = simulate(cfg, schedule=sched)
+        async_res = simulate(small_config(run={"horizon": 40, "mode": "async",
+                                               "async_bound": 1}))
         assert [dataclasses.asdict(m) for m in sync.metrics] == \
                [dataclasses.asdict(m) for m in async_res.metrics]
         assert statelog_rows(sync) == statelog_rows(async_res)
 
     def test_schedule_violation_double_gap(self):
-        cfg = small_config(run={"horizon": 40})
         bound = 5
+        cfg = small_config(run={"horizon": 40, "mode": "async", "async_bound": bound})
         steps = tuple(range(0, 40, 2 * bound))  # gap 2B
-        sched = AsyncSchedule(bound=bound, update_steps={0: steps})
         with pytest.raises(ScheduleViolation):
-            simulate(cfg, schedule=sched)
+            simulate(cfg, schedule={0: steps})
 
     def test_schedule_violation_late_first_update(self):
-        sched = AsyncSchedule(bound=3, update_steps={0: (5, 8, 11)})
+        cfg = small_config(run={"horizon": 12, "mode": "async", "async_bound": 3})
         with pytest.raises(ScheduleViolation):
-            sched.validate(horizon=12)
+            Simulation(cfg, schedule={0: (5, 8, 11)})
 
     def test_inactive_agents_frozen(self):
         cfg = small_config(rating={"sigma": 0.0},
                            evolution={"tau_rep": 1.0, "tau_ext": 0.0},
                            population={"agents": 2, "prior": "uniform"},
-                           run={"horizon": 6})
+                           run={"horizon": 6, "mode": "async", "async_bound": 3})
         # agent 1 updates only every 3rd step
-        sched = AsyncSchedule(bound=3, update_steps={0: tuple(range(6)), 1: (0, 3, 5)})
-        sim = Simulation(cfg, schedule=sched)
+        sim = Simulation(cfg, schedule={0: tuple(range(6)), 1: (0, 3, 5)})
         before = sim.population.belief_matrix[1].copy()
         sim.step(0)
         after_update = sim.population.belief_matrix[1].copy()
@@ -481,24 +480,42 @@ class TestAsync:
         assert np.array_equal(sim.population.belief_matrix[1], after_update)
 
     def test_divergence_report(self, tmp_path):
-        cfg = small_config(run={"horizon": 30, "out_dir": str(tmp_path / "async")})
-        sched = AsyncSchedule(bound=1, update_steps={})
-        result, divergence = run_async(cfg, schedule=sched)
+        cfg = small_config(run={"horizon": 30, "out_dir": str(tmp_path / "async"),
+                                "mode": "async", "async_bound": 1})
+        result, divergence = run(cfg)
         assert divergence["weighted_belief_tv"] == 0.0
         assert divergence["rating_histogram_tv"] == 0.0
         assert (tmp_path / "async" / "divergence.json").exists()
 
+    def test_schedule_needs_async_mode(self):
+        cfg = small_config(run={"horizon": 10})
+        with pytest.raises(ScheduleViolation):
+            simulate(cfg, schedule={0: tuple(range(10))})
+
+    def test_schedule_names_only_founders(self):
+        cfg = small_config(run={"horizon": 10, "mode": "async", "async_bound": 3})
+        with pytest.raises(ScheduleViolation):
+            Simulation(cfg, schedule={99: tuple(range(10))})
+
+    def test_sync_run_writes_no_divergence(self, tmp_path):
+        cfg = small_config(run={"horizon": 10, "out_dir": str(tmp_path)})
+        result, divergence = run(cfg)
+        assert divergence is None
+        assert (tmp_path / "metrics.jsonl").exists()
+        assert not (tmp_path / "divergence.json").exists()
+
     def test_default_schedule_covers_all_agents(self):
         cfg = small_config(run={"horizon": 25, "mode": "async", "async_bound": 4})
         sched = default_schedule(cfg)
-        assert set(sched.update_steps) == set(range(8))
-        sched.validate(cfg.run.horizon)
+        assert set(sched) == set(range(8))
+        Simulation(cfg, schedule=sched)
 
 
     def test_run_follows_async_mode(self, tmp_path):
         cfg = small_config(run={"horizon": 30, "seed": 0, "mode": "async", "async_bound": 3})
         run(set_param(cfg, "run.out_dir", str(tmp_path / "run")))
-        run_async(set_param(cfg, "run.out_dir", str(tmp_path / "run_async")))
+        point = set_param(cfg, "run.out_dir", str(tmp_path / "run_async"))
+        run(point, schedule=default_schedule(point))
         for name in ("metrics.jsonl", "scores.jsonl", "ledger.tsv", "statelog.jsonl"):
             assert (tmp_path / "run" / name).read_bytes() == \
                 (tmp_path / "run_async" / name).read_bytes()

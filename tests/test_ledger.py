@@ -237,7 +237,7 @@ class TestLedgerColumns:
         # an asynchronous run with spawns and deaths, so agents join and leave blocks
         monkeypatch.setattr(ledger, "_WRITE_ENTRIES", write_entries)
         cfg = small_config(evolution={"tau_ext": 0.2, "tau_rep": 0.6, "grace": 3},
-                           run={"horizon": 30, "async_bound": 3})
+                           run={"horizon": 30, "mode": "async", "async_bound": 3})
         chains = simulate(cfg, schedule=default_schedule(cfg)).chains
         write_ledger(tmp_path / "ledger.tsv", chains)
         expected = "".join(f"{a}\t{step}\t{digest.hex()}\n"
@@ -501,7 +501,8 @@ TAMPERS = {
 def async_artifacts(tmp_path_factory):
     """Ledger and state-log lines of an asynchronous run with spawns and deaths."""
     cfg = small_config(evolution={"tau_ext": 0.2, "tau_rep": 0.6, "grace": 3},
-                       rating={"sigma": 0.05}, run={"horizon": 40, "async_bound": 3})
+                       rating={"sigma": 0.05},
+                       run={"horizon": 40, "mode": "async", "async_bound": 3})
     res = simulate(cfg, schedule=default_schedule(cfg))
     assert sum(m.spawns for m in res.metrics) > 0 and sum(m.deaths for m in res.metrics) > 0
     assert any(m.active_count < m.population_size for m in res.metrics)

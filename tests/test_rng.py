@@ -10,7 +10,7 @@ import pytest
 
 from conftest import small_config
 from episwarm import engine
-from episwarm.engine import NOISE_BLOCK, AsyncSchedule, Simulation, generate_update_steps
+from episwarm.engine import NOISE_BLOCK, Simulation, generate_update_steps
 from episwarm.rng import DOMAIN_RATING, DOMAIN_SCHEDULE, DOMAIN_TASK, substream
 
 SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 63, 2 ** 64 - 1, -1]
@@ -86,7 +86,7 @@ class TestAsyncCursor:
         horizon, bound = 50, 3
         cfg = small_config(evolution={"tau_ext": 0.2, "tau_rep": 0.6, "grace": 3},
                            rating={"sigma": 0.05},
-                           run={"horizon": horizon, "async_bound": bound})
+                           run={"horizon": horizon, "mode": "async", "async_bound": bound})
         rng, given = random.Random(11), {}
         for aid in range(1, cfg.population.agents):  # agent 0 falls back to its generated steps
             s, steps = rng.randrange(bound), []
@@ -94,7 +94,7 @@ class TestAsyncCursor:
                 steps.append(s)
                 s += rng.randint(1, bound)
             given[aid] = tuple(steps)
-        sim = Simulation(cfg, schedule=AsyncSchedule(bound=bound, update_steps=given))
+        sim = Simulation(cfg, schedule=given)
         sets = {aid: frozenset(steps) for aid, steps in given.items()}
         sets[0] = frozenset(generate_update_steps(cfg.run.seed, 0, 0, horizon, bound))
         spawns = 0
