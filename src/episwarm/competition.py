@@ -5,9 +5,10 @@ Sign conventions, fixed once for the whole system: ``oracle_loss`` and
 margin utility are rewards (higher is better). The rating gradient consumes
 the aggregate utility.
 
-The aggregate utility U_i = sum_j M(i, j) is computed from the log scores a
-block of rows at a time, so a step never holds the N x N margin matrix; its
-row sums are bitwise equal to those of ``margin_entries``. The matrix itself
+The aggregate utility U_i = sum_j M(i, j) is computed from the log scores
+once per distinct score, a block of rows at a time, so a step never holds the
+N x N margin matrix and costs O(N u) for u distinct scores; its row sums are
+bitwise equal to those of ``margin_entries``. The matrix itself
 (``MarginMatrix``, ``ScoreReport.margins``) is built only on demand, for
 checks and inspection. ``zero_sum_tolerance`` bounds the rounding error of
 sum_i U_i, which is exactly zero in real arithmetic.
@@ -128,18 +129,33 @@ _BLOCK_ROWS = 64
 def aggregate_utility(log_scores: np.ndarray) -> np.ndarray:
     """Row sums U_i = sum_j M(i, j) of the margin matrix of ``log_scores``.
 
-    Each block of rows is the same outer difference as in ``margin_entries``
-    and is reduced along the same contiguous axis, so every U_i adds the same
-    N values in the same order: the result is bitwise equal to
-    ``margin_entries(log_scores).sum(axis=1)``. (The diagonal s_i - s_i is
-    already +0.0 for finite scores.) Sums to zero up to rounding, see
+    Agents with equal scores have bitwise equal margin rows, so a row sum is
+    computed once for each distinct score v of s = -log_scores, as the sum
+    over j of v - s_j, and handed to every agent with that score. The rows of
+    the distinct scores are formed a block at a time, as the same outer
+    difference as in ``margin_entries`` against the whole of s, and reduced
+    along the same contiguous axis, so every U_i adds the same N values in
+    the same order whichever rows share its block: the result is bitwise
+    equal to ``margin_entries(log_scores).sum(axis=1)``. (The diagonal
+    v - v is already +0.0 for finite scores.) Work is O(N u) for u distinct
+    scores, O(N^2) only when all differ. Sums to zero up to rounding, see
     ``zero_sum_tolerance``.
+
+    ``np.unique`` merges two kinds of values that are not bitwise equal:
+
+    * +0.0 and -0.0. Terms v - s_j then differ at most in the sign of a zero
+      term, which leaves every non-zero partial sum unchanged; and every row
+      holds a +0.0 term (its own diagonal), so a zero sum is +0.0 either way.
+      Engine scores are never -0.0, but the function is public.
+    * NaN. A NaN score makes every term of its row NaN, and so the row sum,
+      whichever NaN stands for it.
     """
     s = -np.asarray(log_scores, dtype=np.float64)
-    out = np.empty(len(s))
-    for a in range(0, len(s), _BLOCK_ROWS):
-        out[a:a + _BLOCK_ROWS] = (s[a:a + _BLOCK_ROWS, None] - s[None, :]).sum(axis=1)
-    return out
+    values, inverse = np.unique(s, return_inverse=True)
+    out = np.empty(len(values))
+    for a in range(0, len(values), _BLOCK_ROWS):
+        out[a:a + _BLOCK_ROWS] = (values[a:a + _BLOCK_ROWS, None] - s[None, :]).sum(axis=1)
+    return out[inverse]
 
 
 def zero_sum_tolerance(log_scores: np.ndarray) -> float:

@@ -267,11 +267,20 @@ def build(cfg: ScenarioConfig):
     naming its section; observations and smoothing may be None."""
     # Held as ssize_t or int64 (tuple(range(k)), rng.integers): 2**63 or more overflows.
     for path, size in (("space.hypotheses", cfg.space.hypotheses), ("outcomes", cfg.outcomes),
-                       ("run.async_bound", cfg.run.async_bound)):
+                       ("run.horizon", cfg.run.horizon), ("run.async_bound", cfg.run.async_bound)):
         if size >= 2 ** 63:
             raise ConfigError(path, "must be below 2**63")
     with _located("space" if cfg.space.embedding is None else "space.embedding"):
         space = HypothesisSpace.indexed(cfg.space.hypotheses, embedding=cfg.space.embedding)
+    # A Dirichlet prior row divides K gamma draws by their sum. Wherever K * alpha
+    # nears the float maximum the draws lie within a relative 1e-140 of alpha and
+    # their float sum within K * eps of K * alpha; past the maximum the sum is
+    # inf and the row all zeros. Half the maximum leaves room for both.
+    alpha_max = float(np.finfo(np.float64).max) / (2 * space.size)
+    if cfg.population.prior == "dirichlet" and cfg.population.dirichlet_alpha > alpha_max:
+        raise ConfigError("population.dirichlet_alpha",
+                          f"must be at most {alpha_max!r} (float maximum / (2 * hypotheses)) "
+                          "for the prior's gamma draws to sum below the float maximum")
     with _located("outcomes"):
         outcomes = OutcomeSpace.indexed(cfg.outcomes)
     n = outcomes.size

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from episwarm.competition import (MarginMatrix, aggregate_utility, fitness, log_score,
-                                  margin_matrix, oracle_loss, zero_one_table,
-                                  zero_sum_tolerance)
+                                  margin_entries, margin_matrix, oracle_loss,
+                                  zero_one_table, zero_sum_tolerance)
 from episwarm.errors import ShapeMismatch, ZeroMassOnTruth
 
 
@@ -151,6 +152,48 @@ class TestAggregateUtility:
         scores = log_score(np.stack(preds), 1)
         rows = margin_matrix(preds, 1).entries.sum(axis=1)
         assert aggregate_utility(scores).tobytes() == rows.tobytes()
+
+    @staticmethod
+    def _tied_scores(case, n, rng):
+        distinct = rng.exponential(2.0, size=3)
+        if case == "all_equal":
+            return np.full(n, distinct[0])
+        if case == "two_interleaved":
+            return distinct[np.arange(n) % 2]
+        # mostly_one: one score plus up to three distinct ones
+        scores = np.full(n, distinct[0])
+        scores[rng.choice(n, size=min(n, 3), replace=False)] = distinct[:min(n, 3)] + 1.0
+        return scores
+
+    @pytest.mark.parametrize("n", [1, 65, 129])
+    @pytest.mark.parametrize("case", ["all_equal", "two_interleaved", "mostly_one"])
+    def test_tied_scores_bitwise_equal_to_margin_row_sums(self, case, n):
+        scores = self._tied_scores(case, n, np.random.default_rng(n))
+        rows = margin_entries(scores).sum(axis=1)
+        assert aggregate_utility(scores).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("scores", [
+        [0.0, -0.0], [-0.0, 0.0], [-0.0], [-0.0, -0.0, 0.0, 0.4, -0.0],
+        [0.4, 0.0, -0.0, 0.4, 0.0, -1.2], [(-0.0, 0.0)[i % 3 == 0] for i in range(129)],
+    ])
+    def test_signed_zeros_bitwise_equal_to_margin_row_sums(self, scores):
+        # np.unique merges +0.0 and -0.0; the sign of every zero sum must survive
+        scores = np.array(scores)
+        rows = margin_entries(scores).sum(axis=1)
+        assert aggregate_utility(scores).tobytes() == rows.tobytes()
+
+    def test_work_follows_distinct_scores(self):
+        # one distinct score among N: no 64 x N block (51 MB at N = 10^5) is formed
+        n = 100_000
+        scores = np.full(n, 0.3)
+        tracemalloc.start()
+        try:
+            u = aggregate_utility(scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(u == 0.0)
+        assert peak < 10 * n * scores.itemsize
 
 
 class TestZeroSumTolerance:

@@ -179,7 +179,7 @@ class TestCli:
         ("space.embedding", 5), ("task.observations", 5), ("oracle", "abc"),
         ("run.async_bound", None), ("population.agents", 2.5), ("run.horizon", 2.5),
         ("run.seed", 1.5), ("space.hypotheses", 10 ** 30), ("outcomes", 10 ** 30),
-        ("run.async_bound", 10 ** 23),
+        ("run.async_bound", 10 ** 23), ("run.horizon", 10 ** 30),
     ])
     def test_run_malformed_value_exit_one(self, tmp_path, capsys, field, value):
         data = {**REFERENCE_SMALL, "run": dict(REFERENCE_SMALL["run"],
@@ -373,6 +373,22 @@ class TestBuild:
         assert cfg == from_dict({**REFERENCE_SMALL, "population": {"agents": 6,
                                                                   "dirichlet_alpha": 1e30}})
         assert main(["run", _small_run(tmp_path, extra)]) == 0
+
+    def test_dirichlet_alpha_bound(self, tmp_path, capsys):
+        # the K gamma draws of a prior row are summed: an alpha above
+        # float max / (2 K) is refused at load, not left to give all-zero rows
+        limit = float(np.finfo(np.float64).max) / (2 * REFERENCE_SMALL["space"]["hypotheses"])
+        below = {"population": {"agents": 6, "dirichlet_alpha": float(np.nextafter(limit, 0.0))}}
+        assert main(["run", _small_run(tmp_path, below)]) == 0
+        capsys.readouterr()
+        for alpha in (float(np.nextafter(limit, np.inf)), 2.0 ** 1023):
+            above = {"population": {"agents": 6, "dirichlet_alpha": alpha}}
+            with pytest.raises(ConfigError, match="population.dirichlet_alpha"):
+                from_dict({**REFERENCE_SMALL, **above})
+            assert main(["run", _small_run(tmp_path, above)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: population.dirichlet_alpha")
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("make", [
         lambda: RatingConfig(sigma=NAN), lambda: RatingConfig(shape_scale=INF),
