@@ -13,16 +13,14 @@ from .inference import (InferenceConfig, confidence_weight, entropy_regularized_
                         information_gain, posterior_update, sequential_update,
                         strength_update)
 from .competition import (MarginMatrix, ScoreReport, aggregate_utility, fitness,
-                          log_score, margin_matrix, oracle_loss, zero_one_table)
+                          log_score, oracle_loss, zero_one_table)
 from .rating import (RatingConfig, learning_rate, rating_step, replication_attenuation,
                      reward_gradient)
-from .evolution import (EvolutionConfig, Mark, Population, evolve, extinction_sweep,
-                        mutate_prior, saturation_cap, select)
-from .ledger import (LedgerChain, LedgerColumns, StateEncoding, chain_digests, commit,
-                     commit_rows, encode_quantized, quantize_rows, verify_chain,
-                     verify_artifacts)
-from .engine import (MetricsSnapshot, RunResult, Simulation, TaskEnvironment, run, simulate,
-                     sweep)
+from .evolution import (EvolutionConfig, Population, evolve, extinction_sweep, mutate_prior,
+                        saturation_cap)
+from .ledger import (LedgerChain, LedgerColumns, chain_digests, commit, commit_rows,
+                     encode_quantized, quantize_rows, verify_chain, verify_artifacts)
+from .engine import MetricsSnapshot, RunResult, Simulation, run, simulate, sweep
 from .config import ScenarioConfig, from_dict, load_config
 from .errors import EpiswarmError, InvariantViolation
 

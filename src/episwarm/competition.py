@@ -9,7 +9,7 @@ The aggregate utility U_i = sum_j M(i, j) is computed from the log scores
 once per distinct score, a block of rows at a time, so a step never holds the
 N x N margin matrix and costs O(N u) for u distinct scores; its row sums are
 bitwise equal to those of ``margin_entries``. The matrix itself
-(``MarginMatrix``, ``ScoreReport.margins``) is built only on demand, for
+(``MarginMatrix(n, margin_entries(log_scores))``) is built only on demand, for
 checks and inspection. ``zero_sum_tolerance`` bounds the rounding error of
 sum_i U_i, which is exactly zero in real arithmetic.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -62,11 +61,6 @@ class ScoreReport:
     fitness: np.ndarray
     log_scores: np.ndarray
     aggregate: np.ndarray
-
-    @property
-    def margins(self) -> MarginMatrix:
-        """The N x N margin matrix of ``log_scores``, built on each access."""
-        return MarginMatrix(n=len(self.log_scores), entries=margin_entries(self.log_scores))
 
 
 def oracle_loss(pred: np.ndarray, truth_label: int, oracle: np.ndarray):
@@ -113,12 +107,6 @@ def margin_entries(log_scores: np.ndarray) -> np.ndarray:
     entries = s[:, None] - s[None, :]
     np.fill_diagonal(entries, 0.0)
     return entries
-
-
-def margin_matrix(preds: Sequence[np.ndarray], truth_label: int) -> MarginMatrix:
-    """Margin matrix of a list of predictions; see ``margin_entries``."""
-    entries = margin_entries(log_score(np.stack(preds), truth_label))
-    return MarginMatrix(n=len(entries), entries=entries)
 
 
 # Rows of the margin matrix formed at once by aggregate_utility: 64 x N

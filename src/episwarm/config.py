@@ -261,6 +261,13 @@ def set_param(cfg: ScenarioConfig, dotted: str, value) -> ScenarioConfig:
     return from_dict(data)
 
 
+# Bytes that the arrays a run builds before its first step may take. A config
+# past it would fail at load with a MemoryError, or spend minutes filling its
+# priors, so it is refused; the largest shipped, test or bench config needs
+# about 800 KB (the audit bench's async run), over 300 times less.
+SETUP_BYTES_MAX = 1 << 28
+
+
 def build(cfg: ScenarioConfig):
     """``(space, outcomes, model, oracle, observations, smoothing)`` of a run, each
     made by the constructor that checks it, a failure raised as a ConfigError
@@ -270,6 +277,22 @@ def build(cfg: ScenarioConfig):
                        ("run.horizon", cfg.run.horizon), ("run.async_bound", cfg.run.async_bound)):
         if size >= 2 ** 63:
             raise ConfigError(path, "must be below 2**63")
+    # The arrays built before the first step, 8 bytes an entry, by their factors
+    # (a negative factor is refused below); an async run draws each founder's steps.
+    k, y, n = cfg.space.hypotheses, cfg.outcomes, cfg.population.agents
+    draws = cfg.run.horizon + 1 if cfg.run.mode == "async" else 0
+    arrays = [("the likelihood table", [("space.hypotheses", k), ("outcomes", y)]),
+              ("the oracle table", [("outcomes", y), ("outcomes", y)]),
+              ("the priors", [("population.agents", n), ("space.hypotheses", k)]),
+              ("the founders' update draws", [("population.agents", n), ("run.horizon", draws)])]
+    sizes = [math.prod(max(factor, 0) for _, factor in factors) for _, factors in arrays]
+    if 8 * sum(sizes) > SETUP_BYTES_MAX:
+        name, factors = arrays[sizes.index(max(sizes))]
+        path = max(factors, key=lambda item: item[1])[0]
+        product = " * ".join(str(factor) for _, factor in factors)
+        raise ConfigError(path, f"needs {name} of {product} 8-byte values, past the "
+                                f"{SETUP_BYTES_MAX}-byte cap on the arrays built before the "
+                                "first step")
     with _located("space" if cfg.space.embedding is None else "space.embedding"):
         space = HypothesisSpace.indexed(cfg.space.hypotheses, embedding=cfg.space.embedding)
     # A Dirichlet prior row divides K gamma draws by their sum. Wherever K * alpha

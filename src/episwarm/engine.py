@@ -2,9 +2,10 @@
 
 Per-step order, fixed for the whole system: (1) emit observation, (2) score
 predictions (competition), (3) rating updates, (4) belief posterior updates
-with information gain and strength updates, (5) evolution (select, reproduce
-under the cap, extinguish), (6) ledger commits for every agent present at end
-of step, (7) metrics snapshot. Everything is deterministic given the config
+with information gain and strength updates, (5) evolution (split agents rated
+at or above tau_rep, under the cap; remove agents whose rating stayed at or
+below tau_ext for grace steps), (6) ledger commits for every agent present at
+end of step, (7) metrics snapshot. Everything is deterministic given the config
 seed; all randomness flows through named substreams.
 
 Each phase calls its module's operation once over the population arrays: the
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -44,8 +46,7 @@ from .inference import information_gain, posterior_rows, strength_update
 # commit and encode_quantized stay bound though unused: bench/tracing.py wraps them here.
 from .ledger import (STRENGTH_MAX, LedgerColumns, commit, commit_rows,  # noqa: F401
                      encode_quantized, grown, quantize_rows)
-from .likelihood import (CATEGORICAL, DISCRETIZED_GAUSSIAN, LikelihoodModel,
-                         Observation, predictive_distribution)
+from .likelihood import predictive_distribution
 from .rating import rating_step, reward_gradient
 from .rng import (DOMAIN_MUTATION, DOMAIN_PRIOR, DOMAIN_RATING, DOMAIN_SCHEDULE,
                   DOMAIN_TASK, substream)
@@ -60,29 +61,6 @@ def _sequential_sum(x: np.ndarray) -> float:
     # One term at a time, left to right, like a running total; np.sum adds
     # pairwise, and its last-digit differences would reach metrics.jsonl.
     return float(np.cumsum(x)[-1]) if len(x) else 0.0
-
-
-@dataclass
-class TaskEnvironment:
-    """Observation source: a fixed true hypothesis plus the task model, or an
-    explicit observation schedule. Every agent at a step sees the same datum."""
-
-    model: LikelihoodModel
-    true_hypothesis: Optional[int] = None
-    schedule: Optional[List[Observation]] = None
-
-    def emit(self, t: int, rng: np.random.Generator) -> Optional[Observation]:
-        if self.schedule is not None:
-            return self.schedule[t] if t < len(self.schedule) else None
-        h = self.true_hypothesis
-        if self.model.kind == DISCRETIZED_GAUSSIAN:
-            x = float(rng.normal(self.model.means[h], self.model.scale))
-            return Observation(datum=x, truth_label=self.model.bin_of(x), step=t)
-        # categorical / bernoulli: outcome index is both datum and truth label
-        probs = (self.model.rows[h] if self.model.kind == CATEGORICAL
-                 else np.array([1.0 - self.model.probs[h], self.model.probs[h]]))
-        y = int(rng.choice(len(probs), p=probs))
-        return Observation(datum=y, truth_label=y, step=t)
 
 
 def generate_update_steps(seed: int, agent_id: int, start: int, horizon: int,
@@ -197,7 +175,7 @@ class Simulation:
     def __init__(self, config: ScenarioConfig,
                  schedule: Optional[Mapping[int, Sequence[int]]] = None):
         self.config = config
-        (self.space, self.outcomes, self.model, self.oracle, observations,
+        (self.space, self.outcomes, self.model, self.oracle, self.observations,
          self.smoothing) = build(config)
         self.rating_cfg = config.rating
         self.inference_cfg = config.inference
@@ -205,8 +183,6 @@ class Simulation:
         self.seed = config.run.seed
         self.horizon = config.run.horizon
 
-        self.env = TaskEnvironment(self.model, true_hypothesis=config.task.true_hypothesis,
-                                   schedule=observations)
         self.task_rng = substream(self.seed, DOMAIN_TASK)
 
         n = config.population.agents
@@ -292,7 +268,10 @@ class Simulation:
             raise PopulationCollapse(step=t)
         mass_before = pop.rating_mass()
 
-        obs = self.env.emit(t, self.task_rng)
+        if self.observations is None:  # every agent at a step sees the same datum
+            obs = self.model.emit(self.config.task.true_hypothesis, self.task_rng, t)
+        else:  # a listed task has no datum past its end
+            obs = self.observations[t] if t < len(self.observations) else None
         active = self._active_indices(t)
 
         report = None
@@ -316,9 +295,12 @@ class Simulation:
                      else np.zeros(len(active)))
             old = pop.ratings[active]
             new, raw = rating_step(old, grads, t, self.rating_cfg, noise)
-            delta_sum = _sequential_sum(raw - old)
-            residue_signed = _sequential_sum(new - raw)
-            residue_abs = _sequential_sum(np.abs(new - raw))
+            with np.errstate(over="ignore", invalid="ignore"):
+                delta_sum = _sequential_sum(raw - old)
+                residue_signed = _sequential_sum(new - raw)
+                residue_abs = _sequential_sum(np.abs(new - raw))
+            if not all(map(math.isfinite, (delta_sum, residue_signed, residue_abs))):
+                raise InvariantViolation(f"rating noise left the float range at step {t}")
             pop.ratings[active] = new
 
             # belief + strength updates. The weight 1 + gain is formed here, not
@@ -465,14 +447,13 @@ def default_schedule(config: ScenarioConfig) -> Dict[int, Tuple[int, ...]]:
             for aid in range(config.population.agents)}
 
 
-def run(config: ScenarioConfig, schedule: Optional[Mapping[int, Sequence[int]]] = None,
-        on_step: Optional[Callable] = None) -> Tuple[RunResult, Optional[dict]]:
+def run(config: ScenarioConfig) -> Tuple[RunResult, Optional[dict]]:
     """``simulate``, then write the artifacts under ``config.run.out_dir``.
 
     An async run is also simulated as its synchronous twin, the same config in
     ``mode: sync``; the TV distances between the two are written to
     ``divergence.json`` and returned with the result (None for a sync run)."""
-    result = simulate(config, schedule=schedule, on_step=on_step)
+    result = simulate(config)
     divergence = None
     if config.run.mode == "async":
         twin = simulate(replace(config, run=replace(config.run, mode="sync")))

@@ -1,5 +1,5 @@
-"""Population lifecycle: threshold selection, attenuated doubling with prior
-mutation, grace-windowed extinction, and saturation capping.
+"""Population lifecycle: threshold doubling with prior mutation, grace-windowed
+extinction, and saturation capping.
 
 The population is stored as parallel arrays (beliefs as an (N, K) matrix) so
 that split-heavy scenarios scale. An agent is removed only after its rating
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,12 +26,6 @@ from .spaces import HypothesisSpace, normalize_vector
 
 EXP_TILT = "exp-tilt"
 KERNEL_CONVOLUTION = "kernel-convolution"
-
-
-class Mark(IntEnum):
-    RETAIN = 0
-    REPRODUCE = 1
-    EXTINGUISH = 2
 
 
 @dataclass(frozen=True)
@@ -167,25 +160,15 @@ def mutate_prior(rows: np.ndarray, sigma_mut: float, noise: Optional[np.ndarray]
     if kind == EXP_TILT:
         if noise is None or np.shape(noise) != np.shape(rows):
             raise ShapeMismatch("exp-tilt mutation needs one unit-normal draw per row entry")
-        return normalize_vector(rows * np.exp(sigma_mut * np.asarray(noise, dtype=np.float64)))
+        # a tilt past the float range gives inf or NaN weights, which normalize_vector refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = rows * np.exp(sigma_mut * np.asarray(noise, dtype=np.float64))
+        return normalize_vector(weights)
     if kind == KERNEL_CONVOLUTION:
         if smoothing is None:
             raise ShapeMismatch("kernel-convolution mutation needs a smoothing matrix")
         return normalize_vector(rows @ smoothing)
     raise ShapeMismatch(f"unknown mutation kind {kind!r}")
-
-
-def select(pop: Population, cfg: EvolutionConfig) -> np.ndarray:
-    """Per-agent marks: REPRODUCE iff R >= tau_rep, EXTINGUISH iff R <= tau_ext."""
-    marks = np.full(len(pop), Mark.RETAIN, dtype=np.int8)
-    if cfg.extinction_enabled:
-        marks[pop.ratings <= cfg.tau_ext] = Mark.EXTINGUISH
-    if cfg.reproduction_enabled:
-        rep = pop.ratings >= cfg.tau_rep
-        if np.any(marks[rep] == Mark.EXTINGUISH):
-            raise ShapeMismatch("agent marked both Reproduce and Extinguish")
-        marks[rep] = Mark.REPRODUCE
-    return marks
 
 
 def update_decay_markers(pop: Population, t: int, cfg: EvolutionConfig) -> None:
@@ -246,14 +229,15 @@ class EvolveResult:
 def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
            child_noise: Optional[Callable[[int], np.ndarray]] = None,
            smoothing: Optional[np.ndarray] = None) -> EvolveResult:
-    """Composite operator: select, then reproduce under the cap, then extinguish.
+    """Composite operator: split every agent rated at or above tau_rep (if
+    reproduction is enabled) under the cap, then extinguish by grace window.
 
     ``child_noise(child_id)`` must yield the unit-normal mutation vector for a
     child; it is only consulted for exp-tilt mutation with sigma_mut > 0, so
     noise generation can be keyed by child id independent of iteration order.
     """
-    marks = select(pop, cfg)
-    pending = np.flatnonzero(marks == Mark.REPRODUCE)
+    pending = (np.flatnonzero(pop.ratings >= cfg.tau_rep) if cfg.reproduction_enabled
+               else np.empty(0, dtype=np.int64))
     admitted = saturation_cap(pop, pending, cfg.n_star)
     delayed = len(pending) - len(admitted)
 

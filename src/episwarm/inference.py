@@ -60,16 +60,18 @@ def posterior_rows(priors: np.ndarray, like: np.ndarray, beta: float) -> np.ndar
         if beta > 1.0 and np.any(priors <= 0.0):
             # prior(h)**(1 - beta) diverges on empty support for beta > 1
             raise SupportViolation("entropy tilt with beta > 1 requires full support")
-        with np.errstate(divide="ignore"):
+        # a beta so large that the tilt leaves the float range gives inf or NaN
+        # weights, which normalize_vector refuses
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             logp = np.log(priors)
-        logw = np.log(like)[None, :] - beta * math.log(priors.shape[1])
-        coef = 1.0 - beta
-        if coef != 0.0:
-            logw = logw + coef * logp
-        else:
-            logw = np.broadcast_to(logw, priors.shape).copy()
-        logw -= logw.max(axis=1, keepdims=True)
-        weights = np.exp(logw)
+            logw = np.log(like)[None, :] - beta * math.log(priors.shape[1])
+            coef = 1.0 - beta
+            if coef != 0.0:
+                logw = logw + coef * logp
+            else:
+                logw = np.broadcast_to(logw, priors.shape).copy()
+            logw -= logw.max(axis=1, keepdims=True)
+            weights = np.exp(logw)
     out = normalize_vector(weights)
     if (np.any(out < 0.0) or not np.all(np.isfinite(out))
             or float(np.abs(out.sum(axis=1) - 1.0).max()) > SUM_TOL):

@@ -56,14 +56,6 @@ STATE_DTYPE = np.dtype("<i8")
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-@dataclass(frozen=True)
-class StateEncoding:
-    """Canonical byte encoding of one agent state at one step, as the scalar
-    ``encode_quantized``, ``commit`` and ``verify_chain`` take it."""
-
-    data: bytes
-
-
 @dataclass
 class LedgerChain:
     """Ordered (step, digest) commitments for one agent; entry 0 is genesis."""
@@ -77,11 +69,12 @@ class LedgerChain:
 
 
 def encode_quantized(agent_id: int, step: int, belief_q: Sequence[int], rating_q: int,
-                     strength_q: int, parent_id: int, birth_step: int) -> StateEncoding:
-    """Encode already-quantized integer fields one at a time: an independent
-    replay oracle for tests, since verification hashes matrix rows."""
+                     strength_q: int, parent_id: int, birth_step: int) -> bytes:
+    """The canonical bytes of already-quantized integer fields, encoded one at a
+    time: an independent replay oracle for tests, since verification hashes
+    matrix rows."""
     ints = [agent_id, step, *belief_q, rating_q, strength_q, parent_id, birth_step]
-    return StateEncoding(VERSION_PREFIX + struct.pack(f"<{len(ints)}q", *ints))
+    return VERSION_PREFIX + struct.pack(f"<{len(ints)}q", *ints)
 
 
 def quantize_rows(pop: Population, step: int) -> np.ndarray:
@@ -100,15 +93,15 @@ def quantize_rows(pop: Population, step: int) -> np.ndarray:
     return q
 
 
-def _digest(encoding: StateEncoding, prev: Optional[bytes]) -> bytes:
+def _digest(encoding: bytes, prev: Optional[bytes]) -> bytes:
     h = hashlib.sha256()
-    h.update(encoding.data)
+    h.update(encoding)
     if prev is not None:
         h.update(prev)
     return h.digest()
 
 
-def commit(chain: LedgerChain, encoding: StateEncoding, step: int) -> LedgerChain:
+def commit(chain: LedgerChain, encoding: bytes, step: int) -> LedgerChain:
     """Append one commitment: H(enc) at genesis, H(enc || prev digest) after."""
     if chain.entries and step <= chain.entries[-1][0]:
         raise NonMonotonicStep(
@@ -231,7 +224,7 @@ def commit_rows(chains: LedgerColumns, q: np.ndarray, step: int) -> None:
     chains.blocks.append((sorted_ids, step, digests[order]))
 
 
-def verify_chain(chain: LedgerChain, replayed: Sequence[StateEncoding]) -> Optional[int]:
+def verify_chain(chain: LedgerChain, replayed: Sequence[bytes]) -> Optional[int]:
     """Recompute the chain from replayed encodings; return first bad step or None.
     An independent per-chain oracle for tests; ``verify_artifacts`` does not call it.
 

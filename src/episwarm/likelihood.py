@@ -55,8 +55,6 @@ def _clip(p: np.ndarray) -> np.ndarray:
 class CategoricalTable:
     """Explicit row-stochastic outcome table P(y | h)."""
 
-    kind = CATEGORICAL
-
     def __init__(self, space: HypothesisSpace, outcomes: OutcomeSpace, rows):
         rows = np.asarray(rows, dtype=np.float64)
         if rows.shape != (space.size, outcomes.size):
@@ -101,11 +99,14 @@ class CategoricalTable:
         """P(y | h) rows used by the predictive mixture (obs-independent here)."""
         return self.rows
 
+    def emit(self, h: int, rng: np.random.Generator, t: int) -> Observation:
+        """One outcome drawn from P(. | h), as both datum and truth label."""
+        y = int(rng.choice(self.outcomes.size, p=self.rows[h]))
+        return Observation(datum=y, truth_label=y, step=t)
+
 
 class Bernoulli:
     """Per-hypothesis success probability; data in {0, 1}."""
-
-    kind = BERNOULLI
 
     def __init__(self, space: HypothesisSpace, probs: Sequence[float]):
         p = np.asarray(probs, dtype=np.float64)
@@ -132,6 +133,11 @@ class Bernoulli:
     def outcome_matrix(self, obs: Observation) -> np.ndarray:
         return np.column_stack([1.0 - self.probs, self.probs])
 
+    def emit(self, h: int, rng: np.random.Generator, t: int) -> Observation:
+        """One outcome drawn from Bernoulli(p(h)), as both datum and truth label."""
+        y = int(rng.choice(2, p=[1.0 - self.probs[h], self.probs[h]]))
+        return Observation(datum=y, truth_label=y, step=t)
+
 
 def _phi(x: float) -> float:
     """Standard normal CDF."""
@@ -140,8 +146,6 @@ def _phi(x: float) -> float:
 
 class DiscretizedGaussian:
     """Gaussian bins: likelihood of a bin is its CDF mass under N(mu_h, scale^2)."""
-
-    kind = DISCRETIZED_GAUSSIAN
 
     def __init__(self, space: HypothesisSpace, means: Sequence[float], scale: float,
                  bin_edges: Sequence[float]):
@@ -184,6 +188,11 @@ class DiscretizedGaussian:
     def outcome_matrix(self, obs: Observation) -> np.ndarray:
         # Normalized per row so the predictive mixture is a distribution over bins.
         return self.bin_mass / self.bin_mass.sum(axis=1, keepdims=True)
+
+    def emit(self, h: int, rng: np.random.Generator, t: int) -> Observation:
+        """A real payload drawn from N(mu_h, scale^2), labelled with its bin."""
+        x = float(rng.normal(self.means[h], self.scale))
+        return Observation(datum=x, truth_label=self.bin_of(x), step=t)
 
 
 LikelihoodModel = Union[CategoricalTable, Bernoulli, DiscretizedGaussian]

@@ -56,7 +56,8 @@ def reward_gradient(utility, population_scale: float, shape_scale: float = 1.0):
     each utility."""
     if population_scale <= 0:
         raise ShapeMismatch("population_scale must be positive")
-    x = shape_scale * np.asarray(utility, dtype=np.float64) / population_scale
+    with np.errstate(over="ignore"):  # tanh of an overflow to +-inf is +-1, as in the limit
+        x = shape_scale * np.asarray(utility, dtype=np.float64) / population_scale
     # math.tanh per element: np.tanh rounds differently on some inputs, and the
     # gradients reach every seeded trajectory.
     return np.fromiter(map(math.tanh, x.ravel()), np.float64, x.size).reshape(x.shape)[()]

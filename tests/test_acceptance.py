@@ -25,7 +25,7 @@ from episwarm.inference import posterior_update, sequential_update
 from episwarm.likelihood import CategoricalTable, Observation
 from episwarm.spaces import (Belief, HypothesisSpace, OutcomeSpace, normalize_vector,
                              tv_distance, tv_distance_vectors)
-from episwarm.competition import log_score
+from episwarm.competition import MarginMatrix, log_score, margin_entries
 
 CALIBRATION_DIR = os.path.join(os.path.dirname(__file__), "..", "calibration")
 
@@ -136,7 +136,8 @@ def test_c04_skew_symmetry_and_zero_sum():
         if info.report is None:
             return
         stats["steps"] += 1
-        m = info.report.margins.entries
+        s = info.report.log_scores
+        m = MarginMatrix(len(s), margin_entries(s)).entries
         assert np.array_equal(m, -m.T), "margin matrix not exactly skew-symmetric"
         total = abs(float(info.report.aggregate.sum()))
         stats["worst_sum"] = max(stats["worst_sum"], total)

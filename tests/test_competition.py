@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from episwarm.competition import (MarginMatrix, aggregate_utility, fitness, log_score,
-                                  margin_entries, margin_matrix, oracle_loss,
-                                  zero_one_table, zero_sum_tolerance)
+                                  margin_entries, oracle_loss, zero_one_table,
+                                  zero_sum_tolerance)
 from episwarm.errors import ShapeMismatch, ZeroMassOnTruth
 
 
@@ -83,41 +83,47 @@ class TestFitness:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def margins_of(preds, truth_label):
+    """The margin matrix of a list of predictions."""
+    entries = margin_entries(log_score(np.stack(preds), truth_label))
+    return MarginMatrix(len(entries), entries)
+
+
 class TestMarginMatrix:
     def test_identical_predictions_zero(self):
         preds = [np.array([0.5, 0.5])] * 3
-        m = margin_matrix(preds, 0)
+        m = margins_of(preds, 0)
         assert np.all(m.entries == 0.0)
 
     def test_log_ratio_oracle(self):
         preds = [np.array([0.8, 0.2]), np.array([0.2, 0.8])]
-        m = margin_matrix(preds, 0)
+        m = margins_of(preds, 0)
         assert m.entries[0, 1] == pytest.approx(math.log(4), abs=1e-9)
         assert m.entries[1, 0] == pytest.approx(-math.log(4), abs=1e-9)
         assert math.log(4) == pytest.approx(1.386294, abs=1e-6)
 
     def test_telescoping_additivity(self):
         preds = [np.array([0.7, 0.3]), np.array([0.5, 0.5]), np.array([0.1, 0.9])]
-        m = margin_matrix(preds, 0).entries
+        m = margins_of(preds, 0).entries
         assert m[0, 2] == pytest.approx(m[0, 1] + m[1, 2], abs=1e-9)
 
     def test_exact_skew_symmetry(self):
         rng = np.random.default_rng(7)
         preds = [rng.dirichlet(np.ones(4)) for _ in range(6)]
-        m = margin_matrix(preds, 2).entries
+        m = margins_of(preds, 2).entries
         assert np.array_equal(m, -m.T)
         assert np.all(np.diag(m) == 0.0)
 
     def test_sign_tracks_truth_mass(self):
         preds = [np.array([0.6, 0.4]), np.array([0.3, 0.7])]
-        m = margin_matrix(preds, 0)
+        m = margins_of(preds, 0)
         assert m.entries[0, 1] > 0
-        m2 = margin_matrix(preds, 1)
+        m2 = margins_of(preds, 1)
         assert m2.entries[0, 1] < 0
 
     def test_zero_mass_on_truth_rejected(self):
         with pytest.raises(ZeroMassOnTruth):
-            margin_matrix([np.array([1.0, 0.0]), np.array([0.5, 0.5])], 1)
+            margins_of([np.array([1.0, 0.0]), np.array([0.5, 0.5])], 1)
 
     def test_constructor_validates(self):
         with pytest.raises(ShapeMismatch):
@@ -150,7 +156,7 @@ class TestAggregateUtility:
         rng = np.random.default_rng(n)
         preds = list(rng.dirichlet(np.ones(4), size=n))
         scores = log_score(np.stack(preds), 1)
-        rows = margin_matrix(preds, 1).entries.sum(axis=1)
+        rows = margins_of(preds, 1).entries.sum(axis=1)
         assert aggregate_utility(scores).tobytes() == rows.tobytes()
 
     @staticmethod

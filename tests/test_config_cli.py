@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import yaml
 from episwarm.cli import main
 from episwarm.config import (ScenarioConfig, SpaceSection, TaskSection, dump_config,
                              from_dict, load_config, resolve_param, set_param, to_dict)
-from episwarm.engine import Simulation
+from episwarm.engine import Simulation, simulate, write_artifacts
 from episwarm.errors import ConfigError, ShapeMismatch
 from episwarm.evolution import EvolutionConfig
 from episwarm.inference import InferenceConfig
@@ -296,6 +298,22 @@ SCENARIO_KINDS = {
     "observation_list": {"task": {"observations": [[0, 0], [1, 1], [2, 2], [3, 3], [0, 1]]}},
 }
 
+# SHA-256 of the two files the ledger hashes, for the scenario kinds whose
+# observations the categorical pins in test_engine do not emit. The metrics,
+# scores and summary bytes are left out: their last digits follow the CPU's
+# SIMD dispatch, while quantization absorbs that in these two.
+SCENARIO_KIND_DIGESTS = {
+    "bernoulli": {
+        "ledger.tsv": "253123cd5815fffbcf2d2877067cc63a61efd18c134046037fd43ba42716cf59",
+        "statelog.jsonl": "1f07a6fc3c9a65070069f5c5aae54367a120f7921bd7e5ee9449cbf70f39ddf7"},
+    "discretized_gaussian": {
+        "ledger.tsv": "97b321eba79852e4e4a89c52152d02fd6bc178b4e9bcc7953bb2d8226d7b6d02",
+        "statelog.jsonl": "35cd0262000ba859c0559b796fabc5b08fc79a011208117609d6f51050b5bd37"},
+    "observation_list": {
+        "ledger.tsv": "6fee349c5fc7e1a0214f0518e04fb4f4a39221455953dcd799e49505b889ac4f",
+        "statelog.jsonl": "b7b54d9ec553828acf7278452215f25641788fecbcd2a57496bcc789a17e316d"},
+}
+
 # Configs whose fault only showed once the run had started, as a run error or a
 # traceback.
 LATE_FAILURES = {
@@ -330,6 +348,16 @@ NON_FINITE = {
 }
 
 
+# Sizes whose arrays cannot be built before the first step. Each used to end
+# at load in a MemoryError traceback, or to hang filling the priors.
+IMPOSSIBLE_SIZES = {
+    "hypotheses_2_62": ({"space": {"hypotheses": 2 ** 62}}, "space.hypotheses"),
+    "table_10_12": ({"space": {"hypotheses": 10 ** 6}, "outcomes": 10 ** 6}, "space.hypotheses"),
+    "agents_10_11": ({"population": {"agents": 10 ** 11}}, "population.agents"),
+    "async_horizon_10_12": ({"run": {"horizon": 10 ** 12, "mode": "async"}}, "run.horizon"),
+}
+
+
 def _small_run(tmp_path, extra):
     data = {**REFERENCE_SMALL, **extra}
     data["run"] = dict(REFERENCE_SMALL["run"], out_dir=str(tmp_path / "out"))
@@ -344,6 +372,15 @@ class TestBuild:
         assert main(["run", _small_run(tmp_path, SCENARIO_KINDS[kind])]) == 0
         out = tmp_path / "out"
         assert main(["verify", str(out / "ledger.tsv"), str(out / "statelog.jsonl")]) == 0
+
+    @pytest.mark.parametrize("kind", sorted(SCENARIO_KIND_DIGESTS))
+    def test_scenario_kind_digests(self, tmp_path, kind):
+        res = simulate(from_dict({**REFERENCE_SMALL, **SCENARIO_KINDS[kind]}))
+        paths = write_artifacts(res, str(tmp_path))
+        digests = {os.path.basename(paths[key]):
+                   hashlib.sha256(open(paths[key], "rb").read()).hexdigest()
+                   for key in ("ledger", "statelog")}
+        assert digests == SCENARIO_KIND_DIGESTS[kind]
 
     @pytest.mark.parametrize("case", sorted(LATE_FAILURES))
     def test_late_failure_is_config_error(self, tmp_path, capsys, case):
@@ -363,6 +400,19 @@ class TestBuild:
         assert main(["run", _small_run(tmp_path, extra)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(IMPOSSIBLE_SIZES))
+    def test_impossible_size_refused_at_load(self, tmp_path, case):
+        data, path = IMPOSSIBLE_SIZES[case]
+        with pytest.raises(ConfigError, match="cap on the arrays built before the first step"):
+            from_dict(data)
+        start = time.monotonic()
+        proc = run_cli("--out", tmp_path / "out", "run", write_cfg(tmp_path, data), timeout=30)
+        assert time.monotonic() - start < 2.0
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"config error: {path}: needs ")
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_huge_int_in_float_field_runs(self, tmp_path):
@@ -474,12 +524,13 @@ def run_artifacts(tmp_path_factory):
     return out
 
 
-def _cli_verify(ledger, statelog):
+def run_cli(*args, timeout=120):
+    """``python -m episwarm.cli *args`` in a child process, as a console user runs it."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "episwarm.cli", "verify", str(ledger),
-                           str(statelog)], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "episwarm.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 class TestVerifyMalformedStateLog:
@@ -490,7 +541,7 @@ class TestVerifyMalformedStateLog:
         lines[7] = MALFORMED_STATE_LINES[case](lines[7])
         statelog = tmp_path / "statelog.jsonl"
         statelog.write_text("\n".join(lines) + "\n")
-        proc = _cli_verify(run_artifacts / "ledger.tsv", statelog)
+        proc = run_cli("verify", run_artifacts / "ledger.tsv", statelog)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "state log line 8:" in proc.stderr
@@ -523,7 +574,7 @@ class TestVerifyMalformedLedger:
         lines[3] = MALFORMED_LEDGER_LINES[case](lines[3])
         ledger = tmp_path / "ledger.tsv"
         ledger.write_text("\n".join(lines) + "\n")
-        proc = _cli_verify(ledger, run_artifacts / "statelog.jsonl")
+        proc = run_cli("verify", ledger, run_artifacts / "statelog.jsonl")
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "ledger line 4:" in proc.stderr

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import small_config, statelog_rows
 from episwarm import competition, engine, inference
-from episwarm.competition import margin_entries
+from episwarm.competition import MarginMatrix, margin_entries
 from episwarm.config import from_dict, set_param
 from episwarm.engine import (SWEEP_OBSERVABLES, Simulation, default_schedule,
                              generate_update_steps, run, simulate, sweep, write_artifacts)
@@ -45,7 +45,8 @@ class TestStepInvariants:
             checked["steps"] += 1
             if info.report is not None:
                 assert abs(float(info.report.aggregate.sum())) < 1e-9
-                m = info.report.margins.entries
+                s = info.report.log_scores
+                m = MarginMatrix(len(s), margin_entries(s)).entries  # checks skew symmetry
                 assert np.array_equal(m, -m.T)
             # mass decomposition: update deltas + clamp residue
             # + split attenuation + extinction removals
@@ -81,8 +82,8 @@ class TestScoringWithoutMatrix:
         def on_step(sim, snap, info):
             if info.report is not None:
                 seen["reports"] += 1
-                m = info.report.margins.entries
-                assert np.array_equal(m, margin_entries(info.report.log_scores))
+                s = info.report.log_scores
+                m = MarginMatrix(len(s), margin_entries(s)).entries
                 assert info.report.aggregate.tobytes() == m.sum(axis=1).tobytes()
 
         simulate(small_cfg, on_step=on_step)
@@ -145,7 +146,7 @@ class TestEngineMatchesModuleOps:
             priors = pop.belief_matrix.tolist()
             ratings = pop.ratings.tolist()
             strengths = pop.strengths.tolist()
-            obs = probe.env.emit(t, probe.task_rng)
+            obs = probe.model.emit(cfg.task.true_hypothesis, probe.task_rng, t)
             y = obs.truth_label
 
             snap, info, rows = sim.step(t)
@@ -162,7 +163,7 @@ class TestEngineMatchesModuleOps:
             assert np.allclose(report.losses, losses, atol=1e-12)
             assert np.allclose(report.log_scores, [-math.log(p[y]) for p in preds], atol=1e-12)
             assert np.allclose(report.fitness, [1.0 / (1.0 + x) for x in losses], atol=1e-12)
-            assert np.allclose(report.margins.entries, margins, atol=1e-12)
+            assert np.allclose(margin_entries(report.log_scores), margins, atol=1e-12)
             assert np.allclose(report.aggregate, agg, atol=1e-12)
 
             # ratings: tanh gradient, harmonic step, each agent's own noise
@@ -400,7 +401,7 @@ class TestColumnarState:
         flat = [r for q in res.statelog for r in q]
         assert len(flat) == len(rows) == sum(m.population_size for m in res.metrics)
         for r, row in zip(flat, rows):
-            assert VERSION_PREFIX + r.tobytes() == encode_quantized(**row).data
+            assert VERSION_PREFIX + r.tobytes() == encode_quantized(**row)
         parents = {row["parent_id"] for row in rows}
         assert -1 in parents and len(parents) > 1
         # the last step's rows name the final population's fields
@@ -514,8 +515,7 @@ class TestAsync:
     def test_run_follows_async_mode(self, tmp_path):
         cfg = small_config(run={"horizon": 30, "seed": 0, "mode": "async", "async_bound": 3})
         run(set_param(cfg, "run.out_dir", str(tmp_path / "run")))
-        point = set_param(cfg, "run.out_dir", str(tmp_path / "run_async"))
-        run(point, schedule=default_schedule(point))
+        write_artifacts(simulate(cfg, schedule=default_schedule(cfg)), str(tmp_path / "run_async"))
         for name in ("metrics.jsonl", "scores.jsonl", "ledger.tsv", "statelog.jsonl"):
             assert (tmp_path / "run" / name).read_bytes() == \
                 (tmp_path / "run_async" / name).read_bytes()

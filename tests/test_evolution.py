@@ -5,9 +5,8 @@ import pytest
 
 from episwarm.errors import PopulationCollapse, ShapeMismatch
 from episwarm.evolution import (EXP_TILT, KERNEL_CONVOLUTION, EvolutionConfig, IdAllocator,
-                                Mark, Population, build_smoothing_matrix, evolve,
-                                extinction_sweep, mutate_prior, saturation_cap, select,
-                                update_decay_markers)
+                                Population, build_smoothing_matrix, evolve, extinction_sweep,
+                                mutate_prior, saturation_cap, update_decay_markers)
 from episwarm.spaces import HypothesisSpace
 
 SP2 = HypothesisSpace.indexed(2)
@@ -65,29 +64,30 @@ class TestPopulationColumns:
 
 
 class TestSelect:
+    """``evolve`` splits every agent rated at or above tau_rep; a low rating
+    removes an agent only through the grace window."""
+
+    @staticmethod
+    def evolved(ratings, cfg=CFG):
+        pop = make_population(ratings)
+        update_decay_markers(pop, 0, cfg)
+        return evolve(pop, 0, cfg, IdAllocator(start=len(pop))).population
+
     def test_threshold_marks(self):
-        pop = make_population([0.9, 0.05, 0.5])
-        marks = select(pop, CFG)
-        assert marks[0] == Mark.REPRODUCE
-        assert marks[1] == Mark.EXTINGUISH
-        assert marks[2] == Mark.RETAIN
+        out = self.evolved([0.9, 0.05, 0.5])
+        # agent 0 splits; agent 1, at or below tau_ext, lives out its grace window
+        assert out.ids.tolist() == [1, 2, 3, 4]
+        assert out.parent_ids.tolist() == [-1, -1, 0, 0]
 
     def test_boundaries_inclusive(self):
-        pop = make_population([0.8, 0.1])
-        marks = select(pop, CFG)
-        assert marks[0] == Mark.REPRODUCE
-        assert marks[1] == Mark.EXTINGUISH
-
-    def test_marks_exclusive(self):
-        pop = make_population([0.0, 0.5, 1.0])
-        marks = select(pop, CFG)
-        assert not np.any((marks == Mark.REPRODUCE) & (marks == Mark.EXTINGUISH))
+        out = self.evolved([0.8, 0.1])  # agent 0 exactly at tau_rep
+        assert out.parent_ids.tolist() == [-1, 0, 0]
 
     def test_sentinels_disable(self):
-        cfg = EvolutionConfig(tau_rep=1.0, tau_ext=0.0, grace=1, lam=0.45)
-        pop = make_population([0.0, 1.0])
-        marks = select(pop, cfg)
-        assert np.all(marks == Mark.RETAIN)
+        cfg = EvolutionConfig(tau_rep=1.0, tau_ext=0.0, grace=1, lam=0.45, sigma_mut=0.0)
+        out = self.evolved([0.0, 1.0], cfg)
+        assert out.ids.tolist() == [0, 1]
+        assert out.parent_ids.tolist() == [-1, -1]
 
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ShapeMismatch):

@@ -41,21 +41,21 @@ class TestEncoding:
     def test_rating_above_quantum_distinct(self):
         a = encode_state(agent(rating=0.5), 0)
         b = encode_state(agent(rating=0.5 + 1e-5), 0)
-        assert a.data != b.data
+        assert a != b
 
     def test_rating_below_quantum_identical(self):
         a = encode_state(agent(rating=0.5), 0)
         b = encode_state(agent(rating=0.5 + 1e-8), 0)
-        assert a.data == b.data
+        assert a == b
 
     def test_deterministic(self):
-        assert encode_state(agent(), 3).data == encode_state(agent(), 3).data
+        assert encode_state(agent(), 3) == encode_state(agent(), 3)
 
     def test_version_prefix_and_length(self):
         enc = encode_state(agent(), 0)
-        assert enc.data[:2] == b"\x00\x01"
+        assert enc[:2] == b"\x00\x01"
         # prefix + 8 ints: id, step, K=2 belief entries, rating, strength, parent, birth
-        assert len(enc.data) == 2 + 8 * 8
+        assert len(enc) == 2 + 8 * 8
 
     def test_parent_none_encoded_as_minus_one(self):
         q = quantize_rows(agent(), 0)[0]
@@ -91,8 +91,8 @@ class TestEncoding:
         digests = set()
         for aid, step, b0, b1, rq in states:
             enc = encode_quantized(aid, step, [b0, b1], rq, 10 ** 9, -1, 0)
-            encodings.add(enc.data)
-            digests.add(hashlib.sha256(enc.data).digest())
+            encodings.add(enc)
+            digests.add(hashlib.sha256(enc).digest())
         assert len(encodings) == n
         assert len(digests) == n
 
@@ -102,14 +102,14 @@ class TestCommit:
         import hashlib
         enc = encode_state(agent(), 0)
         chain = commit(LedgerChain(0), enc, 0)
-        assert chain.entries[0] == (0, hashlib.sha256(enc.data).digest())
+        assert chain.entries[0] == (0, hashlib.sha256(enc).digest())
 
     def test_chained_digest(self):
         import hashlib
         e0, e1 = encode_state(agent(), 0), encode_state(agent(rating=0.6), 1)
         chain = commit(commit(LedgerChain(0), e0, 0), e1, 1)
-        d0 = hashlib.sha256(e0.data).digest()
-        assert chain.entries[1] == (1, hashlib.sha256(e1.data + d0).digest())
+        d0 = hashlib.sha256(e0).digest()
+        assert chain.entries[1] == (1, hashlib.sha256(e1 + d0).digest())
 
     def test_same_encoding_different_digests(self):
         enc = encode_state(agent(), 0)
@@ -323,9 +323,9 @@ class TestVerifyChain:
 
     def test_tampered_state_located(self):
         chain, encodings = self.build(100)
-        bad = bytearray(encodings[40].data)
+        bad = bytearray(encodings[40])
         bad[10] ^= 0x01
-        encodings[40] = type(encodings[40])(bytes(bad))
+        encodings[40] = bytes(bad)
         assert verify_chain(chain, encodings) == 40
 
     def test_truncation_length_mismatch(self):
