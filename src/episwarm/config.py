@@ -1,18 +1,18 @@
 """Scenario configuration: schema, file loading, serialization, and ``build``.
 
-Config files are YAML (JSON is a YAML subset and loads through the same
-parser). Unknown keys, values that do not fit their field annotation and
-non-finite numbers are rejected with their full field path. Each section
-checks its own ranges when built (``rating``, ``inference`` and ``evolution``
-are the modules' own config dataclasses); ``build`` makes the objects a run is
-made of, so whatever spans sections is checked at load too. All defaults
-mirror the reference scenario, so an empty config file reproduces the headline
-truth-concentration experiment.
+The config dataclasses' annotations are the only schema: one walk over them, by
+file key (``lambda``, not the attribute ``lam``), loads, dumps, resolves and sets
+fields. Files are YAML (JSON loads through the same parser). Unknown keys, values
+that do not fit their annotation and non-finite numbers are rejected with their
+full field path. Each section checks its own ranges when built; ``build`` makes
+the objects a run is made of, so whatever spans sections is checked at load too.
+All defaults mirror the reference scenario, so an empty file reproduces it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 from contextlib import contextmanager
@@ -119,27 +119,41 @@ class ScenarioConfig:
 _KEY_TO_ATTR = {"lambda": "lam"}
 _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
 
-_SECTIONS = {
-    "space": SpaceSection,
-    "likelihood": LikelihoodSection,
-    "task": TaskSection,
-    "population": PopulationSection,
-    "rating": RatingConfig,
-    "inference": InferenceConfig,
-    "evolution": EvolutionConfig,
-    "run": RunSection,
-}
-_SCALAR_FIELDS = ("outcomes", "oracle")
-_HINTS = {cls: typing.get_type_hints(cls) for cls in (ScenarioConfig, *_SECTIONS.values())}
 _SCALAR_TYPES = {int: ((int, np.integer), "an integer"),
                  float: ((int, float, np.integer, np.floating), "a number"),
                  str: ((str,), "a string")}
 
 
+@functools.lru_cache(maxsize=None)
+def _fields(cls) -> dict:
+    """``{file key: (attribute, annotation)}`` of a config dataclass."""
+    return {_ATTR_TO_KEY.get(attr, attr): (attr, hint)
+            for attr, hint in typing.get_type_hints(cls).items()}
+
+
+def _schema(cls=ScenarioConfig, prefix: str = ""):
+    """``(file-key path, annotation)`` of each section, then its fields, under ``cls``."""
+    for key, (_, hint) in _fields(cls).items():
+        yield prefix + key, hint
+        if dataclasses.is_dataclass(hint):
+            yield from _schema(hint, f"{prefix}{key}.")
+
+
 def _check_type(value, hint, path: str):
-    """``value`` if it fits its field annotation, with a float field's numbers as
-    floats: int refuses floats and bools, float takes finite numbers, Optional
-    admits null, List checks each item."""
+    """``value`` if it fits its annotation, a float field's numbers as floats: int
+    refuses floats and bools, float takes finite numbers, Optional admits null,
+    List checks each item, and a config dataclass is built from a mapping."""
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(path, "must be a mapping")
+        fields, kwargs = _fields(hint), {}
+        for key, item in value.items():
+            where = f"{path}.{key}" if path else key
+            if key not in fields:
+                raise ConfigError(where, "unknown field")
+            kwargs[fields[key][0]] = _check_type(item, fields[key][1], where)
+        with _located(path or "<root>"):
+            return hint(**kwargs)
     if typing.get_origin(hint) is typing.Union:  # Optional[X]
         if value is None:
             return None
@@ -172,47 +186,18 @@ def _located(path: str):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _fill_section(cls, data: dict, path: str):
-    hints = _HINTS[cls]
-    kwargs = {}
-    for key, value in data.items():
-        attr = _KEY_TO_ATTR.get(key, key)
-        if attr not in hints:
-            raise ConfigError(f"{path}.{key}", "unknown field")
-        kwargs[attr] = _check_type(value, hints[attr], f"{path}.{key}")
-    with _located(path):
-        return cls(**kwargs)
-
-
 def from_dict(data: dict) -> ScenarioConfig:
-    data = {} if data is None else data
-    if not isinstance(data, dict):
+    if data is not None and not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a mapping")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(key, "must be a mapping")
-            kwargs[key] = _fill_section(_SECTIONS[key], value, key)
-        elif key in _SCALAR_FIELDS:
-            kwargs[key] = _check_type(value, _HINTS[ScenarioConfig][key], key)
-        else:
-            raise ConfigError(key, "unknown field")
-    cfg = ScenarioConfig(**kwargs)
+    cfg = _check_type(data or {}, ScenarioConfig, "")
     build(cfg)
     return cfg
 
 
-def to_dict(cfg: ScenarioConfig) -> dict:
+def to_dict(cfg) -> dict:
     """Nested plain-dict form using the file-format keys (inverse of from_dict)."""
-    out: dict = {}
-    for name, cls in _SECTIONS.items():
-        section = getattr(cfg, name)
-        out[name] = {_ATTR_TO_KEY.get(f.name, f.name): getattr(section, f.name)
-                     for f in dataclasses.fields(cls)}
-    out["outcomes"] = cfg.outcomes
-    out["oracle"] = cfg.oracle
-    return out
+    return {key: to_dict(getattr(cfg, attr)) if dataclasses.is_dataclass(hint)
+            else getattr(cfg, attr) for key, (attr, hint) in _fields(type(cfg)).items()}
 
 
 def load_config(path) -> ScenarioConfig:
@@ -231,33 +216,23 @@ def dump_config(cfg: ScenarioConfig) -> str:
 def resolve_param(name: str) -> str:
     """Resolve a sweep parameter name ('lambda' or 'evolution.lambda') to a
     dotted section.key path; unknown names raise ConfigError."""
-    if "." in name:
-        section, key = name.split(".", 1)
-        if section not in _SECTIONS:
-            raise ConfigError(name, "unknown section")
-        if _KEY_TO_ATTR.get(key, key) not in _HINTS[_SECTIONS[section]]:
-            raise ConfigError(name, "unknown field")
-        return f"{section}.{key}"
-    if name in _SCALAR_FIELDS:
-        return name
-    attr = _KEY_TO_ATTR.get(name, name)
-    hits = [f"{section}.{name}" for section, cls in _SECTIONS.items()
-            if attr in _HINTS[cls]]
+    schema = dict(_schema())
+    if "." in name and not dataclasses.is_dataclass(schema.get(name.split(".", 1)[0])):
+        raise ConfigError(name, "unknown section")
+    hits = [path for path, hint in schema.items()
+            if name in (path, path.rpartition(".")[2]) and not dataclasses.is_dataclass(hint)]
     if len(hits) == 1:
         return hits[0]
     if not hits:
-        raise ConfigError(name, "unknown parameter")
+        raise ConfigError(name, "unknown field" if "." in name else "unknown parameter")
     raise ConfigError(name, f"ambiguous parameter, use one of {hits}")
 
 
 def set_param(cfg: ScenarioConfig, dotted: str, value) -> ScenarioConfig:
-    """New config with one parameter replaced; every check re-runs."""
+    """New config with ``dotted`` (any name resolve_param takes) set; every check re-runs."""
     data = to_dict(cfg)
-    if "." in dotted:
-        section, key = dotted.split(".", 1)
-        data[section][key] = value
-    else:
-        data[dotted] = value
+    *sections, key = resolve_param(dotted).split(".")
+    functools.reduce(dict.__getitem__, sections, data)[key] = value
     return from_dict(data)
 
 
@@ -269,9 +244,9 @@ SETUP_BYTES_MAX = 1 << 28
 
 
 def build(cfg: ScenarioConfig):
-    """``(space, outcomes, model, oracle, observations, smoothing)`` of a run, each
-    made by the constructor that checks it, a failure raised as a ConfigError
-    naming its section; observations and smoothing may be None."""
+    """``(space, model, oracle, observations, smoothing)`` of a run, each made by
+    the constructor that checks it, a failure raised as a ConfigError naming its
+    section; observations and smoothing may be None. The model holds the outcomes."""
     # Held as ssize_t or int64 (tuple(range(k)), rng.integers): 2**63 or more overflows.
     for path, size in (("space.hypotheses", cfg.space.hypotheses), ("outcomes", cfg.outcomes),
                        ("run.horizon", cfg.run.horizon), ("run.async_bound", cfg.run.async_bound)):
@@ -349,4 +324,4 @@ def build(cfg: ScenarioConfig):
     if cfg.evolution.mutation_kind == KERNEL_CONVOLUTION:
         with _located("evolution"):
             smoothing = build_smoothing_matrix(space, cfg.evolution.sigma_mut)
-    return space, outcomes, model, oracle, observations, smoothing
+    return space, model, oracle, observations, smoothing

@@ -175,8 +175,7 @@ class Simulation:
     def __init__(self, config: ScenarioConfig,
                  schedule: Optional[Mapping[int, Sequence[int]]] = None):
         self.config = config
-        (self.space, self.outcomes, self.model, self.oracle, self.observations,
-         self.smoothing) = build(config)
+        self.space, self.model, self.oracle, self.observations, self.smoothing = build(config)
         self.rating_cfg = config.rating
         self.inference_cfg = config.inference
         self.evolution_cfg = config.evolution

@@ -115,10 +115,15 @@ class Bernoulli:
         if np.any(p < 0) or np.any(p > 1) or not np.all(np.isfinite(p)):
             raise ShapeMismatch("bernoulli probabilities must lie in [0, 1]")
         p = _clip(p)
-        p.setflags(write=False)
+        q = 1.0 - p
+        rows = np.column_stack([q, p])
+        for table in (p, q, rows):
+            table.setflags(write=False)
         self.space = space
         self.outcomes = OutcomeSpace.indexed(2)
         self.probs = p
+        self.columns = (q, p)  # likelihood vector of datum 0 and of datum 1
+        self.rows = rows       # P(y | h)
 
     def validate_observation(self, obs: Observation) -> int:
         d = obs.datum
@@ -127,15 +132,14 @@ class Bernoulli:
         return int(d)
 
     def likelihood_vector(self, obs: Observation) -> np.ndarray:
-        d = self.validate_observation(obs)
-        return self.probs if d == 1 else 1.0 - self.probs
+        return self.columns[self.validate_observation(obs)]
 
     def outcome_matrix(self, obs: Observation) -> np.ndarray:
-        return np.column_stack([1.0 - self.probs, self.probs])
+        return self.rows
 
     def emit(self, h: int, rng: np.random.Generator, t: int) -> Observation:
         """One outcome drawn from Bernoulli(p(h)), as both datum and truth label."""
-        y = int(rng.choice(2, p=[1.0 - self.probs[h], self.probs[h]]))
+        y = int(rng.choice(2, p=self.rows[h]))
         return Observation(datum=y, truth_label=y, step=t)
 
 
@@ -166,8 +170,12 @@ class DiscretizedGaussian:
         z = (edges[None, :] - mu[:, None]) / self.scale
         cdf = np.vectorize(_phi)(z)
         mass = np.maximum(np.diff(cdf, axis=1), MASS_FLOOR)
+        # Normalized per row so the predictive mixture is a distribution over bins.
+        rows = mass / mass.sum(axis=1, keepdims=True)
         mass.setflags(write=False)
+        rows.setflags(write=False)
         self.bin_mass = mass
+        self.rows = rows
 
     def bin_of(self, x: float) -> int:
         """Bin index of a real payload, clamping into the declared range."""
@@ -186,8 +194,7 @@ class DiscretizedGaussian:
         return self.bin_mass[:, self.validate_observation(obs)]
 
     def outcome_matrix(self, obs: Observation) -> np.ndarray:
-        # Normalized per row so the predictive mixture is a distribution over bins.
-        return self.bin_mass / self.bin_mass.sum(axis=1, keepdims=True)
+        return self.rows
 
     def emit(self, h: int, rng: np.random.Generator, t: int) -> Observation:
         """A real payload drawn from N(mu_h, scale^2), labelled with its bin."""

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from episwarm import config
 from episwarm.cli import main
 from episwarm.config import (ScenarioConfig, SpaceSection, TaskSection, dump_config,
                              from_dict, load_config, resolve_param, set_param, to_dict)
@@ -140,6 +143,61 @@ class TestDefaults:
         defaults = to_dict(from_dict({}))
         assert ref["run"].pop("out_dir") != defaults["run"].pop("out_dir")
         assert ref == defaults
+
+
+# Every field the config walk yields, by its file-key path.
+SCHEMA = dict(config._schema())
+LEAVES = [path for path, hint in SCHEMA.items() if not dataclasses.is_dataclass(hint)]
+
+
+def _paths(data, prefix=""):
+    """The dotted key path of every entry of a nested dict."""
+    for key, value in data.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _paths(value, f"{prefix}{key}.")
+
+
+class TestSchema:
+    """The dataclass annotations are the one schema: load, dump, resolve and
+    set all see the same fields, by file key."""
+
+    @pytest.mark.parametrize("evolution", [{"lam": 0.3}, {"lambda": 0.45, "lam": 0.3},
+                                           {"lam": 0.3, "lambda": 0.45}],
+                             ids=["lam", "lambda_then_lam", "lam_then_lambda"])
+    def test_attribute_name_is_not_a_key(self, evolution):
+        with pytest.raises(ConfigError) as e:
+            from_dict({"evolution": evolution})
+        assert e.value.field == "evolution.lam"
+        assert "unknown field" in str(e.value)
+
+    @pytest.mark.parametrize("name", ["lam", "evolution.lam"])
+    def test_attribute_name_is_not_a_parameter(self, name):
+        with pytest.raises(ConfigError):
+            resolve_param(name)
+
+    def test_sweep_over_attribute_name_exit_one(self, tmp_path):
+        data = dict(REFERENCE_SMALL, run=dict(REFERENCE_SMALL["run"], horizon=3,
+                                              out_dir=str(tmp_path / "out")))
+        proc = run_cli("sweep", write_cfg(tmp_path, data), "--param", "lam", "--values", "0.3")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: lam")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
+                             ids=lambda p: p.name)
+    def test_every_field_round_trips(self, path):
+        cfg = load_config(path)
+        data = to_dict(cfg)
+        assert set(_paths(data)) == set(SCHEMA)
+        for field in LEAVES:
+            assert resolve_param(field) == field
+            key = field.rpartition(".")[2]
+            if [leaf.rpartition(".")[2] for leaf in LEAVES].count(key) == 1:
+                assert resolve_param(key) == field
+            value = functools.reduce(dict.__getitem__, field.split("."), data)
+            assert to_dict(set_param(cfg, field, value)) == data, field
 
 
 REFERENCE_SMALL = {

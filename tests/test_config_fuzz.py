@@ -1,10 +1,11 @@
 """Configs drawn from the schema that ``config._check_type`` checks: the field
-annotations of every config section. A draw changes one to three fields of a
-small valid config, or replaces whole sections. Each one must be refused with a
-ConfigError naming a field path, or build and run its first steps raising
-nothing but package errors; through the CLI it must exit 0, 1 or 2, never with
-a traceback."""
+annotations of every config section, as the walk ``config._schema`` lists them.
+A draw changes one to three fields of a small valid config, or replaces whole
+sections. Each one must be refused with a ConfigError naming a field path, or
+build and run its first steps raising nothing but package errors; through the
+CLI it must exit 0, 1 or 2, never with a traceback."""
 
+import dataclasses
 import math
 import tempfile
 import typing
@@ -22,13 +23,13 @@ from test_config_cli import REFERENCE_SMALL, run_cli, write_cfg
 BASE = {**REFERENCE_SMALL, "run": {"horizon": 3, "seed": 5}}
 STEPS = 3
 
-# Each field as (path, section key or None, file key, annotation).
-FIELDS = [(f"{section}.{config._ATTR_TO_KEY.get(attr, attr)}", section,
-           config._ATTR_TO_KEY.get(attr, attr), hint)
-          for section, cls in config._SECTIONS.items()
-          for attr, hint in config._HINTS[cls].items()]
-FIELDS += [(name, None, name, config._HINTS[config.ScenarioConfig][name])
-           for name in config._SCALAR_FIELDS]
+SCHEMA = dict(config._schema())
+SECTIONS = [path for path, hint in SCHEMA.items() if dataclasses.is_dataclass(hint)]
+# Each field as (path, section key or None, file key, annotation): the sections'
+# fields first, then the top-level ones, in the order the draws index them.
+FIELDS = sorted([(path, path.rpartition(".")[0] or None, path.rpartition(".")[2], hint)
+                 for path, hint in SCHEMA.items() if path not in SECTIONS],
+                key=lambda f: f[1] is None)
 
 # Fields that size an array built before the first step. They are drawn small
 # or past the setup cap, so a draw that builds stays cheap to run.
@@ -76,7 +77,7 @@ def configs(draw):
             for key, value in BASE.items()}
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.integers(0, 9)) == 0:  # a whole section: its defaults, or not a mapping
-            section = draw(st.sampled_from(sorted(config._SECTIONS)))
+            section = draw(st.sampled_from(sorted(SECTIONS)))
             data[section] = draw(st.just({}) | ANY_KIND)
             continue
         path, section, key, hint = draw(st.sampled_from(FIELDS))
@@ -95,10 +96,8 @@ def names_a_field(path: str, data: dict) -> bool:
     section, _, key = path.partition(".")
     section, key = section.split("[")[0], key.split("[")[0]
     if not key:
-        return section in (*config._SECTIONS, *config._SCALAR_FIELDS)
-    return section in config._SECTIONS and (
-        config._KEY_TO_ATTR.get(key, key) in config._HINTS[config._SECTIONS[section]]
-        or key in data.get(section, {}))
+        return section in SCHEMA
+    return section in SECTIONS and (f"{section}.{key}" in SCHEMA or key in data.get(section, {}))
 
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,

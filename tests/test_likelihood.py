@@ -122,3 +122,34 @@ def test_gaussian_outcome_rows_normalized():
                                 bin_edges=[-4.0, 0.0, 2.0, 4.0])
     rows = model.outcome_matrix(Observation(datum=0.0, truth_label=0))
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("model,obs", [
+    (CategoricalTable(SP2, OUT2, [[0.9, 0.1], [0.2, 0.8]]), Observation(datum=0, truth_label=0)),
+    (Bernoulli(SP2, [0.3, 0.9]), Observation(datum=0, truth_label=0)),
+    (DiscretizedGaussian(SP2, means=[0.0, 2.0], scale=1.0, bin_edges=[-4.0, 0.0, 2.0, 4.0]),
+     Observation(datum=0.5, truth_label=1)),
+], ids=["categorical", "bernoulli", "discretized_gaussian"])
+def test_tables_built_once_and_read_only(model, obs):
+    # a likelihood vector may be a fresh view (a table column), but of a built table
+    assert model.outcome_matrix(obs) is model.outcome_matrix(obs)
+    assert not model.outcome_matrix(obs).flags.writeable
+    assert not model.likelihood_vector(obs).flags.writeable
+
+
+def test_bernoulli_tables_match_their_definition():
+    probs = np.array([0.0, 0.3, 0.7, 1.0])
+    model = Bernoulli(HypothesisSpace.indexed(4), probs)
+    assert np.array_equal(model.outcome_matrix(Observation(datum=1, truth_label=1)),
+                          np.column_stack([1.0 - model.probs, model.probs]))
+    assert np.array_equal(model.likelihood_vector(Observation(datum=0, truth_label=0)),
+                          1.0 - model.probs)
+    assert np.array_equal(model.likelihood_vector(Observation(datum=1, truth_label=1)),
+                          model.probs)
+
+
+def test_gaussian_outcome_rows_are_the_normalized_bin_mass():
+    model = DiscretizedGaussian(SP2, means=[0.0, 2.0], scale=0.7,
+                                bin_edges=[-4.0, 0.0, 2.0, 4.0])
+    rows = model.outcome_matrix(Observation(datum=0.0, truth_label=0))
+    assert np.array_equal(rows, model.bin_mass / model.bin_mass.sum(axis=1, keepdims=True))
