@@ -407,9 +407,26 @@ def simulate(config: ScenarioConfig, schedule: Optional[Mapping[int, Sequence[in
                      population=sim.population, collapsed_at=collapsed_at)
 
 
+# One scores.jsonl line, as json.dumps(row, separators=(",", ":")) writes it.
+_SCORE_ROW = ('{"step":%d,"agent_ids":[%s],"losses":[%s],"log_scores":[%s],"fitness":[%s],'
+              '"aggregate":[%s]}\n')
+
+
+def _float_texts(a: np.ndarray) -> str:
+    """The floats of ``a`` as json.dumps prints a list's items, comma-joined,
+    each distinct bit pattern printed once. Keyed by bits, not by value:
+    -0.0 equals +0.0 but prints differently, and NaN equals nothing."""
+    bits = np.ascontiguousarray(a, np.float64).view(np.int64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    texts = json.dumps(np.array(distinct, np.int64).view(np.float64).tolist())[1:-1].split(", ")
+    return ",".join(map(dict(zip(distinct, texts)).__getitem__, bits))
+
+
 def write_artifacts(result: RunResult, out_dir: str) -> dict:
     """Write metrics JSONL, one score row per ScoreReport, ledger, state log, and
-    the summary CSV."""
+    the summary CSV, each byte as json.dumps(row, separators=(",", ":")) (csv for
+    the summary) would write it. The score columns and the state log's belief
+    lists are printed once per distinct value (see ``ledger.write_state_log``)."""
     from .ledger import write_ledger, write_state_log
 
     os.makedirs(out_dir, exist_ok=True)
@@ -425,10 +442,9 @@ def write_artifacts(result: RunResult, out_dir: str) -> dict:
             f.write(json.dumps(vars(snap), separators=(",", ":")) + "\n")
     with open(paths["scores"], "w", encoding="ascii") as f:
         for r in result.reports:
-            row = {"step": r.step, "agent_ids": r.agent_ids.tolist(), "losses": r.losses.tolist(),
-                   "log_scores": r.log_scores.tolist(), "fitness": r.fitness.tolist(),
-                   "aggregate": r.aggregate.tolist()}
-            f.write(json.dumps(row, separators=(",", ":")) + "\n")
+            f.write(_SCORE_ROW % (r.step, ",".join(map(str, r.agent_ids.tolist())),
+                                  *(_float_texts(a) for a in (r.losses, r.log_scores,
+                                                              r.fitness, r.aggregate))))
     write_ledger(paths["ledger"], result.chains)
     write_state_log(paths["statelog"], result.statelog)
     summary = result.summary()

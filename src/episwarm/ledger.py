@@ -21,7 +21,12 @@ scalar ``encode_quantized``, ``commit`` and ``verify_chain`` are independent
 oracles for the tests.
 
 File formats: LF-terminated lines, each INT as %d prints it (0|-?[1-9][0-9]*,
-signed 64-bit). The readers accept exactly these lines (and empty lines):
+signed 64-bit). The state-log writer prints a row's belief list (its K quanta)
+once per distinct list and reuses the text for every later row of its step and
+of the next that has the same quanta: frozen and converged agents repeat their
+list step after step. It keeps no text older than the step before, so what it
+holds does not grow with the horizon. The readers accept exactly these lines
+(and empty lines):
   ledger:    INT<TAB>INT<TAB>64 lowercase hex digits (agent id, step, digest)
   state log: {"agent_id":INT,"step":INT,"belief_q":[INT,...,INT],"rating_q":INT,
              "strength_q":INT,"parent_id":INT,"birth_step":INT}  (K belief entries)
@@ -279,19 +284,41 @@ def write_ledger(path, chains: LedgerColumns) -> None:
             f.write((b"%d\t%d\t%s\n" * len(ids)) % tuple(values))
 
 
-def _row_format(k: int) -> str:
-    # One state-log line with K belief entries, as json.dumps(row,
-    # separators=(",", ":")) writes it: JSON integers print as %d does.
-    belief = ",".join(["%d"] * k)
+def _row_format(belief: str) -> str:
+    # One state-log line whose belief list is printed by ``belief``, as
+    # json.dumps(row, separators=(",", ":")) writes it: JSON integers print as
+    # %d does. The reader and the writer both take their grammar from here.
     return ('{"agent_id":%d,"step":%d,"belief_q":[' + belief + '],"rating_q":%d,'
             '"strength_q":%d,"parent_id":%d,"birth_step":%d}\n')
 
 
+def _belief_format(k: int) -> str:
+    return ",".join(["%d"] * k)
+
+
 def write_state_log(path, matrices: Sequence[np.ndarray]) -> None:
-    """Write ``quantize_rows`` matrices as JSONL state-log rows, in order."""
+    """Write ``quantize_rows`` matrices as JSONL state-log rows, in order,
+    each belief list printed once and reused as the module docstring says,
+    keyed by its quanta's bytes. A step's new lists take one format call, and
+    its rows another, with each row's list text as one value."""
+    row_format, prev = _row_format("%s"), {}
     with open(path, "w", encoding="ascii") as f:
         for q in matrices:
-            f.write((_row_format(q.shape[1] - 6) * len(q)) % tuple(q.ravel().tolist()))
+            n, k = len(q), q.shape[1] - 6
+            segments = np.ascontiguousarray(q[:, 2:k + 2], STATE_DTYPE)
+            # each row's segment as bytes; a zero-width void view would drop the rows
+            keys = segments.view(f"V{8 * k}").ravel().tolist() if k else [b""] * n
+            new = [key for key in dict.fromkeys(keys) if key not in prev]
+            text = "\n".join([_belief_format(k)] * len(new)) % tuple(
+                np.frombuffer(b"".join(new), STATE_DTYPE).tolist())
+            prev.update(zip(new, text.split("\n")))
+            values: list = [None] * (7 * n)
+            values[2::7] = texts = [prev[key] for key in keys]
+            for slot, column in zip((0, 1, 3, 4, 5, 6),
+                                    q[:, [0, 1, k + 2, k + 3, k + 4, k + 5]].T.tolist()):
+                values[slot::7] = column
+            f.write((row_format * n) % tuple(values))
+            prev = dict(zip(keys, texts))
 
 
 # The readers take lines in blocks of about this many bytes (a readlines size
@@ -368,7 +395,7 @@ def read_state_log(path) -> Iterator[np.ndarray]:
             if pattern is None and (row := next((x for x in lines if x != b"\n"), b"")):
                 # a line as write_state_log prints it for this K, or an empty line
                 width = max(len(row.translate(_INT_BYTES).split()), 6)
-                fmt = _row_format(width - 6)[:-1].encode().split(b"%d")
+                fmt = _row_format(_belief_format(width - 6))[:-1].encode().split(b"%d")
                 pattern = re.compile(b"(?:" + _INT.join(map(re.escape, fmt)) + b")?\n")
             if pattern is not None:
                 _check_lines(pattern, lines, first, "state log",

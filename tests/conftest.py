@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from episwarm.config import from_dict
@@ -24,17 +26,23 @@ def small_config(**overrides):
     return from_dict(base)
 
 
-def statelog_rows(result):
-    """Every state-log row of a run as a plain-int dict, in file order: the
-    JSON rows of ``statelog.jsonl``, built from ``result.statelog`` without
-    the writer."""
+def statelog_rows(matrices):
+    """Every state-log row of ``quantize_rows`` matrices (a run's ``statelog``)
+    as a plain-int dict, in file order: the JSON rows of ``statelog.jsonl``,
+    built without the writer."""
     rows = []
-    for q in result.statelog:
+    for q in matrices:
         k = q.shape[1] - 6
         rows += [{"agent_id": r[0], "step": r[1], "belief_q": r[2:k + 2], "rating_q": r[k + 2],
                   "strength_q": r[k + 3], "parent_id": r[k + 4], "birth_step": r[k + 5]}
                  for r in q.tolist()]
     return rows
+
+
+def json_lines(rows) -> bytes:
+    """Rows as an artifact's JSONL bytes: json.dumps(row, separators=(",", ":"))
+    a line, as the writers' output must read."""
+    return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows).encode("ascii")
 
 
 @pytest.fixture

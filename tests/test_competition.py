@@ -201,6 +201,20 @@ class TestAggregateUtility:
         assert np.all(u == 0.0)
         assert peak < 10 * n * scores.itemsize
 
+    def test_distinct_scores_formed_a_block_at_a_time(self):
+        # N = 2000 distinct scores: a 64-row block of the margin rows is 1 MB,
+        # while all 2000 rows at once (a 4096-row block) would be 32 MB
+        scores = np.random.default_rng(1).uniform(0.0, 30.0, size=2000)
+        aggregate_utility(scores[:10])  # lazy set-up first
+        tracemalloc.start()
+        try:
+            u = aggregate_utility(scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.tobytes() == margin_entries(scores).sum(axis=1).tobytes()
+        assert peak < 4 * 2 ** 20, peak
+
 
 class TestZeroSumTolerance:
     def test_honest_large_population_passes_where_absolute_tol_fails(self):

@@ -416,6 +416,17 @@ IMPOSSIBLE_SIZES = {
 }
 
 
+# Horizons whose run record (a state matrix a step and the ledger columns)
+# cannot be held. Each used to load and run until it was killed.
+LONG_HORIZONS = {
+    "sync_horizon_10_12": {"run": {"horizon": 10 ** 12}},
+    "n_star_sized": {"population": {"agents": 10}, "evolution": {"n_star": 10 ** 6},
+                     "run": {"horizon": 200}},
+    "founders_sized": {"population": {"agents": 10 ** 5}, "evolution": {"n_star": 10},
+                       "run": {"horizon": 200}},
+}
+
+
 def _small_run(tmp_path, extra):
     data = {**REFERENCE_SMALL, **extra}
     data["run"] = dict(REFERENCE_SMALL["run"], out_dir=str(tmp_path / "out"))
@@ -470,6 +481,46 @@ class TestBuild:
         assert time.monotonic() - start < 2.0
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"config error: {path}: needs ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_setup_cap_is_2_28_bytes(self):
+        # Literal sizes pin the cap: two 256 x 256 tables and 130560 x 256
+        # priors are exactly 2**28 bytes; two 33 x 33 tables and 1016735 x 33
+        # priors are 2**28 + 8. Neither run's record reaches its own cap.
+        from_dict({"space": {"hypotheses": 256}, "outcomes": 256,
+                   "population": {"agents": 130560}, "run": {"horizon": 1}})
+        with pytest.raises(ConfigError, match="cap on the arrays built before the first step"):
+            from_dict({"space": {"hypotheses": 33}, "outcomes": 33,
+                       "population": {"agents": 1016735}, "run": {"horizon": 1}})
+
+    def test_record_cap_is_2_30_bytes(self):
+        # One agent with K = 2 over 10226112 steps: 8 * 8 B * 10226113 states
+        # plus 41 B * 10226112 ledger entries are exactly 2**30 bytes.
+        data = {"space": {"hypotheses": 2}, "outcomes": 2, "population": {"agents": 1},
+                "evolution": {"n_star": 1}, "run": {"horizon": 10226112}}
+        from_dict(data)
+        data["run"]["horizon"] += 1
+        with pytest.raises(ConfigError, match="cap on a run's record"):
+            from_dict(data)
+
+    def test_bench_sized_records_load(self):
+        # the audit bench's run, about 107 MB of record, the largest it runs
+        from_dict({"space": {"hypotheses": 100}, "outcomes": 100, "population": {"agents": 200},
+                   "evolution": {"n_star": 400},
+                   "run": {"horizon": 300, "mode": "async", "async_bound": 5}})
+
+    @pytest.mark.parametrize("case", sorted(LONG_HORIZONS))
+    def test_long_horizon_refused_at_load(self, tmp_path, case):
+        data = LONG_HORIZONS[case]
+        with pytest.raises(ConfigError, match="cap on a run's record") as e:
+            from_dict(data)
+        assert e.value.field == "run.horizon"
+        start = time.monotonic()
+        proc = run_cli("--out", tmp_path / "out", "run", write_cfg(tmp_path, data), timeout=30)
+        assert time.monotonic() - start < 2.0
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: run.horizon: needs a record of ")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 

@@ -1,13 +1,12 @@
 import dataclasses
 import hashlib
-import json
 import math
 import os
 
 import numpy as np
 import pytest
 
-from conftest import small_config, statelog_rows
+from conftest import json_lines, small_config, statelog_rows
 from episwarm import competition, engine, inference
 from episwarm.competition import MarginMatrix, margin_entries
 from episwarm.config import from_dict, set_param
@@ -26,7 +25,7 @@ class TestDeterminism:
         b = simulate(small_cfg)
         assert [dataclasses.asdict(m) for m in a.metrics] == \
                [dataclasses.asdict(m) for m in b.metrics]
-        assert statelog_rows(a) == statelog_rows(b)
+        assert statelog_rows(a.statelog) == statelog_rows(b.statelog)
         assert {k: v.entries for k, v in a.chains.items()} == \
                {k: v.entries for k, v in b.chains.items()}
 
@@ -65,6 +64,14 @@ class TestStepInvariants:
         res = simulate(cfg)
         assert all(m.population_size <= 12 for m in res.metrics)
         assert all(m.population_size >= 1 for m in res.metrics)
+
+    def test_rating_noise_past_the_float_range_raises(self):
+        # sigma = 1e308 makes the rating sums inf or NaN at the first step; a
+        # run that went on would write NaN and Infinity into metrics.jsonl
+        cfg = from_dict({"rating": {"sigma": 1e308}})
+        with pytest.raises(InvariantViolation,
+                           match="rating noise left the float range at step 0"):
+            simulate(cfg)
 
     def test_snapshot_mass_matches_ratings(self, small_cfg):
         def on_step(sim, snap, info):
@@ -351,13 +358,55 @@ class TestAsyncArtifactDigests:
             assert digests == self.DIGESTS
 
 
+def score_rows(reports):
+    """The scores.jsonl rows of ``reports``, built without the writer."""
+    return [{"step": r.step, "agent_ids": r.agent_ids.tolist(), "losses": r.losses.tolist(),
+             "log_scores": r.log_scores.tolist(), "fitness": r.fitness.tolist(),
+             "aggregate": r.aggregate.tolist()} for r in reports]
+
+
+class TestScoreRows:
+    """scores.jsonl prints each distinct bit pattern of a column once; its
+    bytes must equal json.dumps of every row."""
+
+    def write(self, res, tmp_path):
+        return open(write_artifacts(res, str(tmp_path))["scores"], "rb").read()
+
+    def test_async_run_rows(self, tmp_path):
+        cfg = small_config(run={"horizon": 40, "mode": "async", "async_bound": 3})
+        res = simulate(cfg)
+        assert self.write(res, tmp_path) == json_lines(score_rows(res.reports))
+
+    def test_signed_zeros_nans_and_infinities(self, tmp_path):
+        res = simulate(small_config(run={"horizon": 2}))
+        other_nan = np.array([0x7FF8000000000001, -0x0008000000000000], np.int64).view(np.float64)
+        values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 0.1, np.nan,
+                           *other_nan, -np.inf, 1e300, 0.1])
+        n = len(values)
+        reports = [
+            competition.ScoreReport(step=3, agent_ids=np.arange(n) * 7, losses=values,
+                                    fitness=values[::-1], log_scores=np.sort(values),
+                                    aggregate=-values),
+            competition.ScoreReport(step=4, agent_ids=np.empty(0, np.int64), losses=np.empty(0),
+                                    fitness=np.empty(0), log_scores=np.empty(0),
+                                    aggregate=np.empty(0)),
+            competition.ScoreReport(step=5, agent_ids=np.array([2 ** 62]),
+                                    losses=np.array([-0.0]), fitness=np.array([0.0]),
+                                    log_scores=np.array([np.nan]), aggregate=np.array([-np.inf])),
+        ]
+        res = dataclasses.replace(res, reports=reports)
+        text = self.write(res, tmp_path)
+        assert text == json_lines(score_rows(reports))
+        assert b"-0.0," in text and b"NaN" in text and b"-Infinity" in text
+
+
 class TestLedgerIntegration:
     def test_every_chain_replays_clean(self, small_cfg):
         from episwarm.ledger import encode_quantized, verify_chain
 
         res = simulate(small_cfg)
         replay = {}
-        for row in statelog_rows(res):
+        for row in statelog_rows(res.statelog):
             enc = encode_quantized(row["agent_id"], row["step"], row["belief_q"],
                                    row["rating_q"], row["strength_q"], row["parent_id"],
                                    row["birth_step"])
@@ -397,7 +446,7 @@ def k100_async_run():
 class TestColumnarState:
     def test_matrix_rows_encode_like_field_encoder(self, k100_async_run):
         res = k100_async_run
-        rows = statelog_rows(res)
+        rows = statelog_rows(res.statelog)
         flat = [r for q in res.statelog for r in q]
         assert len(flat) == len(rows) == sum(m.population_size for m in res.metrics)
         for r, row in zip(flat, rows):
@@ -418,9 +467,7 @@ class TestColumnarState:
         res = k100_async_run
         path = tmp_path / "statelog.jsonl"
         write_state_log(path, res.statelog)
-        expected = "".join(json.dumps(row, separators=(",", ":")) + "\n"
-                           for row in statelog_rows(res))
-        assert path.read_bytes() == expected.encode("ascii")
+        assert path.read_bytes() == json_lines(statelog_rows(res.statelog))
 
     def test_simulate_commits_without_per_row_encoder(self, monkeypatch):
         def per_row(*args, **kwargs):
@@ -452,7 +499,7 @@ class TestAsync:
                                                "async_bound": 1}))
         assert [dataclasses.asdict(m) for m in sync.metrics] == \
                [dataclasses.asdict(m) for m in async_res.metrics]
-        assert statelog_rows(sync) == statelog_rows(async_res)
+        assert statelog_rows(sync.statelog) == statelog_rows(async_res.statelog)
 
     def test_schedule_violation_double_gap(self):
         bound = 5

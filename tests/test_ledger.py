@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import small_config
+from conftest import json_lines, small_config, statelog_rows
 from episwarm import ledger
 from episwarm.engine import default_schedule, simulate
 from episwarm.errors import LengthMismatch, NonMonotonicStep, ShapeMismatch
@@ -298,6 +298,96 @@ class TestLedgerColumns:
             tracemalloc.stop()
         assert (tmp_path / "ledger.tsv").stat().st_size > 7 * 10 ** 6
         assert peak <= 400 * ledger._WRITE_ENTRIES + 400 * 100, peak
+
+
+def state_rows(step, rows):
+    """A quantize_rows-shaped matrix of ``rows`` (agent id, belief segment,
+    rating, strength, parent, birth) at ``step``."""
+    return np.array([[a, step, *belief, *rest] for a, belief, *rest in rows],
+                    dtype="<i8").reshape(len(rows), -1)
+
+
+class TestStateLogWriter:
+    """The writer prints each distinct belief segment once and reuses it for
+    the rest of its step and the next; its bytes must equal json.dumps of
+    every row."""
+
+    def check(self, matrices, tmp_path):
+        path = tmp_path / "statelog.jsonl"
+        write_state_log(path, matrices)
+        assert path.read_bytes() == json_lines(statelog_rows(matrices))
+
+    def test_async_run_reuses_frozen_rows(self, tmp_path):
+        cfg = small_config(space={"hypotheses": 20}, outcomes=20,
+                           run={"horizon": 60, "mode": "async", "async_bound": 4})
+        matrices = simulate(cfg).statelog
+        reused, before = 0, set()
+        for q in matrices:
+            segments = set(map(tuple, q[:, 2:-4].tolist()))
+            reused, before = reused + len(segments & before), segments
+        assert reused > len(matrices)  # frozen rows repeat the step before's segments
+        self.check(matrices, tmp_path)
+
+    def test_segment_back_after_one_step(self, tmp_path):
+        # A -> B -> A for one agent: the third step cannot take A from the second
+        a, b = (1, -2, 3), (4, 5, -6)
+        self.check([state_rows(0, [(7, a, 10, 11, -1, 0)]),
+                    state_rows(1, [(7, b, 12, 11, -1, 0)]),
+                    state_rows(2, [(7, a, 13, 11, -1, 0)]),
+                    state_rows(3, [(7, a, 13, 11, -1, 0), (8, b, 0, 0, 7, 3)])], tmp_path)
+
+    def test_repeated_segments_within_a_step(self, tmp_path):
+        a, b = (5, 5), (5, 6)
+        self.check([state_rows(0, [(0, a, 1, 2, -1, 0), (1, b, 1, 2, -1, 0),
+                                   (2, a, 9, 8, 0, 0), (3, a, 1, 2, -1, 0)]),
+                    state_rows(1, [(0, b, 1, 2, -1, 0), (2, b, 9, 8, 0, 0),
+                                   (3, a, 4, 4, -1, 0)])], tmp_path)
+
+    def test_empty_matrices_and_zero_width_segments(self, tmp_path):
+        self.check([np.empty((0, 9), "<i8"), state_rows(1, [(0, (1, 2, 3), 4, 5, 6, 7)]),
+                    np.empty((0, 9), "<i8"), state_rows(3, [(0, (1, 2, 3), 4, 5, 6, 7)])],
+                   tmp_path)
+        self.check([state_rows(0, [(0, (), 1, 2, -1, 0), (1, (), 3, 4, -1, 0)]),
+                    np.empty((0, 6), "<i8"), state_rows(2, [(0, (), 1, 2, -1, 0)])], tmp_path)
+        self.check([], tmp_path)
+
+    def test_int64_extremes(self, tmp_path):
+        lo, hi = INT64_MIN, INT64_MAX
+        self.check([state_rows(0, [(hi, (lo, hi, 0), lo, hi, lo, hi),
+                                   (0, (hi, lo, -1), 1, 2, 3, 4)]),
+                    state_rows(hi, [(lo, (lo, hi, 0), hi, lo, hi, lo),
+                                    (1, (lo, lo, lo), 0, 0, 0, 0)]),
+                    state_rows(lo, [(0, (hi, lo, -1), 1, 2, 3, 4)])], tmp_path)
+
+    def test_random_segments_from_a_small_pool(self, tmp_path):
+        rng = np.random.default_rng(5)
+        pool = rng.integers(INT64_MIN, INT64_MAX, size=(4, 7), endpoint=True)
+        matrices = []
+        for t in range(30):
+            q = rng.integers(-10, 10 ** 12, size=(int(rng.integers(0, 9)), 13))
+            q[:, 2:9] = pool[rng.integers(0, len(pool), size=len(q))]
+            q[:, 1] = t
+            matrices.append(q)
+        self.check(matrices, tmp_path)
+
+    def test_peak_does_not_grow_with_steps(self, tmp_path):
+        # Every step's segments are new here, so a writer whose segment texts
+        # outlived the step after theirs would hold 500 steps of them (about
+        # 2.7 MB) instead of 50 (270 KB); a step's own text is about 4 KB.
+        rng = np.random.default_rng(0)
+        matrices = [rng.integers(0, 10 ** 9, size=(10, 26)) for _ in range(500)]
+        write_state_log(tmp_path / "statelog.jsonl", matrices[:2])  # lazy set-up first
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                write_state_log(tmp_path / "statelog.jsonl", matrices[:steps])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(50), peak(500)
+        assert long <= short + 64 * 1024, (short, long)
 
 
 class TestVerifyChain:
