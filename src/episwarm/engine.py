@@ -6,20 +6,18 @@ with information gain and strength updates, (5) evolution (split agents rated
 at or above tau_rep, under the cap; remove agents whose rating stayed at or
 below tau_ext for grace steps), (6) ledger commits for every agent present at
 end of step, (7) metrics snapshot. Everything is deterministic given the config
-seed; all randomness flows through named substreams.
+seed; every random draw comes from the run's ``rng.Draws``.
 
 Each phase calls its module's operation once over the population arrays: the
 rows of the (N, K) belief matrix, or the ratings and strengths of the agents
-active at the step. Each agent draws from its own substreams, rating noise a
-block of ``NOISE_BLOCK`` values per call, held in an array indexed by agent id;
-a dead agent's generator is dropped. Chain heads also sit in arrays indexed by
-agent id (``ledger.LedgerColumns``), so a step's commits are one batched hash.
+active at the step. Chain heads sit in arrays indexed by agent id
+(``ledger.LedgerColumns``), so a step's commits are one batched hash.
 
 ``config.run`` alone sets the mode: a run is asynchronous iff ``run.mode`` is
 ``async``, with window bound ``run.async_bound``. Asynchronous mode freezes both
 belief and rating updates for agents whose update steps skip the step; skipped
 observations are dropped, never replayed. Each agent's steps are generated from
-its seed unless a schedule gives a founder's; they sit in one array with a
+the run's draws unless a schedule gives a founder's; they sit in one array with a
 cursor per agent id, so steps must run in order 0, 1, 2, ... Evolution and
 ledger commits run every step in both modes.
 """
@@ -48,29 +46,15 @@ from .ledger import (STRENGTH_MAX, LedgerColumns, commit, commit_rows,  # noqa: 
                      encode_quantized, grown, quantize_rows)
 from .likelihood import predictive_distribution
 from .rating import rating_step, reward_gradient
-from .rng import (DOMAIN_MUTATION, DOMAIN_PRIOR, DOMAIN_RATING, DOMAIN_SCHEDULE,
-                  DOMAIN_TASK, substream)
+# substream stays bound though unused: bench/tracing.py wraps it here.
+from .rng import Draws, substream  # noqa: F401
 from .spaces import entropy_rows, tv_distance_vectors
-
-
-# Rating-noise values drawn per call of an agent's generator.
-NOISE_BLOCK = 64
 
 
 def _sequential_sum(x: np.ndarray) -> float:
     # One term at a time, left to right, like a running total; np.sum adds
     # pairwise, and its last-digit differences would reach metrics.jsonl.
     return float(np.cumsum(x)[-1]) if len(x) else 0.0
-
-
-def generate_update_steps(seed: int, agent_id: int, start: int, horizon: int,
-                          bound: int) -> Tuple[int, ...]:
-    """Random update steps with first step in [start, start+bound) and gaps <= bound:
-    step k is start + k + the sum of the stream's first k + 1 draws from [0, bound).
-    One draw per possible step, in one call, gives the values of a call per step."""
-    rng = substream(seed, DOMAIN_SCHEDULE, agent_id)
-    steps = start - 1 + np.cumsum(1 + rng.integers(0, bound, size=max(horizon - start, 0) + 1))
-    return tuple(steps[steps < horizon].tolist())
 
 
 def _check_update_steps(aid: int, steps: Sequence[int], bound: int, horizon: int) -> None:
@@ -179,28 +163,22 @@ class Simulation:
         self.rating_cfg = config.rating
         self.inference_cfg = config.inference
         self.evolution_cfg = config.evolution
-        self.seed = config.run.seed
         self.horizon = config.run.horizon
-
-        self.task_rng = substream(self.seed, DOMAIN_TASK)
+        self.draws = Draws(config.run.seed)
 
         n = config.population.agents
         if config.population.prior == "uniform":
             priors = np.full((n, self.space.size), 1.0 / self.space.size)
         else:
-            alpha = np.full(self.space.size, config.population.dirichlet_alpha)
-            priors = np.array([substream(self.seed, DOMAIN_PRIOR, i).dirichlet(alpha)
-                               for i in range(n)])
+            priors = self.draws.priors(n, np.full(self.space.size,
+                                                  config.population.dirichlet_alpha))
         self.ids = IdAllocator(start=n)
         self.population = Population.create(
             self.space, priors, r0=self.rating_cfg.r0,
             strength0=config.population.strength0)
 
         self.chains = LedgerColumns()
-        # Row `id` of _noise is the agent's block, _noise_left[id] of it unread. Async:
-        # _steps[:_end] holds each agent's update steps then -1; _cursor[id] is its next.
-        self._rating_rngs: Dict[int, np.random.Generator] = {}
-        self._noise, self._noise_left = np.empty((0, NOISE_BLOCK)), np.empty(0, dtype=np.int64)
+        # Async: _steps[:_end] holds each agent's update steps then -1; _cursor[id] is its next.
         self._steps: Optional[np.ndarray] = None
         if config.run.mode == "async":
             founders, given = self.population.ids.tolist(), schedule or {}
@@ -217,30 +195,14 @@ class Simulation:
 
     # -- helpers ---------------------------------------------------------
 
-    def _rating_noise(self, aids: np.ndarray, sigma: float) -> np.ndarray:
-        """Each agent's next N(0, sigma) value from its own DOMAIN_RATING
-        substream, as one ``normal`` call per agent and step would draw it."""
-        self._noise = grown(self._noise, int(aids.max()) + 1)
-        self._noise_left = grown(self._noise_left, len(self._noise))
-        for aid in aids[self._noise_left[aids] == 0].tolist():
-            if aid not in self._rating_rngs:
-                self._rating_rngs[aid] = substream(self.seed, DOMAIN_RATING, aid)
-            self._noise[aid] = self._rating_rngs[aid].normal(0.0, sigma, size=NOISE_BLOCK)
-            self._noise_left[aid] = NOISE_BLOCK
-        self._noise_left[aids] -= 1
-        return self._noise[aids, NOISE_BLOCK - 1 - self._noise_left[aids]]
-
-    def _child_noise(self, child_id: int) -> np.ndarray:
-        return substream(self.seed, DOMAIN_MUTATION, child_id).standard_normal(self.space.size)
-
     def _schedule(self, aids: List[int], start: int,
                   given: Mapping[int, Sequence[int]]) -> List[Sequence[int]]:
         """Append the update steps of ``aids`` (``given``, else generated from
         step ``start``) to ``_steps``, point their cursors at them, return them."""
-        bound = self.config.run.async_bound
-        runs = [given[aid] if aid in given else
-                generate_update_steps(self.seed, aid, start, self.horizon, bound)
-                for aid in aids]
+        drawn = [aid for aid in aids if aid not in given]
+        steps = dict(zip(drawn, self.draws.update_steps(drawn, start, self.horizon,
+                                                        self.config.run.async_bound)))
+        runs = [given[aid] if aid in given else steps[aid] for aid in aids]
         flat = np.array([step for r in runs for step in (*r, -1)], dtype=np.int64)
         self._steps = grown(self._steps, self._end + len(flat))
         self._steps[self._end:self._end + len(flat)] = flat
@@ -268,7 +230,7 @@ class Simulation:
         mass_before = pop.rating_mass()
 
         if self.observations is None:  # every agent at a step sees the same datum
-            obs = self.model.emit(self.config.task.true_hypothesis, self.task_rng, t)
+            obs = self.model.emit(self.config.task.true_hypothesis, self.draws.task, t)
         else:  # a listed task has no datum past its end
             obs = self.observations[t] if t < len(self.observations) else None
         active = self._active_indices(t)
@@ -290,7 +252,7 @@ class Simulation:
             scale = max(1.0, float(np.abs(agg).max()))
             grads = reward_gradient(agg, scale, self.rating_cfg.shape_scale)
             sigma = self.rating_cfg.sigma
-            noise = (self._rating_noise(report.agent_ids, sigma) if sigma > 0
+            noise = (self.draws.rating_noise(report.agent_ids, sigma) if sigma > 0
                      else np.zeros(len(active)))
             old = pop.ratings[active]
             new, raw = rating_step(old, grads, t, self.rating_cfg, noise)
@@ -320,10 +282,9 @@ class Simulation:
         update_decay_markers(pop, t, self.evolution_cfg)
         first_id = self.ids.next_id
         result = evolve(pop, t, self.evolution_cfg, self.ids,
-                        child_noise=self._child_noise, smoothing=self.smoothing)
+                        draws=self.draws, smoothing=self.smoothing)
         self.population = result.population
-        for aid in np.setdiff1d(pop.ids, self.population.ids, assume_unique=True).tolist():
-            self._rating_rngs.pop(aid, None)  # ids are never reused
+        self.draws.drop(np.setdiff1d(pop.ids, self.population.ids, assume_unique=True).tolist())
         if self._steps is not None:  # children still present update from step t + 1
             born = self.population.ids[self.population.ids >= first_id]
             self._schedule(born.tolist(), t + 1, {})
@@ -457,9 +418,8 @@ def write_artifacts(result: RunResult, out_dir: str) -> dict:
 
 def default_schedule(config: ScenarioConfig) -> Dict[int, Tuple[int, ...]]:
     """The founders' generated update steps: an async run's without a schedule."""
-    r = config.run
-    return {aid: generate_update_steps(r.seed, aid, 0, r.horizon, r.async_bound)
-            for aid in range(config.population.agents)}
+    r, ids = config.run, range(config.population.agents)
+    return dict(zip(ids, Draws(r.seed).update_steps(ids, 0, r.horizon, r.async_bound)))
 
 
 def run(config: ScenarioConfig) -> Tuple[RunResult, Optional[dict]]:

@@ -33,7 +33,7 @@ class ShapeMismatch(EpiswarmError):
 
 class InvariantViolation(EpiswarmError):
     """Raised when a runtime guard finds computed state breaking an invariant
-    of the model (zero-sum aggregate utility, a valid posterior row)."""
+    of the model (zero-sum aggregate utility, rating sums in the float range)."""
 
 
 class IncompatibleObservation(EpiswarmError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -227,14 +227,13 @@ class EvolveResult:
 
 
 def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
-           child_noise: Optional[Callable[[int], np.ndarray]] = None,
-           smoothing: Optional[np.ndarray] = None) -> EvolveResult:
+           draws=None, smoothing: Optional[np.ndarray] = None) -> EvolveResult:
     """Composite operator: split every agent rated at or above tau_rep (if
     reproduction is enabled) under the cap, then extinguish by grace window.
 
-    ``child_noise(child_id)`` must yield the unit-normal mutation vector for a
-    child; it is only consulted for exp-tilt mutation with sigma_mut > 0, so
-    noise generation can be keyed by child id independent of iteration order.
+    ``draws`` (an ``rng.Draws``) gives the children's unit-normal mutation rows
+    in one ``mutation`` call per split batch; it is only consulted for exp-tilt
+    mutation with sigma_mut > 0.
     """
     pending = (np.flatnonzero(pop.ratings >= cfg.tau_rep) if cfg.reproduction_enabled
                else np.empty(0, dtype=np.int64))
@@ -248,9 +247,9 @@ def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
         child_ids = ids.take(2 * len(admitted))
         noise = None
         if cfg.sigma_mut > 0.0 and cfg.mutation_kind == EXP_TILT:
-            if child_noise is None:
-                raise ShapeMismatch("exp-tilt mutation needs a child_noise source")
-            noise = np.stack([child_noise(int(cid)) for cid in child_ids])
+            if draws is None:
+                raise ShapeMismatch("exp-tilt mutation needs a draws source")
+            noise = draws.mutation(child_ids, pop.space.size)
         pop = pop.keep(~split_mask).extend(
             ids=child_ids,
             parent_ids=np.repeat(pop.ids[admitted], 2),

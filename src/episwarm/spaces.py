@@ -122,13 +122,18 @@ def _check_same_space(p: Belief, q: Belief):
 
 def normalize_vector(weights: np.ndarray) -> np.ndarray:
     """Normalize nonnegative weights to sum one along the last axis, so each
-    row of an (N, K) matrix is normalized on its own (raw-array form)."""
+    row of an (N, K) matrix is normalized on its own (raw-array form). A row
+    total must be finite and positive; each output row then sums to 1 within
+    2 (ceil(log2 K) + 25) u, u = 2**-53, far inside SUM_TOL."""
     w = np.asarray(weights, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise NonFiniteWeight("weights contain NaN or infinity")
     if np.any(w < 0):
         raise NonFiniteWeight("weights must be nonnegative")
-    total = w.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        total = w.sum(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(total)):
+        raise NonFiniteWeight("weights sum past the float range")
     if np.any(total <= 0.0):
         raise AllZeroWeights("cannot normalize an all-zero weight vector")
     return w / total

@@ -2,8 +2,9 @@
 annotations of every config section, as the walk ``config._schema`` lists them.
 A draw changes one to three fields of a small valid config, or replaces whole
 sections. Each one must be refused with a ConfigError naming a field path, or
-build and run its first steps raising nothing but package errors; through the
-CLI it must exit 0, 1 or 2, never with a traceback."""
+build and run its first steps raising nothing but package errors, every step
+that succeeds computing only finite values; through the CLI it must exit 0, 1
+or 2, never with a traceback."""
 
 import dataclasses
 import math
@@ -11,12 +12,13 @@ import tempfile
 import typing
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from episwarm import config
 from episwarm.config import SETUP_BYTES_MAX, from_dict
-from episwarm.engine import Simulation
+from episwarm.engine import MetricsSnapshot, Simulation
 from episwarm.errors import ConfigError, EpiswarmError
 from test_config_cli import REFERENCE_SMALL, run_cli, write_cfg
 
@@ -90,6 +92,18 @@ def configs(draw):
     return data
 
 
+def assert_finite(snap, report) -> None:
+    """Every float field of the snapshot, its belief marginal and every array of
+    the step's ScoreReport (if any agent was scored) hold only finite values."""
+    values = [getattr(snap, f.name) for f in dataclasses.fields(MetricsSnapshot)]
+    floats = [v for v in values if isinstance(v, float)] + snap.belief_marginal
+    assert all(map(math.isfinite, floats)), snap
+    if report is not None:
+        for f in dataclasses.fields(report):
+            value = getattr(report, f.name)
+            assert not isinstance(value, np.ndarray) or np.all(np.isfinite(value)), f.name
+
+
 def names_a_field(path: str, data: dict) -> bool:
     """Whether ``path`` names a section or field of the schema (or an item of a
     list field), or a key that the draw put in a section."""
@@ -124,7 +138,8 @@ def test_draw_is_refused_at_a_field_or_runs(data):
     try:
         sim = Simulation(cfg)
         for t in range(min(STEPS, cfg.run.horizon)):
-            sim.step(t)
+            snap, info, _ = sim.step(t)
+            assert_finite(snap, info.report)
     except EpiswarmError:
         pass
 

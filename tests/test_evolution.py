@@ -24,6 +24,18 @@ def make_population(ratings, space=SP2, decay=None):
 CFG = EvolutionConfig(tau_rep=0.8, tau_ext=0.1, grace=3, lam=0.45, sigma_mut=0.0)
 
 
+class FakeDraws:
+    """An ``rng.Draws`` stand-in whose mutation rows are given per child id;
+    ``calls`` records each ``mutation(child_ids, k)`` call."""
+
+    def __init__(self, rows):
+        self.rows, self.calls = rows, []
+
+    def mutation(self, child_ids, k):
+        self.calls.append((child_ids.tolist(), k))
+        return np.stack([self.rows[cid] for cid in child_ids.tolist()])
+
+
 
 def columns_of(pop):
     return {name: getattr(pop, name) for name in Population.COLUMNS}
@@ -131,13 +143,13 @@ class TestMutatePrior:
 class TestReproduce:
     """A split parent is replaced by two children built by ``evolve``."""
 
-    def split(self, cfg, rating=0.9, child_noise=None, smoothing=None, space=SP2,
+    def split(self, cfg, rating=0.9, draws=None, smoothing=None, space=SP2,
               belief=(0.6, 0.4)):
         # four agents, ids 0-3; only the parent, id 3, crosses tau_rep
         pop = make_population([0.5, 0.5, 0.5, rating], space=space)
         pop.belief_matrix[3] = belief
         pop.strengths[3] = 2.0
-        res = evolve(pop, 4, cfg, IdAllocator(start=10), child_noise=child_noise,
+        res = evolve(pop, 4, cfg, IdAllocator(start=10), draws=draws,
                      smoothing=smoothing)
         children = res.population.parent_ids == 3
         assert res.spawn_count == 2 and children.sum() == 2
@@ -162,7 +174,9 @@ class TestReproduce:
     def test_independent_mutations(self):
         cfg = EvolutionConfig(tau_rep=0.8, tau_ext=0.1, lam=0.45, sigma_mut=0.5)
         noise = {10: np.array([0.3, -1.2]), 11: np.array([-0.7, 0.9])}
-        pop, children = self.split(cfg, child_noise=noise.__getitem__)
+        draws = FakeDraws(noise)
+        pop, children = self.split(cfg, draws=draws)
+        assert draws.calls == [([10, 11], 2)]  # one call for the split batch
         rows = pop.belief_matrix[children]
         assert not np.array_equal(rows[0], rows[1])
         for cid, row in zip((10, 11), rows):
@@ -362,7 +376,7 @@ class TestEvolve:
         cfg = EvolutionConfig(tau_rep=0.8, tau_ext=0.1, grace=2, lam=0.45, sigma_mut=0.3)
         pop = make_population([0.9])
         with pytest.raises(ShapeMismatch):
-            evolve(pop, 0, cfg, IdAllocator(start=1), child_noise=None)
+            evolve(pop, 0, cfg, IdAllocator(start=1), draws=None)
 
     def test_delayed_spawns_counted(self):
         cfg = EvolutionConfig(tau_rep=0.4, tau_ext=0.1, grace=2, lam=0.9,

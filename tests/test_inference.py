@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from episwarm.errors import NonFiniteInput, ShapeMismatch
+from episwarm.errors import NonFiniteInput, NonFiniteWeight, ShapeMismatch
 from episwarm.inference import (InferenceConfig, confidence_weight,
                                 entropy_regularized_update, information_gain,
-                                posterior_update, sequential_update, strength_update)
+                                posterior_rows, posterior_update, sequential_update,
+                                strength_update)
 from episwarm.likelihood import CategoricalTable, Observation
 from episwarm.spaces import Belief, HypothesisSpace, OutcomeSpace, entropy, normalize_vector, tv_distance
 
@@ -56,6 +57,12 @@ class TestPosterior:
             post = posterior_update(Belief(sp, prior), model, Observation(datum, datum))
             oracle = brute_force_posterior(prior, model.rows[:, datum])
             assert np.allclose(post.probs, oracle, atol=1e-12)
+
+    def test_weights_past_the_float_range_are_refused(self):
+        # rows that are not normalized can overflow the row total; normalizing
+        # by an infinite total would give an all-zero "posterior"
+        with pytest.raises(NonFiniteWeight, match="float range"):
+            posterior_rows(np.array([[0.5, 0.5], [1e308, 1e308]]), np.ones(2), 0.0)
 
 
 class TestSequential:

@@ -1,7 +1,7 @@
-"""Substream seeding and the engine's array-held random state, each against
-its one-call-per-draw definition: the tuple SeedSequence, one ``normal`` call
-per agent and step, one ``integers`` call per update step, and one frozenset of
-update steps per agent."""
+"""Substream seeding and every ``rng.Draws`` method, each against its
+one-call-per-draw definition: the tuple SeedSequence, direct ``substream``
+calls, one ``normal`` call per agent and step, one ``integers`` call per update
+step, and one frozenset of update steps per agent."""
 
 import random
 
@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import small_config
-from episwarm import engine
-from episwarm.engine import NOISE_BLOCK, Simulation, generate_update_steps
-from episwarm.rng import DOMAIN_RATING, DOMAIN_SCHEDULE, DOMAIN_TASK, substream
+from episwarm import engine, rng
+from episwarm.engine import Simulation
+from episwarm.likelihood import CategoricalTable, DiscretizedGaussian
+from episwarm.rng import (DOMAIN_MUTATION, DOMAIN_PRIOR, DOMAIN_RATING, DOMAIN_SCHEDULE,
+                          DOMAIN_TASK, NOISE_BLOCK, Draws, substream)
+from episwarm.spaces import HypothesisSpace, OutcomeSpace
 
 SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 63, 2 ** 64 - 1, -1]
 KEYS = [(), (0,), (2 ** 32 - 1, 7), (5, 2 ** 32), (2 ** 40 + 3,), (2 ** 64 + 1, 2)]
@@ -40,13 +43,13 @@ class TestRatingNoiseBlocks:
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
     def test_blocks_equal_scalar_draws(self, seed, sigma):
         # ids past the founders grow the arrays; each id reaches its fourth block
-        sim = Simulation(small_config(rating={"sigma": sigma}, run={"seed": seed}))
+        draws = Simulation(small_config(rating={"sigma": sigma}, run={"seed": seed})).draws
         scalar, pick = {}, np.random.default_rng(seed % 97)
         for _ in range(4 * NOISE_BLOCK):
             aids = np.flatnonzero(pick.random(40) < 0.8)
             expected = [scalar.setdefault(aid, substream(seed, DOMAIN_RATING, aid))
                         .normal(0.0, sigma) for aid in aids.tolist()]
-            assert sim._rating_noise(aids, sigma).tolist() == expected
+            assert draws.rating_noise(aids, sigma).tolist() == expected
 
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     def test_one_rating_stream_per_drawing_agent(self, sigma, monkeypatch):
@@ -56,7 +59,7 @@ class TestRatingNoiseBlocks:
             domains.append(domain)
             return substream(seed, domain, *keys)
 
-        monkeypatch.setattr(engine, "substream", counted)
+        monkeypatch.setattr(rng, "substream", counted)
         cfg = small_config(rating={"sigma": sigma}, run={"horizon": 2 * NOISE_BLOCK + 3})
         res = engine.simulate(cfg)
         drawn = {aid for r in res.reports for aid in r.agent_ids.tolist()}
@@ -73,13 +76,18 @@ def scalar_update_steps(seed, agent_id, start, horizon, bound):
     return tuple(steps)
 
 
+def generated(seed, agent_id, start, horizon, bound):
+    """One agent's update steps as ``Draws.update_steps`` gives them."""
+    return Draws(seed).update_steps([agent_id], start, horizon, bound)[0]
+
+
 class TestAsyncCursor:
     @pytest.mark.parametrize("bound", [1, 2, 5, 17, 2 ** 33])
     def test_update_steps_equal_scalar_draws(self, bound):
         for seed in (0, 7919, 2 ** 40):
             for agent_id in range(0, 60, 7):
                 for start, horizon in ((0, 300), (5, 40), (39, 40), (40, 40), (50, 40), (0, 1)):
-                    assert (generate_update_steps(seed, agent_id, start, horizon, bound)
+                    assert (generated(seed, agent_id, start, horizon, bound)
                             == scalar_update_steps(seed, agent_id, start, horizon, bound))
 
     def test_cursor_selects_frozenset_agents(self):
@@ -96,17 +104,107 @@ class TestAsyncCursor:
             given[aid] = tuple(steps)
         sim = Simulation(cfg, schedule=given)
         sets = {aid: frozenset(steps) for aid, steps in given.items()}
-        sets[0] = frozenset(generate_update_steps(cfg.run.seed, 0, 0, horizon, bound))
+        sets[0] = frozenset(generated(cfg.run.seed, 0, 0, horizon, bound))
         spawns = 0
         for t in range(horizon):
             pop = sim.population
             for aid, birth in zip(pop.ids.tolist(), pop.birth_steps.tolist()):
                 if aid not in sets:
-                    sets[aid] = frozenset(generate_update_steps(cfg.run.seed, aid, birth + 1,
-                                                                horizon, bound))
+                    sets[aid] = frozenset(generated(cfg.run.seed, aid, birth + 1, horizon, bound))
             expected = [aid for aid in pop.ids.tolist() if t in sets[aid]]
             snap, info, _ = sim.step(t)
             assert (info.report.agent_ids.tolist() if info.report else []) == expected, t
             assert snap.active_count == len(expected)
             spawns += snap.spawns
         assert spawns > 0 and len(sets) > cfg.population.agents
+
+
+class TestDrawsReplay:
+    """Each ``Draws`` method against direct ``substream`` calls, over a grid of
+    seeds, ids and steps."""
+
+    SEEDS = [0, 7, 7919, 2 ** 40, 2 ** 64 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_task_is_the_task_stream(self, seed):
+        draws, direct = Draws(seed), substream(seed, DOMAIN_TASK)
+        assert draws.task is draws.task
+        assert draws.task.random(16).tolist() == direct.random(16).tolist()
+        space = HypothesisSpace.indexed(3)
+        table = CategoricalTable(space, OutcomeSpace.indexed(3), [[0.7, 0.2, 0.1]] * 3)
+        gauss = DiscretizedGaussian(space, [0.0, 1.0, 2.0], 1.0, [-9.0, 0.5, 1.5, 9.0])
+        for t in range(50):
+            for model in (table, gauss):
+                got, want = model.emit(t % 3, draws.task, t), model.emit(t % 3, direct, t)
+                assert (got.datum, got.truth_label) == (want.datum, want.truth_label)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_priors_are_founder_streams(self, seed):
+        for k, n in ((2, 1), (5, 7), (100, 3)):
+            alpha = np.linspace(0.5, 2.0, k)
+            rows = Draws(seed).priors(n, alpha)
+            assert rows.shape == (n, k)
+            for i in range(n):
+                direct = substream(seed, DOMAIN_PRIOR, i).dirichlet(alpha)
+                assert rows[i].tolist() == direct.tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mutation_is_one_row_per_child_stream(self, seed):
+        draws = Draws(seed)
+        for child_ids, k in (([8], 2), ([9, 10, 11, 12], 5), (np.arange(40, 140, 9), 100)):
+            rows = draws.mutation(np.asarray(child_ids), k)
+            assert rows.shape == (len(child_ids), k)
+            for cid, row in zip(np.asarray(child_ids).tolist(), rows):
+                direct = substream(seed, DOMAIN_MUTATION, cid).standard_normal(k)
+                assert row.tolist() == direct.tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rating_noise_is_each_agents_stream_after_drops(self, seed):
+        # agents drop out and new ids join, as deaths and splits make them
+        draws, scalar = Draws(seed), {}
+        live, next_id, pick = list(range(12)), 12, np.random.default_rng(seed % 89)
+        for step in range(3 * NOISE_BLOCK):
+            aids = np.array([aid for aid in live if pick.random() < 0.7], dtype=np.int64)
+            if len(aids):
+                expected = [scalar.setdefault(aid, substream(seed, DOMAIN_RATING, aid))
+                            .normal(0.0, 0.3) for aid in aids.tolist()]
+                assert draws.rating_noise(aids, 0.3).tolist() == expected, step
+            if step % 17 == 16:
+                dead, live = live[:2], live[2:] + [next_id, next_id + 1]
+                next_id += 2
+                draws.drop(dead)
+                assert not set(dead) & set(draws._rating)
+        assert set(draws._rating) <= set(live)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_update_steps_are_each_agents_stream(self, seed):
+        ids = [0, 3, 4, 2 ** 32 + 1]
+        for start, horizon, bound in ((0, 120, 5), (7, 30, 1), (29, 30, 3), (40, 30, 2)):
+            assert (Draws(seed).update_steps(ids, start, horizon, bound)
+                    == [scalar_update_steps(seed, aid, start, horizon, bound) for aid in ids])
+
+    def test_simulate_builds_each_stream_once_per_domain_key(self, monkeypatch):
+        # one run's builds: the task stream once, one prior stream per founder,
+        # one rating stream per drawing agent, one mutation stream per child
+        # and one schedule stream per agent, generated founders and children
+        built = []
+
+        def counted(seed, domain, *keys):
+            built.append((domain, keys))
+            return substream(seed, domain, *keys)
+
+        monkeypatch.setattr(rng, "substream", counted)
+        cfg = small_config(evolution={"tau_ext": 0.2, "tau_rep": 0.6, "grace": 3},
+                           rating={"sigma": 0.05}, run={"horizon": 40, "mode": "async"})
+        res = engine.simulate(cfg)
+        assert len(built) == len(set(built))
+        by_domain = {d: [k for dom, k in built if dom == d] for d in range(1, 6)}
+        ids = {aid for q in res.statelog for aid in q[:, 0].tolist()}
+        children = sorted(aid for aid in ids if aid >= cfg.population.agents)
+        assert by_domain[DOMAIN_TASK] == [()]
+        assert by_domain[DOMAIN_PRIOR] == [(i,) for i in range(cfg.population.agents)]
+        assert sorted(by_domain[DOMAIN_MUTATION]) == [(aid,) for aid in children]
+        assert sorted(by_domain[DOMAIN_SCHEDULE]) == [(aid,) for aid in sorted(ids)]
+        drawn = {aid for r in res.reports for aid in r.agent_ids.tolist()}
+        assert sorted(by_domain[DOMAIN_RATING]) == [(aid,) for aid in sorted(drawn)]
+        assert children

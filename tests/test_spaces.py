@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from episwarm.errors import AllZeroWeights, NonFiniteWeight, ShapeMismatch, SupportViolation
-from episwarm.spaces import (Belief, HypothesisSpace, OutcomeSpace, entropy,
-                             kl_divergence, normalize, tv_distance)
+from episwarm.spaces import (SUM_TOL, Belief, HypothesisSpace, OutcomeSpace, entropy,
+                             kl_divergence, normalize, normalize_vector, tv_distance)
 
 
 def simplex_points(k, min_mass=0.0):
@@ -56,6 +56,26 @@ class TestNormalize:
             normalize([1.0, float("inf")], SP2)
         with pytest.raises(NonFiniteWeight):
             normalize([1.0, -0.5], SP2)
+
+    def test_total_past_float_range_rejected(self):
+        # each weight is finite, their sum is not
+        with pytest.raises(NonFiniteWeight, match="float range"):
+            normalize_vector(np.array([[1e308, 1e308]]))
+        assert normalize_vector(np.array([[1e308, 0.0], [1e307, 1e307]])).tolist() == \
+            [[1.0, 0.0], [0.5, 0.5]]
+
+    @pytest.mark.parametrize("k", [2, 7, 100, 1000, 5000])
+    def test_row_sums_within_derived_bound(self, k):
+        # why posterior_rows needs no row-sum check: numpy's pairwise-sum bound
+        # plus one rounding per entry, far inside SUM_TOL
+        rng = np.random.default_rng(k)
+        w = rng.random((50, k)) ** 8 * 10.0 ** rng.integers(-300, 300, (50, 1))
+        w[rng.random((50, k)) < 0.3] = 0.0
+        w[:, 0] += 1e-300
+        out = normalize_vector(w)
+        bound = 2 * (math.ceil(math.log2(k)) + 25) * 2.0 ** -53
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert float(np.abs(out.sum(axis=1) - 1.0).max()) <= bound < SUM_TOL
 
     @given(simplex_points(4))
     def test_proportionality_preserved(self, p):
@@ -161,6 +181,11 @@ class TestBeliefInvariants:
     def test_bad_sum_rejected(self):
         with pytest.raises(ShapeMismatch):
             Belief(SP2, np.array([0.6, 0.6]))
+
+    def test_sum_tolerance_is_one_in_a_billion(self):
+        Belief(SP2, np.array([0.5, 0.5 + 5e-10]))
+        with pytest.raises(ShapeMismatch, match="outside 1"):
+            Belief(SP2, np.array([0.5, 0.5 + 2e-9]))
 
     def test_probs_read_only(self):
         b = Belief.uniform(SP2)
