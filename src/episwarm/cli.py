@@ -5,6 +5,9 @@ Subcommands:
   verify <ledger> <statelog>            replay a state log against a ledger
   sweep <config> --param P --values V   run a 1-D parameter grid
 
+A run, and a verify that finds every chain intact, print the ledger root
+(``ledger.ledger_root``) as root=<hex>: the same run gives the same line.
+
 Exit codes: 0 success, 1 config/parse error or a run error (any other
 package error raised during a run, reported with the step it was raised
 at), 2 population collapse, 3 tamper detected.
@@ -18,7 +21,7 @@ import sys
 from .config import load_config, resolve_param, set_param
 from .engine import run, sweep, write_sweep_csv
 from .errors import ConfigError, EpiswarmError, PopulationCollapse
-from .ledger import verify_artifacts
+from .ledger import audit_artifacts, ledger_root
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -57,6 +60,7 @@ def cmd_run(args) -> int:
     wtm_text = "n/a" if wtm is None else f"{wtm:.6f}"
     print(f"final population={s['final_population']} mass={s['final_mass']:.6f} "
           f"truth_mass={wtm_text}")
+    print(f"root={ledger_root(result.chains)}")
     if result.collapsed_at is not None:
         print(f"population collapse at step {result.collapsed_at}", file=sys.stderr)
         return EXIT_COLLAPSE
@@ -65,7 +69,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        findings = verify_artifacts(args.ledger, args.statelog)
+        findings, root = audit_artifacts(args.ledger, args.statelog)
     except (OSError, ValueError, EpiswarmError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -74,6 +78,7 @@ def cmd_verify(args) -> int:
             print(f"TAMPER agent={agent_id} step={step}")
         return EXIT_TAMPER
     print("ok: all chains verified")
+    print(f"root={root}")
     return EXIT_OK
 
 

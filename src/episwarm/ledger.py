@@ -13,30 +13,35 @@ C_0 = H(enc_0); then C_t = H(enc_t || C_{t-1}).
 ``chain_digests`` is the one batched hash of the chains: it lays a block's
 messages (prefix, row bytes, previous digest) out as one byte matrix and makes
 one hash call a row. Committing (``commit_rows``) and verifying
-(``verify_artifacts``) both go through it. A run's chains are ``LedgerColumns``:
+(``audit_artifacts``) both go through it. A run's chains are ``LedgerColumns``:
 each commit's ascending agent ids and (n, 32) digests, about 40 bytes an entry,
 plus every agent's head and last step in arrays indexed by agent id; its
 per-agent ``LedgerChain``-like views build their entries only when read. The
 scalar ``encode_quantized``, ``commit`` and ``verify_chain`` are independent
-oracles for the tests.
+oracles for the tests. ``ledger_root`` is one digest of a whole ledger.
 
 File formats: LF-terminated lines, each INT as %d prints it (0|-?[1-9][0-9]*,
-signed 64-bit). The state-log writer prints a row's belief list (its K quanta)
-once per distinct list and reuses the text for every later row of its step and
-of the next that has the same quanta: frozen and converged agents repeat their
-list step after step. It keeps no text older than the step before, so what it
-holds does not grow with the horizon. The readers accept exactly these lines
-(and empty lines):
+signed 64-bit):
   ledger:    INT<TAB>INT<TAB>64 lowercase hex digits (agent id, step, digest)
   state log: {"agent_id":INT,"step":INT,"belief_q":[INT,...,INT],"rating_q":INT,
              "strength_q":INT,"parent_id":INT,"birth_step":INT}  (K belief entries)
+The state-log writer prints each distinct belief list (its K quanta) once and
+reuses the text for later rows of its step and the next with the same quanta
+(frozen and converged agents repeat theirs), holding no text older than the
+step before. The readers accept exactly what the writers print, and empty
+lines: a block passes only if printing the integers parsed from it with the
+writers' own format strings (``_ledger_rows``, ``_row_format``) gives back its
+bytes, which a token that is not canonical %d or lies outside int64 does not.
+Like the writer, the state-log reader parses and checks each distinct
+belief-list text of a block once, or not at all if the block before held it.
+A failed block is checked again line by line with Python ints, to name the
+first line that does not print back, else the first out-of-range integer.
 """
 
 from __future__ import annotations
 
 import binascii
 import hashlib
-import re
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -257,6 +262,16 @@ def verify_chain(chain: LedgerChain, replayed: Sequence[bytes]) -> Optional[int]
 _WRITE_ENTRIES = 1 << 12
 
 
+def _ledger_rows(ids: list, steps: list, digests) -> bytes:
+    # Ledger lines as write_ledger prints them, one per agent id, step and
+    # 32-byte digest (``digests`` concatenated). The reader and the writer
+    # both take their grammar from here.
+    values: list = [None] * (3 * len(ids))
+    values[0::3], values[1::3] = ids, steps
+    values[2::3] = np.frombuffer(binascii.hexlify(digests), "S64").tolist()
+    return (b"%d\t%d\t%s\n" * len(ids)) % tuple(values)
+
+
 def write_ledger(path, chains: LedgerColumns) -> None:
     """Write every chain, agent by agent in ascending id and each in commit
     order, from the columns: the agents are taken in id ranges of about
@@ -275,13 +290,9 @@ def write_ledger(path, chains: LedgerColumns) -> None:
                 continue
             ids = np.concatenate([p[0] for p in parts])
             order = np.argsort(ids, kind="stable")
-            values: list = [None] * (3 * len(ids))
-            values[0::3] = ids[order].tolist()
             steps = np.repeat([p[1] for p in parts], [len(p[0]) for p in parts])
-            values[1::3] = steps[order].tolist()
-            values[2::3] = np.frombuffer(binascii.hexlify(
-                np.concatenate([p[2] for p in parts])[order]), "S64").tolist()
-            f.write((b"%d\t%d\t%s\n" * len(ids)) % tuple(values))
+            f.write(_ledger_rows(ids[order].tolist(), steps[order].tolist(),
+                                 np.concatenate([p[2] for p in parts])[order]))
 
 
 def _row_format(belief: str) -> str:
@@ -294,6 +305,17 @@ def _row_format(belief: str) -> str:
 
 def _belief_format(k: int) -> str:
     return ",".join(["%d"] * k)
+
+
+def _state_rows(row_format, columns: list, texts: list):
+    # State-log lines printed by ``row_format`` (``_row_format("%s")``, str or
+    # bytes): one per belief-list text, its agent id, step, rating, strength,
+    # parent id and birth step taken from the six ``columns``.
+    values: list = [None] * (7 * len(texts))
+    values[2::7] = texts
+    for slot, column in zip((0, 1, 3, 4, 5, 6), columns):
+        values[slot::7] = column
+    return (row_format * len(texts)) % tuple(values)
 
 
 def write_state_log(path, matrices: Sequence[np.ndarray]) -> None:
@@ -312,51 +334,62 @@ def write_state_log(path, matrices: Sequence[np.ndarray]) -> None:
             text = "\n".join([_belief_format(k)] * len(new)) % tuple(
                 np.frombuffer(b"".join(new), STATE_DTYPE).tolist())
             prev.update(zip(new, text.split("\n")))
-            values: list = [None] * (7 * n)
-            values[2::7] = texts = [prev[key] for key in keys]
-            for slot, column in zip((0, 1, 3, 4, 5, 6),
-                                    q[:, [0, 1, k + 2, k + 3, k + 4, k + 5]].T.tolist()):
-                values[slot::7] = column
-            f.write((row_format * n) % tuple(values))
+            texts = [prev[key] for key in keys]
+            f.write(_state_rows(row_format, q[:, [0, 1, k + 2, k + 3, k + 4, k + 5]].T.tolist(),
+                                texts))
             prev = dict(zip(keys, texts))
 
 
 # The readers take lines in blocks of about this many bytes (a readlines size
 # hint), so verify holds one block of state-log lines and its matrix at a time.
-_BLOCK_BYTES = 1 << 18
-# An integer as %d prints it: no plus sign, no leading zeros, no -0.
-_INT = rb"(?:0|-?[1-9][0-9]*)"
-# A line as write_ledger prints it, or an empty line.
-_LEDGER_LINE = re.compile(rb"(?:" + _INT + rb"\t" + _INT + rb"\t[0-9a-f]{64})?\n")
+# A block's check holds about five times its bytes (the joined text, its
+# printed copy and the Python ints between), hence 128 KB rather than more.
+_BLOCK_BYTES = 1 << 17
 # bytes.translate table: every byte that cannot be part of an integer -> space.
 _INT_BYTES = bytes(c if c in b"-0123456789" else 0x20 for c in range(256))
+# Bytes that neither belong to an integer nor separate two in what the writers
+# print (keys, quotes, braces, colons): the parsers delete them, so that
+# np.fromstring has less text to skip.
+_KEY_BYTES = bytes(c for c in range(256) if c not in b"-0123456789,\t\n ")
 
 
-def _check_lines(pattern, lines: List[bytes], first: int, what: str, expected: str) -> None:
-    # One call checks the block: deleting every match of the line pattern leaves
-    # nothing only if the matches tile the block, line after line. Only a bad
-    # block is searched line by line, for the message. (Matching the block with
-    # the pattern repeated keeps a backtracking stack of about 14 bytes a byte.)
-    if pattern.sub(b"", b"".join(lines)):
-        bad = next(i for i, line in enumerate(lines) if not pattern.fullmatch(line))
-        raise ShapeMismatch(f"{what} line {first + bad}: expected {expected}")
+def _ints(text: bytes, exact: bool = False) -> np.ndarray:
+    # The integers of ``text``, split at commas and whitespace: ``exact``, as
+    # Python ints in an object array; else as int64 by ``np.fromstring``,
+    # which saturates outside that range and may read a malformed token as
+    # another number (or raise ValueError), so only a render check of the
+    # result tells what the text held.
+    text = text.translate(_INT_BYTES, _KEY_BYTES)
+    if exact:
+        return np.array([int(token) for token in text.split()], object)
+    return np.fromstring(text, STATE_DTYPE, sep=" ") if text.strip() else np.empty(0, STATE_DTYPE)
 
 
-def _int64s(parts: List[bytes], first: int, what: str) -> np.ndarray:
-    """The integers of a block of lines that match their grammar, in order, as
-    int64. ``np.fromstring`` is exact inside the int64 range and saturates
-    outside it, so a block holding either extreme is checked token by token."""
-    text = b"".join(parts).translate(_INT_BYTES)
-    if text.isspace():  # fromstring reads blank text as one 0
-        return np.empty(0, dtype=STATE_DTYPE)
-    values = np.fromstring(text, dtype=STATE_DTYPE, sep=" ")
-    if values.size and (values.max() == INT64_MAX or values.min() == INT64_MIN):
-        for line_no, part in enumerate(parts, first):
-            for token in part.translate(_INT_BYTES).split():
-                if not INT64_MIN <= int(token) <= INT64_MAX:
-                    raise ShapeMismatch(f"{what} line {line_no}: {token.decode()} is "
-                                        f"outside the signed 64-bit range")
-    return values
+def _refuse(block: List[bytes], first: int, line_ints, what: str, expected: str) -> None:
+    # Raise ShapeMismatch for a block of lines, the first numbered ``first``,
+    # that failed its render check: name its first non-empty line that
+    # ``line_ints`` refuses with ValueError, else the first integer it reads
+    # outside the signed 64-bit range.
+    found = []
+    for no, line in enumerate(block, first):
+        try:
+            found += [(no, value) for value in line_ints(line)] if line != b"\n" else []
+        except ValueError:
+            raise ShapeMismatch(f"{what} line {no}: expected {expected}") from None
+    no, value = next((no, v) for no, v in found if not INT64_MIN <= v <= INT64_MAX)
+    raise ShapeMismatch(f"{what} line {no}: {value} is outside the signed 64-bit range")
+
+
+def _ledger_block(lines: List[bytes], exact: bool = False) -> Tuple[np.ndarray, bytes]:
+    # The (n, 2) ids and steps and the concatenated digests of non-empty
+    # ledger lines, each ending in TAB, 64 hex digits and LF as it prints;
+    # raises ValueError unless _ledger_rows prints them back exactly.
+    ids_steps = _ints(b"".join([line[:-65] for line in lines]), exact).reshape(-1, 2)
+    digests = binascii.unhexlify(b"".join([line[-65:-1] for line in lines]))
+    if (len(ids_steps) != len(lines) or len(digests) != 32 * len(lines)
+            or _ledger_rows(*ids_steps.T.tolist(), digests) != b"".join(lines)):
+        raise ValueError("not a ledger line")
+    return ids_steps, digests
 
 
 def read_ledger(path) -> Tuple[np.ndarray, np.ndarray, bytearray]:
@@ -369,18 +402,38 @@ def read_ledger(path) -> Tuple[np.ndarray, np.ndarray, bytearray]:
         f.seek(0)
         ids_steps, digests = np.empty((count, 2), STATE_DTYPE), bytearray(32 * count)
         n, first = 0, 1
-        for lines in iter(lambda: f.readlines(_BLOCK_BYTES), []):
-            _check_lines(_LEDGER_LINE, lines, first, "ledger",
-                         "agent_id<TAB>step<TAB>64 lowercase hex digits")
-            # a matching non-empty line ends in TAB, 64 hex digits and LF
-            block = _int64s([line[:-65] for line in lines], first, "ledger").reshape(-1, 2)
-            ids_steps[n:n + len(block)] = block
-            digests[32 * n:32 * (n + len(block))] = binascii.unhexlify(
-                b"".join(line[-65:-1] for line in lines))
-            n += len(block)
-            first += len(lines)
+        for block in iter(lambda: f.readlines(_BLOCK_BYTES), []):
+            try:
+                ints, text_digests = _ledger_block([line for line in block if line != b"\n"])
+            except ValueError:
+                _refuse(block, first, lambda line: _ledger_block([line], True)[0].ravel(),
+                        "ledger", "agent_id<TAB>step<TAB>64 lowercase hex digits")
+            ids_steps[n:n + len(ints)] = ints
+            digests[32 * n:32 * (n + len(ints))] = text_digests
+            n += len(ints)
+            first += len(block)
     del digests[32 * n:]  # the empty lines' share
     return ids_steps[:n, 0], ids_steps[:n, 1], digests
+
+
+def _state_block(lines: List[bytes], k: int, known, exact: bool = False):
+    # The (n, 6) scalar columns of non-empty state-log lines (agent id, step,
+    # rating, strength, parent id, birth step), their belief-list texts, and
+    # the distinct texts not in ``known`` with their (m, K) entries; raises
+    # ValueError unless _row_format prints the lines back exactly.
+    text = b"".join(lines)
+    parts = text.replace(b"]", b"[").split(b"[")  # a line as it prints holds one [ and one ]
+    if len(parts) != 2 * len(lines) + 1:
+        raise ValueError("not a state row")
+    texts, scalars = parts[1::2], _ints(b"".join(parts[0::2]), exact).reshape(-1, 6)
+    del parts  # frees the scalar text before the block is printed back
+    new = [t for t in dict.fromkeys(texts) if t not in known]
+    beliefs = _ints(b",".join(new), exact).reshape(len(new), k)
+    if (b"\n".join([_belief_format(k).encode()] * len(new))
+            % tuple(beliefs.ravel().tolist()) != b"\n".join(new)
+            or _state_rows(_row_format("%s").encode(), scalars.T.tolist(), texts) != text):
+        raise ValueError("not a state row")
+    return scalars, texts, new, beliefs
 
 
 def read_state_log(path) -> Iterator[np.ndarray]:
@@ -389,29 +442,64 @@ def read_state_log(path) -> Iterator[np.ndarray]:
     ``write_state_log``. K comes from the first row; every non-empty line must
     be one ``write_state_log`` prints for that K, with integers in the signed
     64-bit range. Otherwise raises ShapeMismatch naming the line."""
-    pattern, first = None, 1
+
+    def line_ints(line):  # in the line's order
+        scalars, _, _, beliefs = _state_block([line], k, (), True)
+        return [*scalars[0, :2], *beliefs[0], *scalars[0, 2:]]
+
+    k, known, first = None, {}, 1  # known: the block before's texts -> their rows of table
     with open(path, "rb") as f:
-        for lines in iter(lambda: f.readlines(_BLOCK_BYTES), []):
-            if pattern is None and (row := next((x for x in lines if x != b"\n"), b"")):
-                # a line as write_state_log prints it for this K, or an empty line
-                width = max(len(row.translate(_INT_BYTES).split()), 6)
-                fmt = _row_format(_belief_format(width - 6))[:-1].encode().split(b"%d")
-                pattern = re.compile(b"(?:" + _INT.join(map(re.escape, fmt)) + b")?\n")
-            if pattern is not None:
-                _check_lines(pattern, lines, first, "state log",
-                             f"a state row as write_state_log prints it with K={width - 6}")
-                yield _int64s(lines, first, "state log").reshape(-1, width)
-            first += len(lines)
+        for block in iter(lambda: f.readlines(_BLOCK_BYTES), []):
+            lines = [line for line in block if line != b"\n"]
+            if lines:
+                if k is None:
+                    k = max(len(lines[0].translate(_INT_BYTES).split()), 6) - 6
+                    table = np.empty((0, k), STATE_DTYPE)
+                try:
+                    scalars, texts, new, beliefs = _state_block(lines, k, known)
+                except ValueError:
+                    _refuse(block, first, line_ints, "state log",
+                            f"a state row as write_state_log prints it with K={k}")
+                table = np.concatenate([table, beliefs])
+                known.update(zip(new, range(len(table) - len(new), len(table))))
+                q = np.empty((len(lines), k + 6), STATE_DTYPE)
+                q[:, [0, 1, k + 2, k + 3, k + 4, k + 5]] = scalars
+                q[:, 2:k + 2] = table[[known[t] for t in texts]]
+                yield q
+                distinct = dict.fromkeys(texts)
+                table = table[[known[t] for t in distinct]]
+                known = dict(zip(distinct, range(len(distinct))))
+            first += len(block)
+
+
+def _root(ids, heads: np.ndarray) -> str:
+    pairs = np.empty(len(ids), [("id", STATE_DTYPE), ("head", "V32")])
+    pairs["id"], pairs["head"] = ids, heads
+    return hashlib.sha256(pairs.tobytes()).hexdigest()
+
+
+def ledger_root(chains: Mapping) -> str:
+    """One digest of a run's whole ledger, as hex: SHA-256 over every chain's
+    agent id (signed 8-byte little-endian) and 32-byte head, in ascending id."""
+    ids = sorted(chains)
+    return _root(ids, np.frombuffer(b"".join([chains[a].head for a in ids]), "V32"))
 
 
 def verify_artifacts(ledger_path, statelog_path) -> List[Tuple[int, int]]:
+    """The findings of ``audit_artifacts``."""
+    return audit_artifacts(ledger_path, statelog_path)[0]
+
+
+def audit_artifacts(ledger_path, statelog_path) -> Tuple[List[Tuple[int, int]], str]:
     """Replay a state log against a ledger file, streaming the state log once.
 
-    Returns a sorted list of (agent_id, step) findings, at most one per agent;
-    empty means every chain verifies. An agent's n-th state-log row is checked
-    against its n-th ledger entry: first the step, then H(enc || recorded
-    digest of entry n-1). Length mismatches, agents present on one side only
-    and misaligned steps are findings too: tamper evidence, not I/O failures.
+    Returns a sorted list of (agent_id, step) findings, at most one per agent,
+    and the ``ledger_root`` of the ledger file, each chain's head its last
+    entry in file order. No findings means every chain verifies. An agent's
+    n-th state-log row is checked against its n-th ledger entry: first the
+    step, then H(enc || recorded digest of entry n-1). Length mismatches,
+    agents present on one side only and misaligned steps are findings too:
+    tamper evidence, not I/O failures.
     """
     ids, steps, digests = read_ledger(ledger_path)
     # Group the ledger by agent, keeping file order within each agent: entry
@@ -426,6 +514,7 @@ def verify_artifacts(ledger_path, statelog_path) -> List[Tuple[int, int]]:
     start = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])[:len(ids)]
     agents, length = ids[start], np.diff(start, append=len(ids))
     recorded = np.frombuffer(digests, np.uint8).reshape(-1, 32)  # a view, in file order
+    root = _root(agents, recorded[file_pos(start + length - 1)].view("V32").ravel())
     # A last slot, with no entries, takes the rows of agents absent from the ledger.
     slots = np.append(agents, INT64_MAX)
     start, length = np.append(start, 0), np.append(length, 0)
@@ -459,5 +548,5 @@ def verify_artifacts(ledger_path, statelog_path) -> List[Tuple[int, int]]:
     # a chain, or of an agent the ledger lacks, are reported at the first one.
     index = np.where(seen < length, seen, np.where(misaligned < length, misaligned, bad))
     hit = np.flatnonzero((seen <= length) & (index < length))
-    return sorted([*unmatched.items(),
-                   *zip(slots[hit].tolist(), steps[file_pos(start[hit] + index[hit])].tolist())])
+    return sorted([*unmatched.items(), *zip(slots[hit].tolist(), steps[
+        file_pos(start[hit] + index[hit])].tolist())]), root

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from episwarm import config
+from episwarm import config, ledger
 from episwarm.cli import main
 from episwarm.config import (ScenarioConfig, SpaceSection, TaskSection, dump_config,
                              from_dict, load_config, resolve_param, set_param, to_dict)
@@ -687,3 +687,106 @@ class TestVerifyMalformedLedger:
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "ledger line 4:" in proc.stderr
+
+
+# Copies of a belief list that verify has already read in canonical form (at
+# a block size of one line, from the line before): Python's int() or float()
+# reads each edited entry as the same number, yet none is a list
+# write_state_log prints. ``entries`` are the list's texts, the second "0".
+NON_CANONICAL_REPEATS = {
+    "leading_zero": lambda entries: ["0" + entries[0]] + entries[1:],
+    "negative_zero": lambda entries: entries[:1] + ["-0"] + entries[2:],
+    "plus_sign": lambda entries: ["+" + entries[0]] + entries[1:],
+    "leading_space": lambda entries: [" " + entries[0]] + entries[1:],
+    "decimal_point": lambda entries: [entries[0] + ".0"] + entries[1:],
+}
+
+
+def _verify_exit(ledger_path, statelog_path, capsys):
+    code = main(["verify", str(ledger_path), str(statelog_path)])
+    return code, capsys.readouterr().err
+
+
+class TestVerifyNonCanonicalRepeat:
+    @pytest.mark.parametrize("block_bytes", [1, 300, ledger._BLOCK_BYTES])
+    @pytest.mark.parametrize("case", sorted(NON_CANONICAL_REPEATS))
+    def test_refused_at_its_own_line(self, case, block_bytes, run_artifacts, tmp_path, capsys,
+                                     monkeypatch):
+        monkeypatch.setattr(ledger, "_BLOCK_BYTES", block_bytes)
+        lines = (run_artifacts / "statelog.jsonl").read_text().splitlines(keepends=True)
+        beliefs = [line[line.index("[") + 1:line.index("]")] for line in lines]
+        i = len(lines) - 1
+        assert beliefs[i] == beliefs[i - 1] and beliefs[i].split(",")[1] == "0"
+        edited = ",".join(NON_CANONICAL_REPEATS[case](beliefs[i].split(",")))
+        lines[i] = lines[i].replace(f"[{beliefs[i]}]", f"[{edited}]")
+        statelog = tmp_path / "statelog.jsonl"
+        statelog.write_text("".join(lines))
+        code, err = _verify_exit(run_artifacts / "ledger.tsv", statelog, capsys)
+        assert code == 1
+        assert err.startswith(f"parse error: state log line {i + 1}: expected"), err
+
+    @pytest.mark.parametrize("name,cases,where", [
+        ("statelog.jsonl", (MALFORMED_STATE_LINES, "belief_out_of_range", "non_json"),
+         "state log"),
+        ("ledger.tsv", (MALFORMED_LEDGER_LINES, "id_out_of_range", "non_integer_id"), "ledger"),
+    ])
+    def test_grammar_fault_outranks_earlier_range_fault_in_a_block(
+            self, name, cases, where, run_artifacts, tmp_path, capsys):
+        edits, out_of_range, grammar = cases
+        lines = (run_artifacts / name).read_text().splitlines()
+        lines[3] = edits[out_of_range](lines[3])
+        lines[5] = edits[grammar](lines[5])
+        files = {n: run_artifacts / n for n in ("ledger.tsv", "statelog.jsonl")}
+        files[name] = tmp_path / name
+        files[name].write_text("\n".join(lines) + "\n")
+        code, err = _verify_exit(files["ledger.tsv"], files["statelog.jsonl"], capsys)
+        assert code == 1
+        assert err.startswith(f"parse error: {where} line 6: expected"), err
+
+
+@pytest.fixture(scope="module")
+def tiny_artifacts(tmp_path_factory):
+    cfg = from_dict({"space": {"hypotheses": 2}, "outcomes": 2, "population": {"agents": 2},
+                     "run": {"horizon": 2, "seed": 1}})
+    return write_artifacts(simulate(cfg), str(tmp_path_factory.mktemp("tiny")))
+
+
+class TestVerifyEverySingleByteEdit:
+    # Each replacement byte stands for a class of fault: a digit (a changed
+    # value or a leading zero), a sign, a line break and a bracket.
+    REPLACEMENTS = b"0-\n]"
+
+    @pytest.mark.parametrize("name", ["ledger", "statelog"])
+    def test_never_verifies_and_never_raises(self, name, tiny_artifacts, tmp_path, capsys):
+        paths = dict(tiny_artifacts)
+        data = Path(paths[name]).read_bytes()
+        paths[name] = tmp_path / name
+        codes = {}
+        for i in range(len(data)):
+            for byte in self.REPLACEMENTS:
+                if data[i] != byte:
+                    paths[name].write_bytes(data[:i] + bytes([byte]) + data[i + 1:])
+                    code = main(["verify", str(paths["ledger"]), str(paths["statelog"])])
+                    codes[code] = codes.get(code, 0) + 1
+        capsys.readouterr()
+        assert set(codes) <= {1, 3}, codes
+        assert codes.get(1) and codes.get(3), codes
+
+
+class TestLedgerRoot:
+    def test_run_and_verify_print_the_golden_root(self, tmp_path, capsys):
+        golden = json.loads((ROOT / "bench" / "golden.json").read_text())
+        root = f"root={golden['reference']['0'][0]['root']}"
+        out = tmp_path / "reference"
+        assert main(["--seed", "0", "--out", str(out), "run",
+                     str(ROOT / "configs" / "reference.yaml")]) == 0
+        assert [x for x in capsys.readouterr().out.splitlines() if x.startswith("root=")] == [root]
+        # verify recomputes it from the file: each agent's head is its last
+        # line, whichever order the agents' lines come in
+        lines = (out / "ledger.tsv").read_text().splitlines(keepends=True)
+        by_agent_descending = sorted(lines, key=lambda line: -int(line.split("\t")[0]))
+        for text in ("".join(lines), "".join(by_agent_descending)):
+            (tmp_path / "ledger.tsv").write_text(text)
+            assert main(["verify", str(tmp_path / "ledger.tsv"),
+                         str(out / "statelog.jsonl")]) == 0
+            assert capsys.readouterr().out.splitlines() == ["ok: all chains verified", root]

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 import re
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -305,6 +307,16 @@ def state_rows(step, rows):
     rating, strength, parent, birth) at ``step``."""
     return np.array([[a, step, *belief, *rest] for a, belief, *rest in rows],
                     dtype="<i8").reshape(len(rows), -1)
+
+
+class TestLedgerRoot:
+    def test_one_digest_of_ids_and_heads_in_ascending_id(self):
+        chains = {7: LedgerChain(7, [(0, b"\x01" * 32)]),
+                  2: LedgerChain(2, [(0, b"\x02" * 32), (1, b"\x03" * 32)])}
+        expected = hashlib.sha256(struct.pack("<q", 2) + b"\x03" * 32
+                                  + struct.pack("<q", 7) + b"\x01" * 32).hexdigest()
+        assert ledger.ledger_root(chains) == expected
+        assert ledger.ledger_root({}) == hashlib.sha256(b"").hexdigest()
 
 
 class TestStateLogWriter:
