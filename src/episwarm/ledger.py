@@ -134,20 +134,15 @@ def chain_digests(q: np.ndarray, prev: np.ndarray, chained: np.ndarray) -> np.nd
     else the genesis H(enc), with ``prev`` (n, 32) uint8. The messages (prefix,
     row bytes, previous digest) are one byte matrix; each row takes one hash
     call, a genesis row's without its last 32 bytes."""
-    n = len(q)
-    if n == 0:  # memoryview.cast refuses a zero-size buffer
-        return np.empty((0, 32), np.uint8)
     width = len(VERSION_PREFIX) + STATE_DTYPE.itemsize * q.shape[1]
-    msg = np.empty((n, width + 32), np.uint8)
+    msg = np.empty((len(q), width + 32), np.uint8)
     msg[:, :len(VERSION_PREFIX)] = np.frombuffer(VERSION_PREFIX, np.uint8)
     msg[:, len(VERSION_PREFIX):width] = np.ascontiguousarray(q, STATE_DTYPE).view(np.uint8)
     msg[:, width:] = prev
-    starts = np.arange(0, n * (width + 32), width + 32)
-    ends = starts + width + 32 * np.asarray(chained, dtype=bool)
-    data, sha256 = memoryview(msg).cast("B"), hashlib.sha256
-    return np.frombuffer(b"".join([sha256(data[s:e]).digest()
-                                   for s, e in zip(starts.tolist(), ends.tolist())]),
-                         np.uint8).reshape(n, 32)
+    rows, sha256 = msg.view(f"V{width + 32}")[:, 0].tolist(), hashlib.sha256  # one bytes a row
+    return np.frombuffer(b"".join([sha256(row if c else row[:width]).digest() for row, c in
+                                   zip(rows, np.asarray(chained, dtype=bool).tolist())]),
+                         np.uint8).reshape(len(q), 32)
 
 
 class ChainView:

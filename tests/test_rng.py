@@ -1,9 +1,11 @@
 """Substream seeding and every ``rng.Draws`` method, each against its
 one-call-per-draw definition: the tuple SeedSequence, direct ``substream``
 calls, one ``normal`` call per agent and step, one ``integers`` call per update
-step, and one frozenset of update steps per agent."""
+step, and one frozenset of update steps per agent. The batched seed derivation
+of ``substreams`` is checked against ``np.random.SeedSequence`` bit for bit."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from episwarm import engine, rng
 from episwarm.engine import Simulation
 from episwarm.likelihood import CategoricalTable, DiscretizedGaussian
 from episwarm.rng import (DOMAIN_MUTATION, DOMAIN_PRIOR, DOMAIN_RATING, DOMAIN_SCHEDULE,
-                          DOMAIN_TASK, NOISE_BLOCK, Draws, substream)
+                          DOMAIN_TASK, NOISE_BLOCK, Draws, substream, substreams)
 from episwarm.spaces import HypothesisSpace, OutcomeSpace
 
 SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 63, 2 ** 64 - 1, -1]
@@ -38,6 +40,86 @@ class TestSubstream:
                 assert words.normal(0.0, 1.0, 5).tolist() == tup.normal(0.0, 1.0, 5).tolist()
 
 
+def seed_sequence(seed, domain, key):
+    return np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, int(domain)) + tuple(key))
+
+
+def assert_seeded_as_seed_sequence(seed, domain, keys):
+    """Each generator of one ``substreams`` call against its key's SeedSequence:
+    the pool, ``generate_state`` requests and the first draws."""
+    gens = list(substreams(seed, domain, keys))
+    assert len(gens) == len(keys)
+    for key, gen in zip(keys, gens):
+        want, got = seed_sequence(seed, domain, key), gen.bit_generator.seed_seq
+        assert got.pool.tolist() == want.pool.tolist()
+        for n in (1, 4, 8, 9):
+            for dtype in (np.uint32, np.uint64, np.dtype("<u8")):
+                state = got.generate_state(n, dtype)
+                assert state.dtype == np.dtype(dtype)
+                assert state.tolist() == want.generate_state(n, dtype).tolist()
+        direct = np.random.Generator(np.random.PCG64(want))
+        assert gen.integers(0, 2 ** 63, 4).tolist() == direct.integers(0, 2 ** 63, 4).tolist()
+        assert gen.normal(0.0, 1.0, 3).tolist() == direct.normal(0.0, 1.0, 3).tolist()
+
+
+class TestBatchedSeedSequence:
+    """``substreams`` derives a batch's seed words in one pass; each key's must
+    equal its own ``np.random.SeedSequence``'s."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_key_grid(self, seed):
+        for domain in (DOMAIN_TASK, DOMAIN_RATING, DOMAIN_SCHEDULE):
+            for keys in KEYS:  # one key a call, then every key of its length in one call
+                assert_seeded_as_seed_sequence(seed, domain, [keys])
+            for length in {len(keys) for keys in KEYS}:
+                assert_seeded_as_seed_sequence(seed, domain, [k for k in KEYS if len(k) == length])
+            assert_seeded_as_seed_sequence(seed, domain, KEYS)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 + 5, 2 ** 64 - 1])
+    def test_mixed_word_counts_and_duplicates(self, seed):
+        keys = [(5,), (2 ** 40,), (5,), (0,), (2 ** 32,), (2 ** 32 - 1,), (2 ** 40,),
+                (2 ** 64 - 1,)]
+        assert_seeded_as_seed_sequence(seed, DOMAIN_MUTATION, keys)
+        assert_seeded_as_seed_sequence(seed, DOMAIN_MUTATION, keys + [(2 ** 64 + 1,)])
+        assert_seeded_as_seed_sequence(seed, DOMAIN_PRIOR, [(7, 2 ** 33, 0, 2 ** 32 - 1)] * 2)
+
+    def test_batch_sizes(self):
+        assert list(substreams(7, DOMAIN_RATING, [])) == []
+        assert_seeded_as_seed_sequence(7, DOMAIN_RATING, [(3,)])
+        assert_seeded_as_seed_sequence(7, DOMAIN_RATING, [(i * 2 ** 29 + i,) for i in range(2000)])
+
+    def test_other_dtypes_and_negative_keys_are_refused(self):
+        with pytest.raises(ValueError):
+            substream(7, DOMAIN_RATING, 3).bit_generator.seed_seq.generate_state(4, np.int64)
+        with pytest.raises(ValueError):
+            substream(7, DOMAIN_RATING, -1)
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Every ``rng.substreams`` call of a run as (step, domain, keys), the step
+    None before the first."""
+    calls, at, step = [], [None], Simulation.step
+
+    def labelled(sim, t):
+        at[0] = t
+        return step(sim, t)
+
+    def counted(seed, domain, keys):
+        calls.append((at[0], domain, list(keys)))
+        return substreams(seed, domain, keys)
+
+    monkeypatch.setattr(Simulation, "step", labelled)
+    monkeypatch.setattr(rng, "substreams", counted)
+    return calls
+
+
+def assert_one_call_per_domain_and_step(calls):
+    """Each domain's new keys of a step (or of the set-up) are derived in one
+    call, so per-key builds fail here."""
+    assert calls and max(Counter((t, domain) for t, domain, _ in calls).values()) == 1
+
+
 class TestRatingNoiseBlocks:
     @pytest.mark.parametrize("sigma", [1e-3, 0.05, 2.0])
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
@@ -52,18 +134,13 @@ class TestRatingNoiseBlocks:
             assert draws.rating_noise(aids, sigma).tolist() == expected
 
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
-    def test_one_rating_stream_per_drawing_agent(self, sigma, monkeypatch):
-        domains = []
-
-        def counted(seed, domain, *keys):
-            domains.append(domain)
-            return substream(seed, domain, *keys)
-
-        monkeypatch.setattr(rng, "substream", counted)
+    def test_one_rating_stream_per_drawing_agent(self, sigma, derivations):
         cfg = small_config(rating={"sigma": sigma}, run={"horizon": 2 * NOISE_BLOCK + 3})
         res = engine.simulate(cfg)
         drawn = {aid for r in res.reports for aid in r.agent_ids.tolist()}
-        assert domains.count(DOMAIN_RATING) == (len(drawn) if sigma > 0 else 0)
+        rating = [key for _, domain, keys in derivations if domain == DOMAIN_RATING for key in keys]
+        assert len(rating) == (len(drawn) if sigma > 0 else 0)
+        assert_one_call_per_domain_and_step(derivations)
 
 
 def scalar_update_steps(seed, agent_id, start, horizon, bound):
@@ -183,20 +260,15 @@ class TestDrawsReplay:
             assert (Draws(seed).update_steps(ids, start, horizon, bound)
                     == [scalar_update_steps(seed, aid, start, horizon, bound) for aid in ids])
 
-    def test_simulate_builds_each_stream_once_per_domain_key(self, monkeypatch):
+    def test_simulate_builds_each_stream_once_per_domain_key(self, derivations):
         # one run's builds: the task stream once, one prior stream per founder,
         # one rating stream per drawing agent, one mutation stream per child
         # and one schedule stream per agent, generated founders and children
-        built = []
-
-        def counted(seed, domain, *keys):
-            built.append((domain, keys))
-            return substream(seed, domain, *keys)
-
-        monkeypatch.setattr(rng, "substream", counted)
         cfg = small_config(evolution={"tau_ext": 0.2, "tau_rep": 0.6, "grace": 3},
                            rating={"sigma": 0.05}, run={"horizon": 40, "mode": "async"})
         res = engine.simulate(cfg)
+        assert_one_call_per_domain_and_step(derivations)
+        built = [(domain, key) for _, domain, keys in derivations for key in keys]
         assert len(built) == len(set(built))
         by_domain = {d: [k for dom, k in built if dom == d] for d in range(1, 6)}
         ids = {aid for q in res.statelog for aid in q[:, 0].tolist()}
@@ -208,3 +280,14 @@ class TestDrawsReplay:
         drawn = {aid for r in res.reports for aid in r.agent_ids.tolist()}
         assert sorted(by_domain[DOMAIN_RATING]) == [(aid,) for aid in sorted(drawn)]
         assert children
+
+    def test_empty_batches(self):
+        # no agents: empty rows of the right width, and no draw is moved
+        draws, alpha = Draws(7), np.ones(5)
+        assert draws.rating_noise(np.empty(0, np.int64), 0.1).shape == (0,)
+        assert draws.mutation(np.empty(0, np.int64), 5).shape == (0, 5)
+        assert draws.mutation([], 5).shape == (0, 5)
+        assert draws.priors(0, alpha).shape == (0, 5)
+        assert draws.update_steps([], 0, 10, 3) == []
+        assert (draws.rating_noise(np.array([3]), 0.1).tolist()
+                == [substream(7, DOMAIN_RATING, 3).normal(0.0, 0.1, NOISE_BLOCK)[0]])
