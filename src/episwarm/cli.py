@@ -2,15 +2,18 @@
 
 Subcommands:
   run <config>                          execute a scenario (sync or async)
-  verify <ledger> <statelog>            replay a state log against a ledger
+  verify <ledger> <statelog> [--root H] replay a state log against a ledger
   sweep <config> --param P --values V   run a 1-D parameter grid
 
 A run, and a verify that finds every chain intact, print the ledger root
 (``ledger.ledger_root``) as root=<hex>: the same run gives the same line.
+``verify --root <hex>`` also requires the recomputed root to equal the given
+one.
 
-Exit codes: 0 success, 1 config/parse error or a run error (any other
-package error raised during a run, reported with the step it was raised
-at), 2 population collapse, 3 tamper detected.
+Exit codes: 0 success, 1 config/parse error, a write error, or a run error
+(any other package error raised during a run, reported with the step it was
+raised at), 2 population collapse, 3 tamper detected (a root other than the
+given one included).
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ EXIT_CONFIG = 1
 EXIT_COLLAPSE = 2
 EXIT_TAMPER = 3
 
+HEX_DIGITS = "0123456789abcdef"
+
 
 def _apply_overrides(cfg, args):
     if args.seed is not None:
@@ -35,6 +40,12 @@ def _apply_overrides(cfg, args):
     if args.out is not None:
         cfg = set_param(cfg, "run.out_dir", args.out)
     return cfg
+
+
+def _write_error(exc: OSError) -> int:
+    where = "" if exc.filename is None else f"{exc.filename}: "
+    print(f"write error: {where}{exc.strerror or exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def cmd_run(args) -> int:
@@ -52,6 +63,8 @@ def cmd_run(args) -> int:
         where = "outside a step" if exc.step is None else f"at step {exc.step}"
         print(f"run error {where}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        return _write_error(exc)
     if divergence is not None:
         print(f"async divergence: weighted_belief_tv={divergence['weighted_belief_tv']:.6f} "
               f"rating_histogram_tv={divergence['rating_histogram_tv']:.6f}")
@@ -68,6 +81,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.root is not None and (len(args.root) != 64 or args.root.strip(HEX_DIGITS)):
+        print(f"parse error: --root must be 64 lowercase hex digits, got {args.root!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         findings, root = audit_artifacts(args.ledger, args.statelog)
     except (OSError, ValueError, EpiswarmError) as exc:
@@ -76,6 +93,10 @@ def cmd_verify(args) -> int:
     if findings:
         for agent_id, step in findings:
             print(f"TAMPER agent={agent_id} step={step}")
+        return EXIT_TAMPER
+    if args.root is not None and root != args.root:
+        print(f"ROOT MISMATCH expected={args.root}")
+        print(f"root={root}")
         return EXIT_TAMPER
     print("ok: all chains verified")
     print(f"root={root}")
@@ -106,7 +127,10 @@ def cmd_sweep(args) -> int:
         return EXIT_CONFIG
     rows = sweep(cfg, args.param, values)
     out_path = args.csv or f"{cfg.run.out_dir}/sweep.csv"
-    write_sweep_csv(rows, out_path)
+    try:
+        write_sweep_csv(rows, out_path)
+    except OSError as exc:
+        return _write_error(exc)
     failures = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep complete: {len(rows)} points, {failures} non-ok, wrote {out_path}")
     return EXIT_OK
@@ -126,6 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify ledger + state log")
     p_verify.add_argument("ledger")
     p_verify.add_argument("statelog")
+    p_verify.add_argument("--root", default=None,
+                          help="exit 3 unless the recomputed ledger root is this hex")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid")

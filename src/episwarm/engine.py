@@ -28,6 +28,7 @@ import csv
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -383,11 +384,89 @@ def _float_texts(a: np.ndarray) -> str:
     return ",".join(map(dict(zip(distinct, texts)).__getitem__, bits))
 
 
+def _write_reports(result: RunResult, paths: dict) -> None:
+    """metrics.jsonl, and scores.jsonl with each distinct value of a score
+    column printed once per row."""
+    with open(paths["metrics"], "w", encoding="ascii") as f:
+        for snap in result.metrics:
+            f.write(json.dumps(vars(snap), separators=(",", ":")) + "\n")
+    with open(paths["scores"], "w", encoding="ascii") as f:
+        for r in result.reports:
+            f.write(_SCORE_ROW % (r.step, ",".join(map(str, r.agent_ids.tolist())),
+                                  *(_float_texts(a) for a in (r.losses, r.log_scores,
+                                                              r.fitness, r.aggregate))))
+
+
+def _pickled(exc: BaseException) -> bytes:
+    """``exc`` as bytes that unpickle, or, for an exception that does not
+    survive pickling, a RuntimeError naming it."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+def _alongside(child: Callable[[], None], parent: Callable[[], None]) -> None:
+    """Call ``child()`` in a forked process while ``parent()`` runs in this
+    one; return once both are done and the child has been reaped.
+
+    The child leaves through ``os._exit``, so it never flushes this process's
+    stdio buffers nor returns into the caller's stack. An exception it raises
+    comes back through a pipe, pickled, and is raised here as the same
+    exception, unless ``parent()`` raised first. The child is reaped on every
+    path. Where ``os.fork`` does not exist, both run here, child first."""
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        child()
+        parent()
+        return
+    r, w = os.pipe()
+    try:
+        pid = fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                child()
+                status = 0
+            except BaseException as exc:
+                with open(w, "wb") as pipe:
+                    pipe.write(_pickled(exc))
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        parent()
+    finally:
+        try:
+            with open(r, "rb") as pipe:
+                sent = pipe.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if sent:
+        raise pickle.loads(sent)
+    if status:
+        raise ChildProcessError(f"artifact writer exited with status "
+                                f"{os.waitstatus_to_exitcode(status)}")
+
+
 def write_artifacts(result: RunResult, out_dir: str) -> dict:
     """Write metrics JSONL, one score row per ScoreReport, ledger, state log, and
     the summary CSV, each byte as json.dumps(row, separators=(",", ":")) (csv for
     the summary) would write it. The score columns and the state log's belief
-    lists are printed once per distinct value (see ``ledger.write_state_log``)."""
+    lists are printed once per distinct value (see ``ledger.write_state_log``).
+
+    ``metrics.jsonl`` and ``scores.jsonl`` are written by a forked child
+    process while this one writes the ledger, the state log and the summary
+    (see ``_alongside``); the bytes are the same where ``os.fork`` is missing
+    and all five run here. A write error in either process is raised here."""
     from .ledger import write_ledger, write_state_log
 
     os.makedirs(out_dir, exist_ok=True)
@@ -398,21 +477,17 @@ def write_artifacts(result: RunResult, out_dir: str) -> dict:
         "statelog": os.path.join(out_dir, "statelog.jsonl"),
         "summary": os.path.join(out_dir, "summary.csv"),
     }
-    with open(paths["metrics"], "w", encoding="ascii") as f:
-        for snap in result.metrics:
-            f.write(json.dumps(vars(snap), separators=(",", ":")) + "\n")
-    with open(paths["scores"], "w", encoding="ascii") as f:
-        for r in result.reports:
-            f.write(_SCORE_ROW % (r.step, ",".join(map(str, r.agent_ids.tolist())),
-                                  *(_float_texts(a) for a in (r.losses, r.log_scores,
-                                                              r.fitness, r.aggregate))))
-    write_ledger(paths["ledger"], result.chains)
-    write_state_log(paths["statelog"], result.statelog)
-    summary = result.summary()
-    with open(paths["summary"], "w", newline="", encoding="ascii") as f:
-        writer = csv.DictWriter(f, fieldnames=list(summary))
-        writer.writeheader()
-        writer.writerow(summary)
+
+    def write_rest() -> None:
+        write_ledger(paths["ledger"], result.chains)
+        write_state_log(paths["statelog"], result.statelog)
+        summary = result.summary()
+        with open(paths["summary"], "w", newline="", encoding="ascii") as f:
+            writer = csv.DictWriter(f, fieldnames=list(summary))
+            writer.writeheader()
+            writer.writerow(summary)
+
+    _alongside(lambda: _write_reports(result, paths), write_rest)
     return paths
 
 

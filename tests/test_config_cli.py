@@ -279,6 +279,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "run error at step 0" in err and "InvariantViolation" in err
 
+    @pytest.mark.parametrize("where", ["out under a file", "scores.jsonl a directory"])
+    def test_run_write_error_exit_one(self, tmp_path, capsys, where):
+        if where == "out under a file":
+            (tmp_path / "file").write_text("")
+            out = bad = tmp_path / "file" / "sub"
+        else:  # raised in the child process that writes scores.jsonl
+            out = tmp_path / "out"
+            bad = out / "scores.jsonl"
+            bad.mkdir(parents=True)
+        assert main(["--out", str(out), "run", write_cfg(tmp_path, REFERENCE_SMALL)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"write error: {bad}: ") and "Traceback" not in err
+
     def test_verify_fresh_run_exit_zero(self, tmp_path):
         data = dict(REFERENCE_SMALL)
         data["run"] = dict(data["run"], out_dir=str(tmp_path / "out"))
@@ -790,3 +803,29 @@ class TestLedgerRoot:
             assert main(["verify", str(tmp_path / "ledger.tsv"),
                          str(out / "statelog.jsonl")]) == 0
             assert capsys.readouterr().out.splitlines() == ["ok: all chains verified", root]
+
+    def test_verify_root(self, tmp_path, capsys):
+        """--root binds the files to a root recorded elsewhere: files of another
+        run verify on their own, but not against this run's root."""
+        runs = {}
+        for seed in (5, 6):
+            out = tmp_path / str(seed)
+            assert main(["--seed", str(seed), "--out", str(out), "run",
+                         write_cfg(tmp_path, REFERENCE_SMALL)]) == 0
+            root = [x for x in capsys.readouterr().out.splitlines() if x.startswith("root=")]
+            runs[seed] = (root[0][5:], [str(out / "ledger.tsv"), str(out / "statelog.jsonl")])
+        root, files = runs[5]
+        assert main(["verify", *files, "--root", root]) == 0
+        assert capsys.readouterr().out.splitlines() == ["ok: all chains verified", f"root={root}"]
+        changed = ("1" if root[0] == "0" else "0") + root[1:]
+        assert main(["verify", *files, "--root", changed]) == 3
+        assert capsys.readouterr().out.splitlines() == [f"ROOT MISMATCH expected={changed}",
+                                                        f"root={root}"]
+        other = runs[6][1]
+        assert main(["verify", *other]) == 0
+        assert main(["verify", *other, "--root", root]) == 3
+        capsys.readouterr()
+        for text in ("abc", root.upper(), root + "0", " " + root[1:]):
+            assert main(["verify", *files, "--root", text]) == 1
+            err = capsys.readouterr().err
+            assert "--root" in err and "Traceback" not in err

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import os
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from episwarm.config import from_dict, set_param
 from episwarm.engine import (SWEEP_OBSERVABLES, Simulation, default_schedule, run, simulate,
                              sweep, write_artifacts)
 from episwarm.errors import (ConfigError, InvariantViolation, PopulationCollapse,
-                             ScheduleViolation)
+                             ScheduleViolation, ShapeMismatch)
 from episwarm.ledger import (VERSION_PREFIX, encode_quantized, verify_artifacts,
                              write_state_log)
 from episwarm.rng import DOMAIN_RATING, Draws, substream
@@ -392,6 +394,82 @@ class TestScoreRows:
         text = self.write(res, tmp_path)
         assert text == json_lines(score_rows(reports))
         assert b"-0.0," in text and b"NaN" in text and b"-Infinity" in text
+
+
+def artifact_bytes(paths):
+    out = {}
+    for name, path in paths.items():
+        with open(path, "rb") as f:
+            out[name] = f.read()
+    return out
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWriter:
+    """write_artifacts writes metrics.jsonl and scores.jsonl in a forked child
+    while this process writes the rest: the child is reaped on every path, its
+    errors are raised here, and this process's stdio buffers are written once."""
+
+    @pytest.fixture(scope="class")
+    def res(self):
+        return simulate(small_config(run={"horizon": 10}))
+
+    def test_no_child_outlives_a_return(self, res, tmp_path):
+        write_artifacts(res, str(tmp_path))
+        no_child_left()
+
+    @pytest.mark.parametrize("name", ["scores.jsonl", "statelog.jsonl"])  # child's, parent's
+    def test_write_error_raised_here_and_child_reaped(self, res, tmp_path, name):
+        (tmp_path / name).mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            write_artifacts(res, str(tmp_path))
+        assert info.value.filename == str(tmp_path / name)
+        no_child_left()
+
+    def test_child_errors_come_back(self, res, tmp_path, monkeypatch):
+        def fail(a):
+            raise ShapeMismatch("column")
+
+        monkeypatch.setattr(engine, "_float_texts", fail)
+        with pytest.raises(ShapeMismatch, match="column"):
+            write_artifacts(res, str(tmp_path / "package"))
+
+        class Local(Exception):  # cannot be pickled by reference
+            pass
+
+        def fail_unpicklably(a):
+            raise Local("column")
+
+        monkeypatch.setattr(engine, "_float_texts", fail_unpicklably)
+        with pytest.raises(RuntimeError, match="Local: column"):
+            write_artifacts(res, str(tmp_path / "local"))
+        caller = os.getpid()
+
+        def die(a):
+            assert os.getpid() != caller, "the scores are written in the caller"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(engine, "_float_texts", die)
+        with pytest.raises(ChildProcessError, match=f"status {-signal.SIGKILL}"):
+            write_artifacts(res, str(tmp_path / "killed"))
+        no_child_left()
+
+    def test_unflushed_stdout_written_once(self, res, tmp_path, capfd, monkeypatch):
+        stream = open(os.dup(1), "w", encoding="ascii")  # buffered, not a tty
+        monkeypatch.setattr(sys, "stdout", stream)
+        print("written before the fork", end="")
+        write_artifacts(res, str(tmp_path))
+        stream.close()
+        assert capfd.readouterr().out == "written before the fork"
+
+    def test_same_bytes_without_fork(self, res, tmp_path, monkeypatch):
+        forked = artifact_bytes(write_artifacts(res, str(tmp_path / "forked")))
+        monkeypatch.delattr(os, "fork")
+        assert artifact_bytes(write_artifacts(res, str(tmp_path / "inline"))) == forked
 
 
 class TestLedgerIntegration:
