@@ -28,7 +28,6 @@ import csv
 import json
 import math
 import os
-import pickle
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,8 +42,8 @@ from .errors import (EpiswarmError, InvariantViolation, PopulationCollapse, Sche
 from .evolution import IdAllocator, Population, evolve, update_decay_markers
 from .inference import information_gain, posterior_rows, strength_update
 # commit and encode_quantized stay bound though unused: bench/tracing.py wraps them here.
-from .ledger import (STRENGTH_MAX, LedgerColumns, commit, commit_rows,  # noqa: F401
-                     encode_quantized, grown, quantize_rows)
+from .ledger import (STRENGTH_MAX, LedgerColumns, _alongside, commit,  # noqa: F401
+                     commit_rows, encode_quantized, grown, quantize_rows)
 from .likelihood import predictive_distribution
 from .rating import rating_step, reward_gradient
 # substream stays bound though unused: bench/tracing.py wraps it here.
@@ -397,66 +396,6 @@ def _write_reports(result: RunResult, paths: dict) -> None:
                                                               r.fitness, r.aggregate))))
 
 
-def _pickled(exc: BaseException) -> bytes:
-    """``exc`` as bytes that unpickle, or, for an exception that does not
-    survive pickling, a RuntimeError naming it."""
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-        return data
-    except Exception:
-        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-
-
-def _alongside(child: Callable[[], None], parent: Callable[[], None]) -> None:
-    """Call ``child()`` in a forked process while ``parent()`` runs in this
-    one; return once both are done and the child has been reaped.
-
-    The child leaves through ``os._exit``, so it never flushes this process's
-    stdio buffers nor returns into the caller's stack. An exception it raises
-    comes back through a pipe, pickled, and is raised here as the same
-    exception, unless ``parent()`` raised first. The child is reaped on every
-    path. Where ``os.fork`` does not exist, both run here, child first."""
-    fork = getattr(os, "fork", None)
-    if fork is None:
-        child()
-        parent()
-        return
-    r, w = os.pipe()
-    try:
-        pid = fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            try:
-                child()
-                status = 0
-            except BaseException as exc:
-                with open(w, "wb") as pipe:
-                    pipe.write(_pickled(exc))
-        finally:
-            os._exit(status)
-    os.close(w)
-    try:
-        parent()
-    finally:
-        try:
-            with open(r, "rb") as pipe:
-                sent = pipe.read()
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    if sent:
-        raise pickle.loads(sent)
-    if status:
-        raise ChildProcessError(f"artifact writer exited with status "
-                                f"{os.waitstatus_to_exitcode(status)}")
-
-
 def write_artifacts(result: RunResult, out_dir: str) -> dict:
     """Write metrics JSONL, one score row per ScoreReport, ledger, state log, and
     the summary CSV, each byte as json.dumps(row, separators=(",", ":")) (csv for
@@ -465,8 +404,9 @@ def write_artifacts(result: RunResult, out_dir: str) -> dict:
 
     ``metrics.jsonl`` and ``scores.jsonl`` are written by a forked child
     process while this one writes the ledger, the state log and the summary
-    (see ``_alongside``); the bytes are the same where ``os.fork`` is missing
-    and all five run here. A write error in either process is raised here."""
+    (see ``ledger._alongside``); the bytes are the same where ``os.fork`` is
+    missing or fails and all five run here. A write error in either process is
+    raised here."""
     from .ledger import write_ledger, write_state_log
 
     os.makedirs(out_dir, exist_ok=True)

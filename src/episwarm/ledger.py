@@ -36,16 +36,25 @@ Like the writer, the state-log reader parses and checks each distinct
 belief-list text of a block once, or not at all if the block before held it.
 A failed block is checked again line by line with Python ints, to name the
 first line that does not print back, else the first out-of-range integer.
+
+``audit_artifacts`` replays a state log of more than two read blocks on two
+processes: a forked child (``_alongside``, which ``engine.write_artifacts``
+uses too) replays the lines before the middle, while the caller counts each
+agent's rows there from their agent ids alone and replays the rest from those
+counts. Wherever the two halves could differ from one pass (an error on either
+side, counts that disagree, no ``os.fork``), one pass is made, and decides.
 """
 
 from __future__ import annotations
 
 import binascii
 import hashlib
+import os
+import pickle
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -375,6 +384,19 @@ def _refuse(block: List[bytes], first: int, line_ints, what: str, expected: str)
     raise ShapeMismatch(f"{what} line {no}: {value} is outside the signed 64-bit range")
 
 
+def _blocks(f, lo: int = 0, hi: Optional[int] = None) -> Iterator[List[bytes]]:
+    # The lines of binary file ``f`` from byte ``lo`` to byte ``hi`` (None:
+    # the end), both at line starts, in readlines blocks of about _BLOCK_BYTES.
+    f.seek(lo)
+    for block in iter(lambda: f.readlines(_BLOCK_BYTES), []):
+        lo += sum(map(len, block))
+        while hi is not None and lo > hi:  # the lines read past hi
+            lo -= len(block.pop())
+        yield block
+        if hi is not None and lo >= hi:
+            return
+
+
 def _ledger_block(lines: List[bytes], exact: bool = False) -> Tuple[np.ndarray, bytes]:
     # The (n, 2) ids and steps and the concatenated digests of non-empty
     # ledger lines, each ending in TAB, 64 hex digits and LF as it prints;
@@ -394,10 +416,9 @@ def read_ledger(path) -> Tuple[np.ndarray, np.ndarray, bytearray]:
     A first pass counts the lines; the columns (48 bytes an entry) fill in place."""
     with open(path, "rb") as f:
         count = sum(block.count(b"\n") for block in iter(lambda: f.read(_BLOCK_BYTES), b""))
-        f.seek(0)
         ids_steps, digests = np.empty((count, 2), STATE_DTYPE), bytearray(32 * count)
         n, first = 0, 1
-        for block in iter(lambda: f.readlines(_BLOCK_BYTES), []):
+        for block in _blocks(f):
             try:
                 ints, text_digests = _ledger_block([line for line in block if line != b"\n"])
             except ValueError:
@@ -431,24 +452,32 @@ def _state_block(lines: List[bytes], k: int, known, exact: bool = False):
     return scalars, texts, new, beliefs
 
 
-def read_state_log(path) -> Iterator[np.ndarray]:
+def _belief_count(line: bytes) -> int:
+    # K, as a state-log row's integers count it
+    return max(len(line.translate(_INT_BYTES).split()), 6) - 6
+
+
+def read_state_log(path, lo: int = 0, hi: Optional[int] = None,
+                   k: Optional[int] = None) -> Iterator[np.ndarray]:
     """Yield the state log as (B, K+6) little-endian int64 matrices in
     ``quantize_rows`` column order, one per block of lines: the inverse of
-    ``write_state_log``. K comes from the first row; every non-empty line must
-    be one ``write_state_log`` prints for that K, with integers in the signed
-    64-bit range. Otherwise raises ShapeMismatch naming the line."""
+    ``write_state_log``. Reads the lines from byte ``lo`` to byte ``hi``
+    (None: the end of the file), both at line starts. K is ``k``, else it
+    comes from the first row read; every non-empty line must be one
+    ``write_state_log`` prints for that K, with integers in the signed 64-bit
+    range. Otherwise raises ShapeMismatch naming the line, counted from ``lo``."""
 
     def line_ints(line):  # in the line's order
         scalars, _, _, beliefs = _state_block([line], k, (), True)
         return [*scalars[0, :2], *beliefs[0], *scalars[0, 2:]]
 
-    k, known, first = None, {}, 1  # known: the block before's texts -> their rows of table
+    table, known, first = None, {}, 1  # known: the block before's texts -> their rows of table
     with open(path, "rb") as f:
-        for block in iter(lambda: f.readlines(_BLOCK_BYTES), []):
+        for block in _blocks(f, lo, hi):
             lines = [line for line in block if line != b"\n"]
             if lines:
-                if k is None:
-                    k = max(len(lines[0].translate(_INT_BYTES).split()), 6) - 6
+                if table is None:
+                    k = _belief_count(lines[0]) if k is None else k
                     table = np.empty((0, k), STATE_DTYPE)
                 try:
                     scalars, texts, new, beliefs = _state_block(lines, k, known)
@@ -480,6 +509,70 @@ def ledger_root(chains: Mapping) -> str:
     return _root(ids, np.frombuffer(b"".join([chains[a].head for a in ids]), "V32"))
 
 
+def _pickled(exc: BaseException) -> bytes:
+    """``exc`` as bytes that unpickle, or, for an exception that does not
+    survive pickling, a RuntimeError naming it."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+def _alongside(child: Callable[[], object], parent: Callable[[], object]) -> tuple:
+    """Call ``child()`` in a forked process while ``parent()`` runs in this
+    one; once both are done and the child has been reaped, return both
+    results, the child's sent back pickled through a pipe.
+
+    The child leaves through ``os._exit``, so it never flushes this process's
+    stdio buffers nor returns into the caller's stack. An exception it raises
+    comes back through the pipe, pickled, and is raised here as the same
+    exception, unless ``parent()`` raised first. The child is reaped on every
+    path. Where ``os.fork`` does not exist or raises OSError (no free process
+    or memory), both run here, child first."""
+    pid = None
+    if hasattr(os, "fork"):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException as exc:
+            os.close(r)
+            os.close(w)
+            if not isinstance(exc, OSError):
+                raise
+    if pid is None:
+        return child(), parent()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                sent, failed = pickle.dumps(child()), False
+            except BaseException as exc:
+                sent, failed = _pickled(exc), True
+            with open(w, "wb") as pipe:
+                pipe.write(sent)
+            status = int(failed)
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        mine = parent()
+    finally:
+        try:
+            with open(r, "rb") as pipe:
+                sent = pipe.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if status:
+        if sent:
+            raise pickle.loads(sent)
+        raise ChildProcessError(f"forked child exited with status "
+                                f"{os.waitstatus_to_exitcode(status)}")
+    return pickle.loads(sent), mine
+
+
 def verify_artifacts(ledger_path, statelog_path) -> List[Tuple[int, int]]:
     """The findings of ``audit_artifacts``."""
     return audit_artifacts(ledger_path, statelog_path)[0]
@@ -495,6 +588,15 @@ def audit_artifacts(ledger_path, statelog_path) -> Tuple[List[Tuple[int, int]], 
     step, then H(enc || recorded digest of entry n-1). Length mismatches,
     agents present on one side only and misaligned steps are findings too:
     tamper evidence, not I/O failures.
+
+    A state log of more than two ``_BLOCK_BYTES`` blocks is replayed on two
+    processes (``_alongside``), once the ledger is read: a forked child
+    replays the lines before the first line start past the middle byte, while
+    this process counts each agent's rows there from their ids alone and
+    replays the rest from those counts. If either side raises, or the child's
+    counts differ from the scan's, or ``os.fork`` is missing, the state log is
+    replayed once more in one pass, so the findings, and any error raised,
+    are those of the one pass.
     """
     ids, steps, digests = read_ledger(ledger_path)
     # Group the ledger by agent, keeping file order within each agent: entry
@@ -513,31 +615,75 @@ def audit_artifacts(ledger_path, statelog_path) -> Tuple[List[Tuple[int, int]], 
     # A last slot, with no entries, takes the rows of agents absent from the ledger.
     slots = np.append(agents, INT64_MAX)
     start, length = np.append(start, 0), np.append(length, 0)
-    seen = np.zeros(len(slots), dtype=np.int64)  # rows replayed per slot
-    misaligned = length.copy()  # first row index whose step differs, else length
-    bad = length.copy()  # first row index whose digest differs, else length
-    unmatched: dict = {}  # agent id -> step of its first row with no ledger entry
-    for q in read_state_log(statelog_path):
-        a = np.searchsorted(slots, q[:, 0])
-        a[slots[a] != q[:, 0]] = len(agents)
-        # n: each row's index among its agent's rows, earlier blocks included
-        by_slot = np.argsort(a, kind="stable")
-        n = np.empty_like(a)
-        n[by_slot] = np.arange(len(a)) - np.searchsorted(a[by_slot], a[by_slot])
-        n += seen[a]
-        seen += np.bincount(a, minlength=len(slots))
-        over = n >= length[a]
-        for agent_id, step in q[over, :2].tolist():
-            unmatched.setdefault(agent_id, step)
-        rows, a, n = np.flatnonzero(~over), a[~over], n[~over]
-        pos = start[a] + n
-        off = steps[file_pos(pos)] != q[rows, 1]
-        np.minimum.at(misaligned, a[off], n[off])
-        # each row chains onto its agent's previous recorded digest, if any
-        chained = n > 0
-        wrong = (chain_digests(q[rows], recorded[file_pos(pos - chained)], chained)
-                 != recorded[file_pos(pos)]).any(axis=1)
-        np.minimum.at(bad, a[wrong], n[wrong])
+
+    def slot(agent_ids: np.ndarray) -> np.ndarray:
+        a = np.searchsorted(slots, agent_ids)
+        a[slots[a] != agent_ids] = len(agents)
+        return a
+
+    def replay(lo: int, hi: Optional[int], k: Optional[int], seen: np.ndarray):
+        # The state log's lines from byte lo to hi replayed, ``seen`` rows of
+        # each slot before them: the rows seen per slot after them; per slot,
+        # the first row index whose step (``misaligned``) or digest (``bad``)
+        # differs, else length; and for each agent the step of its first row
+        # with no ledger entry (``unmatched``).
+        seen = seen.copy()
+        misaligned, bad, unmatched = length.copy(), length.copy(), {}
+        for q in read_state_log(statelog_path, lo, hi, k):
+            a = slot(q[:, 0])
+            # n: each row's index among its agent's rows, earlier blocks included
+            by_slot = np.argsort(a, kind="stable")
+            n = np.empty_like(a)
+            n[by_slot] = np.arange(len(a)) - np.searchsorted(a[by_slot], a[by_slot])
+            n += seen[a]
+            seen += np.bincount(a, minlength=len(slots))
+            over = n >= length[a]
+            for agent_id, step in q[over, :2].tolist():
+                unmatched.setdefault(agent_id, step)
+            rows, a, n = np.flatnonzero(~over), a[~over], n[~over]
+            pos = start[a] + n
+            off = steps[file_pos(pos)] != q[rows, 1]
+            np.minimum.at(misaligned, a[off], n[off])
+            # each row chains onto its agent's previous recorded digest, if any
+            chained = n > 0
+            wrong = (chain_digests(q[rows], recorded[file_pos(pos - chained)], chained)
+                     != recorded[file_pos(pos)]).any(axis=1)
+            np.minimum.at(bad, a[wrong], n[wrong])
+        return seen, misaligned, bad, unmatched
+
+    def scan_and_replay(cut: int):
+        # Each slot's rows before the cut, from the lines' agent ids alone, and
+        # the replay of the lines after it, counting from those rows.
+        counts, k = np.zeros(len(slots), np.int64), None
+        with open(statelog_path, "rb") as f:
+            for block in _blocks(f, 0, cut):
+                lines = [line for line in block if line != b"\n"]
+                if lines:
+                    k = _belief_count(lines[0]) if k is None else k
+                    # a printed row starts {"agent_id":INT,
+                    counts += np.bincount(slot(np.array(
+                        [int(line[12:line.index(b",", 12)]) for line in lines], STATE_DTYPE)),
+                        minlength=len(slots))
+        return counts, replay(cut, None, k, counts)
+
+    zeros = np.zeros(len(slots), np.int64)
+    replayed = None
+    size = os.path.getsize(statelog_path)
+    if size > 2 * _BLOCK_BYTES and hasattr(os, "fork"):
+        with open(statelog_path, "rb") as f:
+            f.seek(size // 2)
+            f.readline()
+            cut = f.tell()
+        try:
+            (counted, *before), (counts, (seen, misaligned, bad, unmatched)) = _alongside(
+                lambda: replay(0, cut, None, zeros), lambda: scan_and_replay(cut))
+        except Exception:  # the one pass below raises the error, numbered from line 1
+            pass
+        else:
+            if np.array_equal(counted, counts):  # the second half counted on from these
+                replayed = (seen, np.minimum(misaligned, before[0]), np.minimum(bad, before[1]),
+                            {**unmatched, **before[2]})  # the first half's rows come first
+    seen, misaligned, bad, unmatched = replayed or replay(0, None, None, zeros)
     # Per agent, a length mismatch outranks a misaligned step, which outranks a
     # digest mismatch, each reported at its first index; rows past the end of
     # a chain, or of an agent the ledger lacks, are reported at the first one.

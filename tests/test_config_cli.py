@@ -804,6 +804,36 @@ class TestLedgerRoot:
                          str(out / "statelog.jsonl")]) == 0
             assert capsys.readouterr().out.splitlines() == ["ok: all chains verified", root]
 
+    @pytest.mark.parametrize("deleted", ["tail", "chain"])
+    def test_deleted_from_both_files_passes_only_plain_verify(self, deleted, tmp_path, capsys):
+        """Plain verify shows that the two files agree, not that each chain is
+        whole: deleting a chain's last entry, or the whole chain, from both
+        files still verifies. The chain heads change, so --root exits 3."""
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "run", write_cfg(tmp_path, REFERENCE_SMALL)]) == 0
+        root = [x for x in capsys.readouterr().out.splitlines() if x.startswith("root=")][0][5:]
+        ledger_lines = (out / "ledger.tsv").read_text().splitlines(keepends=True)
+        state_lines = (out / "statelog.jsonl").read_text().splitlines(keepends=True)
+        ids = [int(line.split("\t")[0]) for line in ledger_lines]
+        agent = max(set(ids), key=ids.count)  # the longest chain
+        last = max(json.loads(line)["step"] for line in state_lines
+                   if json.loads(line)["agent_id"] == agent)
+        assert ids.count(agent) >= 2
+
+        def kept(agent_id, step):
+            return agent_id != agent or (deleted == "tail" and step != last)
+
+        (out / "ledger.tsv").write_text("".join(
+            line for line in ledger_lines if kept(*map(int, line.split("\t")[:2]))))
+        (out / "statelog.jsonl").write_text("".join(
+            line for line in state_lines
+            if kept(json.loads(line)["agent_id"], json.loads(line)["step"])))
+        files = [str(out / "ledger.tsv"), str(out / "statelog.jsonl")]
+        assert main(["verify", *files]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "ok: all chains verified"
+        assert main(["verify", *files, "--root", root]) == 3
+        assert capsys.readouterr().out.splitlines()[0] == f"ROOT MISMATCH expected={root}"
+
     def test_verify_root(self, tmp_path, capsys):
         """--root binds the files to a root recorded elsewhere: files of another
         run verify on their own, but not against this run's root."""

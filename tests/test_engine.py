@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import math
 import os
@@ -9,15 +10,15 @@ import numpy as np
 import pytest
 
 from conftest import json_lines, small_config, statelog_rows
-from episwarm import competition, engine
+from episwarm import competition, engine, ledger
 from episwarm.competition import MarginMatrix, margin_entries
 from episwarm.config import from_dict, set_param
 from episwarm.engine import (SWEEP_OBSERVABLES, Simulation, default_schedule, run, simulate,
                              sweep, write_artifacts)
 from episwarm.errors import (ConfigError, InvariantViolation, PopulationCollapse,
                              ScheduleViolation, ShapeMismatch)
-from episwarm.ledger import (VERSION_PREFIX, encode_quantized, verify_artifacts,
-                             write_state_log)
+from episwarm.ledger import (VERSION_PREFIX, audit_artifacts, encode_quantized,
+                             verify_artifacts, write_state_log)
 from episwarm.rng import DOMAIN_RATING, Draws, substream
 
 
@@ -470,6 +471,33 @@ class TestForkedWriter:
         forked = artifact_bytes(write_artifacts(res, str(tmp_path / "forked")))
         monkeypatch.delattr(os, "fork")
         assert artifact_bytes(write_artifacts(res, str(tmp_path / "inline"))) == forked
+
+    def test_fork_failure_runs_both_here(self, res, tmp_path, monkeypatch):
+        # os.fork raising OSError, as it does with no free process or memory:
+        # the writers, and verify's two halves, run one after the other here
+        forked = write_artifacts(res, str(tmp_path / "forked"))
+        with open(forked["statelog"], encoding="ascii") as f:
+            lines = f.readlines()
+        i, j = len(lines) // 3, 2 * len(lines) // 3
+        lines[i], lines[j] = lines[j], lines[i]
+        tampered = str(tmp_path / "tampered.jsonl")
+        with open(tampered, "w", encoding="ascii") as f:
+            f.writelines(lines)
+        states = (forked["statelog"], tampered)
+        expected = [audit_artifacts(forked["ledger"], s) for s in states]  # one pass
+        assert expected[0][0] == [] and expected[1][0]
+        tries = []
+
+        def fail():
+            tries.append(1)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fail)
+        monkeypatch.setattr(ledger, "_BLOCK_BYTES", 300)  # verify takes the two-process path
+        inline = write_artifacts(res, str(tmp_path / "inline"))
+        assert artifact_bytes(inline) == artifact_bytes(forked)
+        assert [audit_artifacts(inline["ledger"], s) for s in states] == expected
+        assert len(tries) == 3
 
 
 class TestLedgerIntegration:

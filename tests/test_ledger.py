@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import re
 import struct
@@ -15,9 +16,9 @@ from episwarm.engine import default_schedule, simulate
 from episwarm.errors import LengthMismatch, NonMonotonicStep, ShapeMismatch
 from episwarm.evolution import Population
 from episwarm.ledger import (INT64_MAX, INT64_MIN, STRENGTH_MAX, LedgerChain, LedgerColumns,
-                             chain_digests, commit, commit_rows, encode_quantized,
-                             quantize_rows, read_state_log, verify_chain, verify_artifacts,
-                             write_ledger, write_state_log)
+                             audit_artifacts, chain_digests, commit, commit_rows,
+                             encode_quantized, quantize_rows, read_state_log, verify_chain,
+                             verify_artifacts, write_ledger, write_state_log)
 from episwarm.spaces import HypothesisSpace
 
 SP2 = HypothesisSpace.indexed(2)
@@ -721,3 +722,117 @@ class TestStreamingVerify:
 
         per_entry = (peak(1000) - peak(100)) / (100_000 - 10_000)
         assert per_entry <= 56, per_entry
+
+
+class DrawsAt(random.Random):
+    """Draws as random.Random(seed) does, except that its first randrange
+    returns ``at``, and its first sample starts with ``at``: a TAMPERS edit
+    made at line ``at``."""
+
+    def __init__(self, seed, at):
+        super().__init__(seed)
+        self.at = at
+
+    def randrange(self, *args):
+        at, self.at = self.at, None
+        return super().randrange(*args) if at is None else at
+
+    def sample(self, population, k):
+        at, self.at = self.at, None
+        picks = super().sample(population, k)
+        return picks if at is None else [at, *[p for p in picks if p != at][:k - 1]]
+
+
+def cut_at(text):
+    """The byte offset where the two-process replay cuts a state log: the
+    first line start past its middle byte."""
+    return text.find("\n", len(text) // 2) + 1
+
+
+def cut_line(lines):
+    """The index of the first of ``lines`` after the cut."""
+    text = "".join(lines)
+    return text[:cut_at(text)].count("\n")
+
+
+class TestTwoProcessVerify:
+    """A state log of more than two blocks replays its lines before the cut
+    in a forked child and the rest in the caller; the findings and errors are
+    those of the one pass that runs without os.fork."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # The (lo, hi) of each read_state_log call made in this process (a
+        # forked child appends to its own copy), with blocks of 300 bytes, so
+        # that the async run's state log (43 KB) takes the two-process path.
+        calls, read = [], ledger.read_state_log
+
+        def spy(path, lo=0, hi=None, k=None):
+            calls.append((lo, hi))
+            return read(path, lo, hi, k)
+
+        monkeypatch.setattr(ledger, "read_state_log", spy)
+        monkeypatch.setattr(ledger, "_BLOCK_BYTES", 300)
+        return calls
+
+    def one_pass(self, paths, monkeypatch):
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            try:
+                return audit_artifacts(*paths)
+            except ShapeMismatch as exc:
+                return str(exc)
+
+    def check(self, state_lines, async_artifacts, tmp_path, monkeypatch, calls):
+        """Audit the state log of ``state_lines`` on two processes, and check
+        it against the one pass and the reference; return the findings."""
+        (tmp_path / "ledger.tsv").write_text("".join(async_artifacts["ledger.tsv"]))
+        (tmp_path / "statelog.jsonl").write_text("".join(state_lines))
+        paths = (tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl")
+        calls.clear()
+        split = audit_artifacts(*paths)
+        assert calls == [(cut_at("".join(state_lines)), None)]  # this process replayed only from the cut
+        assert split == self.one_pass(paths, monkeypatch)
+        assert split[0] == reference_findings(*paths)
+        return split[0]
+
+    @pytest.mark.parametrize("kind", sorted(TAMPERS))
+    def test_tampers_at_the_cut(self, kind, async_artifacts, tmp_path, monkeypatch, calls):
+        lines = async_artifacts["statelog.jsonl"]
+        assert len("".join(lines)) > 2 * 300
+        found = 0
+        for at in (cut_line(lines) - 1, cut_line(lines)):  # the last line before, the first after
+            for seed in range(2):
+                tampered = list(lines)
+                TAMPERS[kind](tampered, DrawsAt(seed, at))
+                found += bool(self.check(tampered, async_artifacts, tmp_path, monkeypatch, calls))
+        assert found == 0 if kind == "blank_lines" else found >= 3
+
+    def test_blank_lines_across_the_cut(self, async_artifacts, tmp_path, monkeypatch, calls):
+        lines = list(async_artifacts["statelog.jsonl"])
+        lines.insert(cut_line(lines), "\n" * 400)
+        spread = "".join(lines).splitlines(keepends=True)
+        i = cut_line(spread)
+        assert spread[i - 1] == spread[i] == "\n"  # the cut falls inside the blank run
+        assert self.check(spread, async_artifacts, tmp_path, monkeypatch, calls) == []
+
+    @pytest.mark.parametrize("side", [-1, 0])  # the child's half, the caller's half
+    @pytest.mark.parametrize("edit", ['"belief_q":[', '{"agent_id":'])
+    def test_malformed_line_raises_the_one_pass_error(self, side, edit, async_artifacts,
+                                                       tmp_path, monkeypatch, calls):
+        lines = list(async_artifacts["statelog.jsonl"])
+        i = cut_line(lines) + side
+        lines[i] = lines[i].replace(edit, edit + "0", 1)  # a leading zero
+        (tmp_path / "ledger.tsv").write_text("".join(async_artifacts["ledger.tsv"]))
+        (tmp_path / "statelog.jsonl").write_text("".join(lines))
+        paths = (tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl")
+        with pytest.raises(ShapeMismatch, match=f"^state log line {i + 1}: ") as info:
+            audit_artifacts(*paths)
+        assert str(info.value) == self.one_pass(paths, monkeypatch)
+
+    def test_verify_memory_below_state_log_size_in_one_pass(self, tmp_path, monkeypatch):
+        # TestStreamingVerify's bound holds on the two-process replay, where
+        # this process scans the first half's ids a block at a time, and here
+        # on the one pass.
+        monkeypatch.delattr(os, "fork")
+        TestStreamingVerify().test_verify_memory_below_state_log_size(tmp_path)
