@@ -225,8 +225,6 @@ class Simulation:
         """Advance one step: the metrics snapshot, the bookkeeping (with the
         ScoreReport, if any agent was scored) and the committed quantize_rows."""
         pop = self.population
-        if len(pop) == 0:
-            raise PopulationCollapse(step=t)
         mass_before = pop.rating_mass()
 
         if self.observations is None:  # every agent at a step sees the same datum

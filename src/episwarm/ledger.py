@@ -41,8 +41,10 @@ first line that does not print back, else the first out-of-range integer.
 processes: a forked child (``_alongside``, which ``engine.write_artifacts``
 uses too) replays the lines before the middle, while the caller counts each
 agent's rows there from their agent ids alone and replays the rest from those
-counts. Wherever the two halves could differ from one pass (an error on either
-side, counts that disagree, no ``os.fork``), one pass is made, and decides.
+counts. Both halves number lines from the start of the file, and the child's
+error comes first, so an error names the line one pass would; counts that
+disagree mean the file changed while it was read. Without ``os.fork`` the
+same replay runs once over the whole file.
 """
 
 from __future__ import annotations
@@ -457,21 +459,22 @@ def _belief_count(line: bytes) -> int:
     return max(len(line.translate(_INT_BYTES).split()), 6) - 6
 
 
-def read_state_log(path, lo: int = 0, hi: Optional[int] = None,
-                   k: Optional[int] = None) -> Iterator[np.ndarray]:
+def read_state_log(path, lo: int = 0, hi: Optional[int] = None, k: Optional[int] = None,
+                   first: int = 1) -> Iterator[np.ndarray]:
     """Yield the state log as (B, K+6) little-endian int64 matrices in
     ``quantize_rows`` column order, one per block of lines: the inverse of
     ``write_state_log``. Reads the lines from byte ``lo`` to byte ``hi``
     (None: the end of the file), both at line starts. K is ``k``, else it
     comes from the first row read; every non-empty line must be one
     ``write_state_log`` prints for that K, with integers in the signed 64-bit
-    range. Otherwise raises ShapeMismatch naming the line, counted from ``lo``."""
+    range. Otherwise raises ShapeMismatch naming the line, the line at ``lo``
+    numbered ``first``."""
 
     def line_ints(line):  # in the line's order
         scalars, _, _, beliefs = _state_block([line], k, (), True)
         return [*scalars[0, :2], *beliefs[0], *scalars[0, 2:]]
 
-    table, known, first = None, {}, 1  # known: the block before's texts -> their rows of table
+    table, known = None, {}  # known: the block before's texts -> their rows of table
     with open(path, "rb") as f:
         for block in _blocks(f, lo, hi):
             lines = [line for line in block if line != b"\n"]
@@ -528,9 +531,10 @@ def _alongside(child: Callable[[], object], parent: Callable[[], object]) -> tup
     The child leaves through ``os._exit``, so it never flushes this process's
     stdio buffers nor returns into the caller's stack. An exception it raises
     comes back through the pipe, pickled, and is raised here as the same
-    exception, unless ``parent()`` raised first. The child is reaped on every
-    path. Where ``os.fork`` does not exist or raises OSError (no free process
-    or memory), both run here, child first."""
+    exception. The child is reaped on every path. Where ``os.fork`` does not
+    exist or raises OSError (no free process or memory), both run here, child
+    first. Either way errors come out as if ``child()`` and then ``parent()``
+    had run in turn: where both raise, the child's error is raised."""
     pid = None
     if hasattr(os, "fork"):
         r, w = os.pipe()
@@ -565,11 +569,9 @@ def _alongside(child: Callable[[], object], parent: Callable[[], object]) -> tup
                 sent = pipe.read()
         finally:
             status = os.waitpid(pid, 0)[1]
-    if status:
-        if sent:
-            raise pickle.loads(sent)
-        raise ChildProcessError(f"forked child exited with status "
-                                f"{os.waitstatus_to_exitcode(status)}")
+        if status:  # raised in place of any error of parent()
+            raise pickle.loads(sent) if sent else ChildProcessError(
+                f"forked child exited with status {os.waitstatus_to_exitcode(status)}")
     return pickle.loads(sent), mine
 
 
@@ -593,25 +595,24 @@ def audit_artifacts(ledger_path, statelog_path) -> Tuple[List[Tuple[int, int]], 
     processes (``_alongside``), once the ledger is read: a forked child
     replays the lines before the first line start past the middle byte, while
     this process counts each agent's rows there from their ids alone and
-    replays the rest from those counts. If either side raises, or the child's
-    counts differ from the scan's, or ``os.fork`` is missing, the state log is
-    replayed once more in one pass, so the findings, and any error raised,
-    are those of the one pass.
+    replays the rest from those counts. Both halves number lines from the
+    start of the file, and where both raise, the child's error is raised, so
+    the findings, and any error raised, are those of one pass over the file.
+    Row counts that differ from the scan's mean the file changed while it was
+    read: ShapeMismatch. Without ``os.fork`` the one pass runs here.
     """
     ids, steps, digests = read_ledger(ledger_path)
-    # Group the ledger by agent, keeping file order within each agent: entry
-    # n of agent slots[a] is grouped entry start[a] + n, at file position
-    # file_pos(start[a] + n). write_ledger groups already; other orders are
-    # grouped by one stable sort, while steps and digests stay in file order.
-    file_pos = np.asarray
+    recorded = np.frombuffer(digests, np.uint8).reshape(-1, 32)
+    # Group the ledger by agent, keeping file order within each agent, so that
+    # entry n of agent slots[a] is entry start[a] + n. write_ledger groups
+    # already; other orders are grouped by one stable sort.
     if not np.all(ids[1:] >= ids[:-1]):
         order = np.argsort(ids, kind="stable")
-        ids, file_pos = ids[order], order.__getitem__
-    # each agent's first grouped entry; [:len(ids)] drops the 0 of an empty ledger
+        ids, steps, recorded = ids[order], steps[order], recorded[order]
+    # each agent's first entry; [:len(ids)] drops the 0 of an empty ledger
     start = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])[:len(ids)]
     agents, length = ids[start], np.diff(start, append=len(ids))
-    recorded = np.frombuffer(digests, np.uint8).reshape(-1, 32)  # a view, in file order
-    root = _root(agents, recorded[file_pos(start + length - 1)].view("V32").ravel())
+    root = _root(agents, recorded[start + length - 1].view("V32").ravel())
     # A last slot, with no entries, takes the rows of agents absent from the ledger.
     slots = np.append(agents, INT64_MAX)
     start, length = np.append(start, 0), np.append(length, 0)
@@ -621,15 +622,16 @@ def audit_artifacts(ledger_path, statelog_path) -> Tuple[List[Tuple[int, int]], 
         a[slots[a] != agent_ids] = len(agents)
         return a
 
-    def replay(lo: int, hi: Optional[int], k: Optional[int], seen: np.ndarray):
-        # The state log's lines from byte lo to hi replayed, ``seen`` rows of
-        # each slot before them: the rows seen per slot after them; per slot,
-        # the first row index whose step (``misaligned``) or digest (``bad``)
-        # differs, else length; and for each agent the step of its first row
-        # with no ledger entry (``unmatched``).
+    def replay(lo: int, hi: Optional[int], k: Optional[int], seen: np.ndarray, first: int):
+        # The state log's lines from byte lo to hi replayed, the first
+        # numbered ``first`` and ``seen`` rows of each slot before them: the
+        # rows seen per slot after them; per slot, the first row index whose
+        # step (``misaligned``) or digest (``bad``) differs, else length; and
+        # for each agent the step of its first row with no ledger entry
+        # (``unmatched``).
         seen = seen.copy()
         misaligned, bad, unmatched = length.copy(), length.copy(), {}
-        for q in read_state_log(statelog_path, lo, hi, k):
+        for q in read_state_log(statelog_path, lo, hi, k, first):
             a = slot(q[:, 0])
             # n: each row's index among its agent's rows, earlier blocks included
             by_slot = np.argsort(a, kind="stable")
@@ -642,21 +644,22 @@ def audit_artifacts(ledger_path, statelog_path) -> Tuple[List[Tuple[int, int]], 
                 unmatched.setdefault(agent_id, step)
             rows, a, n = np.flatnonzero(~over), a[~over], n[~over]
             pos = start[a] + n
-            off = steps[file_pos(pos)] != q[rows, 1]
+            off = steps[pos] != q[rows, 1]
             np.minimum.at(misaligned, a[off], n[off])
             # each row chains onto its agent's previous recorded digest, if any
             chained = n > 0
-            wrong = (chain_digests(q[rows], recorded[file_pos(pos - chained)], chained)
-                     != recorded[file_pos(pos)]).any(axis=1)
+            wrong = (chain_digests(q[rows], recorded[pos - chained], chained)
+                     != recorded[pos]).any(axis=1)
             np.minimum.at(bad, a[wrong], n[wrong])
         return seen, misaligned, bad, unmatched
 
     def scan_and_replay(cut: int):
         # Each slot's rows before the cut, from the lines' agent ids alone, and
-        # the replay of the lines after it, counting from those rows.
-        counts, k = np.zeros(len(slots), np.int64), None
+        # the replay of the lines after it, counting on from those rows and lines.
+        counts, k, lines_before = np.zeros(len(slots), np.int64), None, 0
         with open(statelog_path, "rb") as f:
             for block in _blocks(f, 0, cut):
+                lines_before += len(block)
                 lines = [line for line in block if line != b"\n"]
                 if lines:
                     k = _belief_count(lines[0]) if k is None else k
@@ -664,30 +667,27 @@ def audit_artifacts(ledger_path, statelog_path) -> Tuple[List[Tuple[int, int]], 
                     counts += np.bincount(slot(np.array(
                         [int(line[12:line.index(b",", 12)]) for line in lines], STATE_DTYPE)),
                         minlength=len(slots))
-        return counts, replay(cut, None, k, counts)
+        return counts, replay(cut, None, k, counts, lines_before + 1)
 
     zeros = np.zeros(len(slots), np.int64)
-    replayed = None
     size = os.path.getsize(statelog_path)
-    if size > 2 * _BLOCK_BYTES and hasattr(os, "fork"):
+    if size <= 2 * _BLOCK_BYTES or not hasattr(os, "fork"):
+        seen, misaligned, bad, unmatched = replay(0, None, None, zeros, 1)
+    else:
         with open(statelog_path, "rb") as f:
             f.seek(size // 2)
             f.readline()
             cut = f.tell()
-        try:
-            (counted, *before), (counts, (seen, misaligned, bad, unmatched)) = _alongside(
-                lambda: replay(0, cut, None, zeros), lambda: scan_and_replay(cut))
-        except Exception:  # the one pass below raises the error, numbered from line 1
-            pass
-        else:
-            if np.array_equal(counted, counts):  # the second half counted on from these
-                replayed = (seen, np.minimum(misaligned, before[0]), np.minimum(bad, before[1]),
-                            {**unmatched, **before[2]})  # the first half's rows come first
-    seen, misaligned, bad, unmatched = replayed or replay(0, None, None, zeros)
+        (counted, *before), (counts, (seen, misaligned, bad, unmatched)) = _alongside(
+            lambda: replay(0, cut, None, zeros, 1), lambda: scan_and_replay(cut))
+        if not np.array_equal(counted, counts):  # the second half counted on from these
+            raise ShapeMismatch("state log changed while it was read")
+        misaligned, bad = np.minimum(misaligned, before[0]), np.minimum(bad, before[1])
+        unmatched = {**unmatched, **before[2]}  # the first half's rows come first
     # Per agent, a length mismatch outranks a misaligned step, which outranks a
     # digest mismatch, each reported at its first index; rows past the end of
     # a chain, or of an agent the ledger lacks, are reported at the first one.
     index = np.where(seen < length, seen, np.where(misaligned < length, misaligned, bad))
     hit = np.flatnonzero((seen <= length) & (index < length))
-    return sorted([*unmatched.items(), *zip(slots[hit].tolist(), steps[
-        file_pos(start[hit] + index[hit])].tolist())]), root
+    return sorted([*unmatched.items(), *zip(slots[hit].tolist(),
+                                            steps[start[hit] + index[hit]].tolist())]), root

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -338,6 +339,16 @@ class TestCli:
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 6  # header + 5 grid rows
 
+    def test_sweep_takes_null_for_uncapped(self, tmp_path):
+        data = dict(REFERENCE_SMALL)
+        data["run"] = dict(data["run"], out_dir=str(tmp_path / "out"), horizon=10)
+        code = main(["sweep", write_cfg(tmp_path, data), "--param", "n_star",
+                     "--values", "null,128"])
+        assert code == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(row["value"], row["status"]) for row in rows] == [("", "ok"), ("128", "ok")]
+
     def test_sweep_unknown_param_exit_one(self, tmp_path):
         code = main(["sweep", write_cfg(tmp_path, dict(REFERENCE_SMALL)),
                      "--param", "warp_factor", "--values", "1,2"])
@@ -585,6 +596,29 @@ class TestBuild:
         with pytest.raises(ConfigError) as e:
             from_dict({**REFERENCE_SMALL, **extra})
         assert str(e.value).startswith(f"{where}:")
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"evolution": {"grace": 0}}, "evolution: grace must be a positive integer"),
+        ({"evolution": {"n_star": 0}}, "evolution: n_star must be >= 1"),
+        ({"likelihood": dict(GAUSSIAN, means=[-0.5, 0.5])},
+         "likelihood: need one finite mean per hypothesis (4)"),
+        ({"likelihood": dict(GAUSSIAN, scale=0)},
+         "likelihood: scale must be a positive finite real"),
+        ({"likelihood": GAUSSIAN, "task": {"observations": [[0.5, 1], ["0.5", 1]]}},
+         "task.observations[1]: gaussian model expects a real payload, got '0.5'"),
+        ({"likelihood": GAUSSIAN, "task": {"observations": [[True, 1]]}},
+         "task.observations[0]: gaussian model expects a real payload, got True"),
+        ({"likelihood": GAUSSIAN, "task": {"observations": [[0.5, 1], [0.0, 2], [NAN, 1]]}},
+         "task.observations[2]: gaussian payload must be finite"),
+        ({"likelihood": GAUSSIAN, "task": {"observations": [[-INF, 0]]}},
+         "task.observations[0]: gaussian payload must be finite"),
+    ], ids=["grace_zero", "n_star_zero", "gaussian_means_length", "gaussian_scale_zero",
+            "gaussian_text_payload", "gaussian_bool_payload", "gaussian_nan_payload",
+            "gaussian_infinite_payload"])
+    def test_refusal_names_its_field(self, extra, message):
+        with pytest.raises(ConfigError) as e:
+            from_dict({**REFERENCE_SMALL, **extra})
+        assert str(e.value).startswith(message)
 
     def test_simulation_checks_a_config_built_in_python(self):
         cfg = ScenarioConfig(space=SpaceSection(hypotheses=4), outcomes=4,

@@ -459,6 +459,23 @@ class TestForkedWriter:
             write_artifacts(res, str(tmp_path / "killed"))
         no_child_left()
 
+    def test_both_failing_raise_the_childs_error(self, monkeypatch):
+        # errors come out as if the child's part and then the caller's had run
+        # in turn, forked or not
+        def child():
+            raise ShapeMismatch("child")
+
+        def parent():
+            raise ValueError("parent")
+
+        with pytest.raises(ShapeMismatch, match="^child$"):
+            ledger._alongside(child, parent)
+        no_child_left()
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ShapeMismatch, match="^child$"):
+            ledger._alongside(child, parent)
+        no_child_left()
+
     def test_unflushed_stdout_written_once(self, res, tmp_path, capfd, monkeypatch):
         stream = open(os.dup(1), "w", encoding="ascii")  # buffered, not a tty
         monkeypatch.setattr(sys, "stdout", stream)
@@ -611,6 +628,16 @@ class TestAsync:
         cfg = small_config(run={"horizon": 12, "mode": "async", "async_bound": 3})
         with pytest.raises(ScheduleViolation):
             Simulation(cfg, schedule={0: (5, 8, 11)})
+
+    @pytest.mark.parametrize("steps,message", [
+        ((), "empty update set"),
+        ((0, 2, 2, 5, 8, 11), "update steps must be strictly increasing"),
+        ((0, 3, 6), "no update in final window before horizon 12"),
+    ], ids=["empty", "repeated_step", "final_window"])
+    def test_schedule_violation_names_the_founder(self, steps, message):
+        cfg = small_config(run={"horizon": 12, "mode": "async", "async_bound": 3})
+        with pytest.raises(ScheduleViolation, match=f"^agent 0: {message}$"):
+            Simulation(cfg, schedule={0: steps})
 
     def test_inactive_agents_frozen(self):
         cfg = small_config(rating={"sigma": 0.0},

@@ -767,9 +767,9 @@ class TestTwoProcessVerify:
         # that the async run's state log (43 KB) takes the two-process path.
         calls, read = [], ledger.read_state_log
 
-        def spy(path, lo=0, hi=None, k=None):
+        def spy(path, lo=0, hi=None, k=None, first=1):
             calls.append((lo, hi))
-            return read(path, lo, hi, k)
+            return read(path, lo, hi, k, first)
 
         monkeypatch.setattr(ledger, "read_state_log", spy)
         monkeypatch.setattr(ledger, "_BLOCK_BYTES", 300)
@@ -816,19 +816,50 @@ class TestTwoProcessVerify:
         assert spread[i - 1] == spread[i] == "\n"  # the cut falls inside the blank run
         assert self.check(spread, async_artifacts, tmp_path, monkeypatch, calls) == []
 
-    @pytest.mark.parametrize("side", [-1, 0])  # the child's half, the caller's half
-    @pytest.mark.parametrize("edit", ['"belief_q":[', '{"agent_id":'])
-    def test_malformed_line_raises_the_one_pass_error(self, side, edit, async_artifacts,
-                                                       tmp_path, monkeypatch, calls):
-        lines = list(async_artifacts["statelog.jsonl"])
+    def refuse(self, lines, side, edit, async_artifacts, tmp_path, monkeypatch, calls):
+        """Audit ``lines`` with a leading zero after ``edit`` on the line
+        ``side`` lines from the first after the cut: each half reads its lines
+        once, and the error names the line the one pass names."""
         i = cut_line(lines) + side
         lines[i] = lines[i].replace(edit, edit + "0", 1)  # a leading zero
         (tmp_path / "ledger.tsv").write_text("".join(async_artifacts["ledger.tsv"]))
         (tmp_path / "statelog.jsonl").write_text("".join(lines))
         paths = (tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl")
+        calls.clear()
         with pytest.raises(ShapeMismatch, match=f"^state log line {i + 1}: ") as info:
             audit_artifacts(*paths)
+        assert calls == [(cut_at("".join(lines)), None)]  # each half read once, no re-run
         assert str(info.value) == self.one_pass(paths, monkeypatch)
+
+    @pytest.mark.parametrize("side", [-1, 0])  # the child's half, the caller's half
+    @pytest.mark.parametrize("edit", ['"belief_q":[', '{"agent_id":'])
+    def test_malformed_line_raises_the_one_pass_error(self, side, edit, async_artifacts,
+                                                       tmp_path, monkeypatch, calls):
+        self.refuse(list(async_artifacts["statelog.jsonl"]), side, edit, async_artifacts,
+                    tmp_path, monkeypatch, calls)
+
+    @pytest.mark.parametrize("side", [-1, 0])
+    def test_empty_lines_before_a_malformed_line_are_numbered(self, side, async_artifacts,
+                                                              tmp_path, monkeypatch, calls):
+        self.refuse(["\n"] * 3 + list(async_artifacts["statelog.jsonl"]), side,
+                    '"belief_q":[', async_artifacts, tmp_path, monkeypatch, calls)
+
+    def test_counts_that_differ_mean_a_changed_file(self, async_artifacts, tmp_path,
+                                                     monkeypatch, calls):
+        # The child's row counts stand in for those of a first half that
+        # changed between its replay and this process's id scan.
+        alongside = ledger._alongside
+
+        def changed(child, parent):
+            (counted, *rest), mine = alongside(child, parent)
+            counted[0] += 1
+            return (counted, *rest), mine
+
+        monkeypatch.setattr(ledger, "_alongside", changed)
+        for name, lines in async_artifacts.items():
+            (tmp_path / name).write_text("".join(lines))
+        with pytest.raises(ShapeMismatch, match="^state log changed while it was read$"):
+            audit_artifacts(tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl")
 
     def test_verify_memory_below_state_log_size_in_one_pass(self, tmp_path, monkeypatch):
         # TestStreamingVerify's bound holds on the two-process replay, where
