@@ -34,8 +34,10 @@ writers' own format strings (``_ledger_rows``, ``_row_format``) gives back its
 bytes, which a token that is not canonical %d or lies outside int64 does not.
 Like the writer, the state-log reader parses and checks each distinct
 belief-list text of a block once, or not at all if the block before held it.
-A failed block is checked again line by line with Python ints, to name the
-first line that does not print back, else the first out-of-range integer.
+A run of lines passes if and only if each of its lines does, so a failed block
+names its first non-empty line that the check refuses alone: the file's first
+faulty line at any block size, for its first %d-canonical integer outside int64
+(a digest's hex digits are not integers), else for the grammar it breaks.
 
 ``audit_artifacts`` replays a state log of more than two read blocks on two
 processes: a forked child (``_alongside``, which ``engine.write_artifacts``
@@ -53,6 +55,7 @@ import binascii
 import hashlib
 import os
 import pickle
+import re
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -359,31 +362,31 @@ _INT_BYTES = bytes(c if c in b"-0123456789" else 0x20 for c in range(256))
 _KEY_BYTES = bytes(c for c in range(256) if c not in b"-0123456789,\t\n ")
 
 
-def _ints(text: bytes, exact: bool = False) -> np.ndarray:
-    # The integers of ``text``, split at commas and whitespace: ``exact``, as
-    # Python ints in an object array; else as int64 by ``np.fromstring``,
-    # which saturates outside that range and may read a malformed token as
-    # another number (or raise ValueError), so only a render check of the
-    # result tells what the text held.
+def _ints(text: bytes) -> np.ndarray:
+    # The integers of ``text``, split at commas and whitespace, as int64 by
+    # ``np.fromstring``, which saturates outside that range and may read a
+    # malformed token as another number (or raise ValueError), so only a
+    # render check of the result tells what the text held.
     text = text.translate(_INT_BYTES, _KEY_BYTES)
-    if exact:
-        return np.array([int(token) for token in text.split()], object)
     return np.fromstring(text, STATE_DTYPE, sep=" ") if text.strip() else np.empty(0, STATE_DTYPE)
 
 
-def _refuse(block: List[bytes], first: int, line_ints, what: str, expected: str) -> None:
+def _refuse(block: List[bytes], first: int, what: str, expected: str, fields, check, *args):
     # Raise ShapeMismatch for a block of lines, the first numbered ``first``,
-    # that failed its render check: name its first non-empty line that
-    # ``line_ints`` refuses with ValueError, else the first integer it reads
-    # outside the signed 64-bit range.
-    found = []
+    # that ``check(lines, *args)`` refused with ValueError: name its first
+    # non-empty line that the check refuses alone, for the first %d-canonical
+    # integer outside int64 in ``line[fields]``, else for ``expected``.
     for no, line in enumerate(block, first):
         try:
-            found += [(no, value) for value in line_ints(line)] if line != b"\n" else []
+            if line != b"\n":
+                check([line], *args)
         except ValueError:
-            raise ShapeMismatch(f"{what} line {no}: expected {expected}") from None
-    no, value = next((no, v) for no, v in found if not INT64_MIN <= v <= INT64_MAX)
-    raise ShapeMismatch(f"{what} line {no}: {value} is outside the signed 64-bit range")
+            big = [token for token in line[fields].translate(_INT_BYTES).split()
+                   if re.fullmatch(rb"0|-?[1-9][0-9]*", token)
+                   and not INT64_MIN <= int(token) <= INT64_MAX]
+            raise ShapeMismatch(f"{what} line {no}: " + (
+                f"{big[0].decode()} is outside the signed 64-bit range" if big
+                else f"expected {expected}")) from None
 
 
 def _blocks(f, lo: int = 0, hi: Optional[int] = None) -> Iterator[List[bytes]]:
@@ -399,11 +402,11 @@ def _blocks(f, lo: int = 0, hi: Optional[int] = None) -> Iterator[List[bytes]]:
             return
 
 
-def _ledger_block(lines: List[bytes], exact: bool = False) -> Tuple[np.ndarray, bytes]:
+def _ledger_block(lines: List[bytes]) -> Tuple[np.ndarray, bytes]:
     # The (n, 2) ids and steps and the concatenated digests of non-empty
     # ledger lines, each ending in TAB, 64 hex digits and LF as it prints;
     # raises ValueError unless _ledger_rows prints them back exactly.
-    ids_steps = _ints(b"".join([line[:-65] for line in lines]), exact).reshape(-1, 2)
+    ids_steps = _ints(b"".join([line[:-65] for line in lines])).reshape(-1, 2)
     digests = binascii.unhexlify(b"".join([line[-65:-1] for line in lines]))
     if (len(ids_steps) != len(lines) or len(digests) != 32 * len(lines)
             or _ledger_rows(*ids_steps.T.tolist(), digests) != b"".join(lines)):
@@ -414,7 +417,7 @@ def _ledger_block(lines: List[bytes], exact: bool = False) -> Tuple[np.ndarray, 
 def read_ledger(path) -> Tuple[np.ndarray, np.ndarray, bytearray]:
     """Read a ledger as columns in file order: int64 agent ids, int64 steps,
     and the 32-byte digests concatenated. Every non-empty line must be one
-    ``write_ledger`` prints; otherwise raises ShapeMismatch naming the line.
+    ``write_ledger`` prints, else ShapeMismatch names the first that is not.
     A first pass counts the lines; the columns (48 bytes an entry) fill in place."""
     with open(path, "rb") as f:
         count = sum(block.count(b"\n") for block in iter(lambda: f.read(_BLOCK_BYTES), b""))
@@ -424,8 +427,8 @@ def read_ledger(path) -> Tuple[np.ndarray, np.ndarray, bytearray]:
             try:
                 ints, text_digests = _ledger_block([line for line in block if line != b"\n"])
             except ValueError:
-                _refuse(block, first, lambda line: _ledger_block([line], True)[0].ravel(),
-                        "ledger", "agent_id<TAB>step<TAB>64 lowercase hex digits")
+                _refuse(block, first, "ledger", "agent_id<TAB>step<TAB>64 lowercase hex digits",
+                        slice(-65), _ledger_block)
             ids_steps[n:n + len(ints)] = ints
             digests[32 * n:32 * (n + len(ints))] = text_digests
             n += len(ints)
@@ -434,7 +437,7 @@ def read_ledger(path) -> Tuple[np.ndarray, np.ndarray, bytearray]:
     return ids_steps[:n, 0], ids_steps[:n, 1], digests
 
 
-def _state_block(lines: List[bytes], k: int, known, exact: bool = False):
+def _state_block(lines: List[bytes], k: int, known):
     # The (n, 6) scalar columns of non-empty state-log lines (agent id, step,
     # rating, strength, parent id, birth step), their belief-list texts, and
     # the distinct texts not in ``known`` with their (m, K) entries; raises
@@ -443,10 +446,10 @@ def _state_block(lines: List[bytes], k: int, known, exact: bool = False):
     parts = text.replace(b"]", b"[").split(b"[")  # a line as it prints holds one [ and one ]
     if len(parts) != 2 * len(lines) + 1:
         raise ValueError("not a state row")
-    texts, scalars = parts[1::2], _ints(b"".join(parts[0::2]), exact).reshape(-1, 6)
+    texts, scalars = parts[1::2], _ints(b"".join(parts[0::2])).reshape(-1, 6)
     del parts  # frees the scalar text before the block is printed back
     new = [t for t in dict.fromkeys(texts) if t not in known]
-    beliefs = _ints(b",".join(new), exact).reshape(len(new), k)
+    beliefs = _ints(b",".join(new)).reshape(len(new), k)
     if (b"\n".join([_belief_format(k).encode()] * len(new))
             % tuple(beliefs.ravel().tolist()) != b"\n".join(new)
             or _state_rows(_row_format("%s").encode(), scalars.T.tolist(), texts) != text):
@@ -467,13 +470,8 @@ def read_state_log(path, lo: int = 0, hi: Optional[int] = None, k: Optional[int]
     (None: the end of the file), both at line starts. K is ``k``, else it
     comes from the first row read; every non-empty line must be one
     ``write_state_log`` prints for that K, with integers in the signed 64-bit
-    range. Otherwise raises ShapeMismatch naming the line, the line at ``lo``
+    range, else ShapeMismatch names the first that is not, the line at ``lo``
     numbered ``first``."""
-
-    def line_ints(line):  # in the line's order
-        scalars, _, _, beliefs = _state_block([line], k, (), True)
-        return [*scalars[0, :2], *beliefs[0], *scalars[0, 2:]]
-
     table, known = None, {}  # known: the block before's texts -> their rows of table
     with open(path, "rb") as f:
         for block in _blocks(f, lo, hi):
@@ -485,8 +483,9 @@ def read_state_log(path, lo: int = 0, hi: Optional[int] = None, k: Optional[int]
                 try:
                     scalars, texts, new, beliefs = _state_block(lines, k, known)
                 except ValueError:
-                    _refuse(block, first, line_ints, "state log",
-                            f"a state row as write_state_log prints it with K={k}")
+                    _refuse(block, first, "state log",
+                            f"a state row as write_state_log prints it with K={k}",
+                            slice(None), _state_block, k, ())
                 table = np.concatenate([table, beliefs])
                 known.update(zip(new, range(len(table) - len(new), len(table))))
                 q = np.empty((len(lines), k + 6), STATE_DTYPE)
@@ -657,15 +656,15 @@ def audit_artifacts(ledger_path, statelog_path) -> Tuple[List[Tuple[int, int]], 
         # Each slot's rows before the cut, from the lines' agent ids alone, and
         # the replay of the lines after it, counting on from those rows and lines.
         counts, k, lines_before = np.zeros(len(slots), np.int64), None, 0
+        at = _row_format("%s").index("%d")  # a printed row starts {"agent_id":INT,
         with open(statelog_path, "rb") as f:
             for block in _blocks(f, 0, cut):
                 lines_before += len(block)
                 lines = [line for line in block if line != b"\n"]
                 if lines:
                     k = _belief_count(lines[0]) if k is None else k
-                    # a printed row starts {"agent_id":INT,
                     counts += np.bincount(slot(np.array(
-                        [int(line[12:line.index(b",", 12)]) for line in lines], STATE_DTYPE)),
+                        [int(line[at:line.index(b",", at)]) for line in lines], STATE_DTYPE)),
                         minlength=len(slots))
         return counts, replay(cut, None, k, counts, lines_before + 1)
 

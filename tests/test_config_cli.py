@@ -772,23 +772,77 @@ class TestVerifyNonCanonicalRepeat:
         assert code == 1
         assert err.startswith(f"parse error: state log line {i + 1}: expected"), err
 
+
+def _verify_edited(name, lines, run_artifacts, tmp_path, capsys, monkeypatch, fork):
+    """``_verify_exit`` with ``name`` holding ``lines``, the other file as
+    the run wrote it, and os.fork deleted unless ``fork``."""
+    files = {n: run_artifacts / n for n in ("ledger.tsv", "statelog.jsonl")}
+    files[name] = tmp_path / name
+    files[name].write_text("\n".join(lines) + "\n")
+    with monkeypatch.context() as m:
+        if not fork:
+            m.delattr(os, "fork")
+        return _verify_exit(files["ledger.tsv"], files["statelog.jsonl"], capsys)
+
+
+class TestVerifyFirstFaultyLine:
+    # A line whose integer is out of range (line 4), then one that breaks the
+    # grammar (line 6): verify names the first, in one pass or two.
     @pytest.mark.parametrize("name,cases,where", [
         ("statelog.jsonl", (MALFORMED_STATE_LINES, "belief_out_of_range", "non_json"),
          "state log"),
         ("ledger.tsv", (MALFORMED_LEDGER_LINES, "id_out_of_range", "non_integer_id"), "ledger"),
     ])
-    def test_grammar_fault_outranks_earlier_range_fault_in_a_block(
-            self, name, cases, where, run_artifacts, tmp_path, capsys):
+    @pytest.mark.parametrize("fork", [True, False])
+    @pytest.mark.parametrize("block_bytes", [1, 300, ledger._BLOCK_BYTES])
+    def test_range_fault_before_a_grammar_fault_is_named(
+            self, name, cases, where, block_bytes, fork, run_artifacts, tmp_path, capsys,
+            monkeypatch):
+        monkeypatch.setattr(ledger, "_BLOCK_BYTES", block_bytes)
         edits, out_of_range, grammar = cases
         lines = (run_artifacts / name).read_text().splitlines()
         lines[3] = edits[out_of_range](lines[3])
         lines[5] = edits[grammar](lines[5])
-        files = {n: run_artifacts / n for n in ("ledger.tsv", "statelog.jsonl")}
-        files[name] = tmp_path / name
-        files[name].write_text("\n".join(lines) + "\n")
-        code, err = _verify_exit(files["ledger.tsv"], files["statelog.jsonl"], capsys)
+        code, err = _verify_edited(name, lines, run_artifacts, tmp_path, capsys, monkeypatch,
+                                   fork)
         assert code == 1
-        assert err.startswith(f"parse error: {where} line 6: expected"), err
+        assert err.startswith(f"parse error: {where} line 4: {2 ** 63} is outside the signed "
+                              "64-bit range"), err
+
+    def test_faults_either_side_of_the_cut(self, run_artifacts, tmp_path, capsys, monkeypatch):
+        # The range fault on the last line before the two-process replay's
+        # cut (the first line start past the middle byte), the grammar fault
+        # on the first line after it.
+        lines = (run_artifacts / "statelog.jsonl").read_text().splitlines()
+        for i in range(1, len(lines)):
+            edited = list(lines)
+            edited[i - 1] = MALFORMED_STATE_LINES["belief_out_of_range"](lines[i - 1])
+            edited[i] = MALFORMED_STATE_LINES["non_json"](lines[i])
+            text = "\n".join(edited) + "\n"
+            if text[:text.find("\n", len(text) // 2) + 1].count("\n") == i:
+                break
+        else:
+            pytest.fail("no two lines stay either side of the cut once edited")
+        message = (f"parse error: state log line {i}: {2 ** 63} is outside the signed 64-bit "
+                   "range")
+        # At a third of the file a block, the one pass reads both lines in one block.
+        for block_bytes in (1, 300, len(text) // 3):
+            monkeypatch.setattr(ledger, "_BLOCK_BYTES", block_bytes)
+            for fork in (True, False):  # two processes, since the file is over two blocks; one
+                code, err = _verify_edited("statelog.jsonl", edited, run_artifacts, tmp_path,
+                                           capsys, monkeypatch, fork)
+                assert code == 1
+                assert err.startswith(message), (block_bytes, fork, err)
+
+    def test_digest_digits_are_not_integers(self, run_artifacts, tmp_path, capsys, monkeypatch):
+        # 64 nines are lowercase hex, and not an integer field: a line with a
+        # signed id is refused for its grammar, not for the digest's value.
+        lines = (run_artifacts / "ledger.tsv").read_text().splitlines()
+        lines[3] = "+" + lines[3][:-64] + "9" * 64
+        code, err = _verify_edited("ledger.tsv", lines, run_artifacts, tmp_path, capsys,
+                                   monkeypatch, True)
+        assert code == 1
+        assert err.startswith("parse error: ledger line 4: expected"), err
 
 
 @pytest.fixture(scope="module")
