@@ -11,7 +11,9 @@ seed; every random draw comes from the run's ``rng.Draws``.
 Each phase calls its module's operation once over the population arrays: the
 rows of the (N, K) belief matrix, or the ratings and strengths of the agents
 active at the step. Chain heads sit in arrays indexed by agent id
-(``ledger.LedgerColumns``), so a step's commits are one batched hash.
+(``ledger.LedgerColumns``), so a step's commits are one batched hash. The step
+takes each answer from its owner: ``evolve`` names the agents it created, split
+and removed, and the observation is checked once, through its likelihood column.
 
 ``config.run`` alone sets the mode: a run is asynchronous iff ``run.mode`` is
 ``async``, with window bound ``run.async_bound``. Asynchronous mode freezes both
@@ -185,9 +187,10 @@ class Simulation:
             unknown = sorted(set(given) - set(founders))
             if unknown:
                 raise ScheduleViolation(f"agents {unknown} are not founders")
+            for aid in sorted(given):  # drawn steps meet the bound by construction
+                _check_update_steps(aid, given[aid], config.run.async_bound, self.horizon)
             self._steps, self._cursor, self._end = np.empty(0, np.int64), np.empty(0, np.int64), 0
-            for aid, steps in zip(founders, self._schedule(founders, 0, given)):
-                _check_update_steps(aid, steps, config.run.async_bound, self.horizon)
+            self._schedule(founders, 0, given)
         elif schedule is not None:
             raise ScheduleViolation("an update schedule needs run.mode: async")
 
@@ -196,9 +199,9 @@ class Simulation:
     # -- helpers ---------------------------------------------------------
 
     def _schedule(self, aids: List[int], start: int,
-                  given: Mapping[int, Sequence[int]]) -> List[Sequence[int]]:
+                  given: Mapping[int, Sequence[int]]) -> None:
         """Append the update steps of ``aids`` (``given``, else generated from
-        step ``start``) to ``_steps``, point their cursors at them, return them."""
+        step ``start``) to ``_steps`` and point their cursors at them."""
         drawn = [aid for aid in aids if aid not in given]
         steps = dict(zip(drawn, self.draws.update_steps(drawn, start, self.horizon,
                                                         self.config.run.async_bound)))
@@ -209,7 +212,6 @@ class Simulation:
         self._cursor = grown(self._cursor, max(aids, default=-1) + 1)
         self._cursor[aids] = self._end + np.cumsum([0] + [len(r) + 1 for r in runs[:-1]])
         self._end += len(flat)
-        return runs
 
     def _active_indices(self, t: int) -> np.ndarray:
         if self._steps is None:
@@ -236,8 +238,9 @@ class Simulation:
         report = None
         delta_sum = residue_signed = residue_abs = 0.0
         if obs is not None and len(active) > 0:
+            like = self.model.likelihood_vector(obs)  # the step's one observation check
             prior_rows = pop.belief_matrix[active]
-            preds = predictive_distribution(self.model, prior_rows, obs)
+            preds = predictive_distribution(self.model, prior_rows)
             losses = oracle_loss(preds, obs.truth_label, self.oracle)
             scores = log_score(preds, obs.truth_label)
             agg = aggregate_utility(scores)
@@ -265,8 +268,7 @@ class Simulation:
             # belief + strength updates. The weight 1 + gain is formed here, not
             # by confidence_weight: the beta = 1 tilt gives mass to hypotheses a
             # sparse prior lacks, and that infinite gain must take the cap.
-            post_rows = posterior_rows(prior_rows, self.model.likelihood_vector(obs),
-                                       self.inference_cfg.beta)
+            post_rows = posterior_rows(prior_rows, like, self.inference_cfg.beta)
             gains = information_gain(prior_rows, post_rows)
             # saturate at the ledger-encodable maximum so state and audit
             # encoding stay identical
@@ -278,14 +280,12 @@ class Simulation:
 
         # evolution
         update_decay_markers(pop, t, self.evolution_cfg)
-        first_id = self.ids.next_id
         result = evolve(pop, t, self.evolution_cfg, self.ids,
                         draws=self.draws, smoothing=self.smoothing)
         self.population = result.population
-        self.draws.drop(np.setdiff1d(pop.ids, self.population.ids, assume_unique=True).tolist())
-        if self._steps is not None:  # children still present update from step t + 1
-            born = self.population.ids[self.population.ids >= first_id]
-            self._schedule(born.tolist(), t + 1, {})
+        self.draws.drop([*result.split_ids.tolist(), *result.removed_ids.tolist()])
+        if self._steps is not None:  # children update from step t + 1
+            self._schedule(result.born_ids.tolist(), t + 1, {})
 
         # ledger commits for every agent present at the end of the step
         quantized = quantize_rows(self.population, t)
@@ -295,8 +295,7 @@ class Simulation:
                         clamp_residue_signed=residue_signed,
                         split_parent_rating_sum=result.split_parent_rating_sum,
                         removed_rating_sum=result.removed_rating_sum,
-                        mass_before=mass_before,
-                        mass_after=self.population.rating_mass())
+                        mass_before=mass_before, mass_after=snapshot.rating_mass)
         return snapshot, info, quantized
 
     def _snapshot(self, t: int, active: np.ndarray, result, abs_residue: float) -> MetricsSnapshot:
@@ -321,8 +320,8 @@ class Simulation:
             entropy_delta=mean_ent - self._prev_mean_entropy,
             belief_marginal=[float(x) for x in marginal],
             weighted_truth_mass=wtm,
-            spawns=result.spawn_count,
-            deaths=result.death_count,
+            spawns=len(result.born_ids),
+            deaths=len(result.removed_ids),
             delayed_spawns=result.delayed_split_count,
             clamp_residue=float(abs_residue),
             mean_strength=float(pop.strengths.mean()),

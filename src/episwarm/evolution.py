@@ -218,9 +218,12 @@ def extinction_sweep(pop: Population, t: int, cfg: EvolutionConfig) -> tuple:
 
 @dataclass
 class EvolveResult:
+    """What ``evolve`` decided: the children it created (``born_ids``, ascending),
+    the parents they replaced (``split_ids``) and the extinct (``removed_ids``)."""
     population: Population
-    spawn_count: int = 0
-    death_count: int = 0
+    born_ids: np.ndarray
+    split_ids: np.ndarray
+    removed_ids: np.ndarray
     delayed_split_count: int = 0
     split_parent_rating_sum: float = 0.0
     removed_rating_sum: float = 0.0
@@ -238,13 +241,13 @@ def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
     pending = (np.flatnonzero(pop.ratings >= cfg.tau_rep) if cfg.reproduction_enabled
                else np.empty(0, dtype=np.int64))
     admitted = saturation_cap(pop, pending, cfg.n_star)
-    delayed = len(pending) - len(admitted)
+    split_ids = pop.ids[admitted]
+    child_ids = ids.take(2 * len(admitted))
+    split_rating_sum = float(pop.ratings[admitted].sum())
 
     if len(admitted) > 0:
         split_mask = np.zeros(len(pop), dtype=bool)
         split_mask[admitted] = True
-        split_rating_sum = float(pop.ratings[admitted].sum())
-        child_ids = ids.take(2 * len(admitted))
         noise = None
         if cfg.sigma_mut > 0.0 and cfg.mutation_kind == EXP_TILT:
             if draws is None:
@@ -252,7 +255,7 @@ def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
             noise = draws.mutation(child_ids, pop.space.size)
         pop = pop.keep(~split_mask).extend(
             ids=child_ids,
-            parent_ids=np.repeat(pop.ids[admitted], 2),
+            parent_ids=np.repeat(split_ids, 2),
             birth_steps=np.full(2 * len(admitted), t),
             ratings=np.repeat(replication_attenuation(pop.ratings[admitted], cfg.lam), 2),
             strengths=np.repeat(pop.strengths[admitted], 2),
@@ -260,10 +263,6 @@ def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
             belief_matrix=mutate_prior(np.repeat(pop.belief_matrix[admitted], 2, axis=0),
                                        cfg.sigma_mut, noise, cfg.mutation_kind,
                                        smoothing=smoothing))
-        spawn_count = 2 * len(admitted)
-    else:
-        split_rating_sum = 0.0
-        spawn_count = 0
 
     pop, removed_ids, removed_mass = extinction_sweep(pop, t, cfg)
     if len(pop) == 0:
@@ -271,9 +270,10 @@ def evolve(pop: Population, t: int, cfg: EvolutionConfig, ids: IdAllocator,
 
     return EvolveResult(
         population=pop,
-        spawn_count=spawn_count,
-        death_count=len(removed_ids),
-        delayed_split_count=delayed,
+        born_ids=child_ids,
+        split_ids=split_ids,
+        removed_ids=removed_ids,
+        delayed_split_count=len(pending) - len(admitted),
         split_parent_rating_sum=split_rating_sum,
         removed_rating_sum=removed_mass,
     )

@@ -95,8 +95,8 @@ class CategoricalTable:
     def likelihood_vector(self, obs: Observation) -> np.ndarray:
         return self.rows[:, self.validate_observation(obs)]
 
-    def outcome_matrix(self, obs: Observation) -> np.ndarray:
-        """P(y | h) rows used by the predictive mixture (obs-independent here)."""
+    def outcome_matrix(self) -> np.ndarray:
+        """The P(y | h) rows of the prior predictive mixture; no observation enters."""
         return self.rows
 
     def emit(self, h: int, rng: np.random.Generator, t: int) -> Observation:
@@ -134,7 +134,7 @@ class Bernoulli:
     def likelihood_vector(self, obs: Observation) -> np.ndarray:
         return self.columns[self.validate_observation(obs)]
 
-    def outcome_matrix(self, obs: Observation) -> np.ndarray:
+    def outcome_matrix(self) -> np.ndarray:
         return self.rows
 
     def emit(self, h: int, rng: np.random.Generator, t: int) -> Observation:
@@ -193,7 +193,7 @@ class DiscretizedGaussian:
     def likelihood_vector(self, obs: Observation) -> np.ndarray:
         return self.bin_mass[:, self.validate_observation(obs)]
 
-    def outcome_matrix(self, obs: Observation) -> np.ndarray:
+    def outcome_matrix(self) -> np.ndarray:
         return self.rows
 
     def emit(self, h: int, rng: np.random.Generator, t: int) -> Observation:
@@ -212,8 +212,9 @@ def likelihood(model: LikelihoodModel, obs: Observation, h: int) -> float:
     return float(model.likelihood_vector(obs)[h])
 
 
-def predictive_distribution(model: LikelihoodModel, beliefs, obs: Observation) -> np.ndarray:
-    """Mixture p(y) = sum_h b(h) P(y | h), normalized over the outcome space.
+def predictive_distribution(model: LikelihoodModel, beliefs) -> np.ndarray:
+    """The prior predictive p(y) = sum_h b(h) P(y | h), normalized over the
+    outcome space; independent of the observation it will score.
 
     ``beliefs`` is one Belief, giving one distribution, or an (N, K) matrix of
     belief rows, giving one distribution per row.
@@ -221,5 +222,4 @@ def predictive_distribution(model: LikelihoodModel, beliefs, obs: Observation) -
     rows = beliefs.probs if isinstance(beliefs, Belief) else np.asarray(beliefs)
     if rows.shape[-1] != model.space.size:
         raise ShapeMismatch("belief and model are defined on different hypothesis spaces")
-    model.validate_observation(obs)
-    return normalize_vector(rows @ model.outcome_matrix(obs))
+    return normalize_vector(rows @ model.outcome_matrix())

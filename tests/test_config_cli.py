@@ -471,7 +471,7 @@ class TestBuild:
         res = simulate(from_dict({**REFERENCE_SMALL, **SCENARIO_KINDS[kind]}))
         paths = write_artifacts(res, str(tmp_path))
         digests = {os.path.basename(paths[key]):
-                   hashlib.sha256(open(paths[key], "rb").read()).hexdigest()
+                   hashlib.sha256(Path(paths[key]).read_bytes()).hexdigest()
                    for key in ("ledger", "statelog")}
         assert digests == SCENARIO_KIND_DIGESTS[kind]
 

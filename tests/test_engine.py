@@ -5,6 +5,7 @@ import math
 import os
 import signal
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from episwarm.competition import MarginMatrix, margin_entries
 from episwarm.config import from_dict, set_param
 from episwarm.engine import (SWEEP_OBSERVABLES, Simulation, default_schedule, run, simulate,
                              sweep, write_artifacts)
-from episwarm.errors import (ConfigError, InvariantViolation, PopulationCollapse,
-                             ScheduleViolation, ShapeMismatch)
+from episwarm.errors import (ConfigError, IncompatibleObservation, InvariantViolation,
+                             PopulationCollapse, ScheduleViolation, ShapeMismatch)
 from episwarm.ledger import (VERSION_PREFIX, audit_artifacts, encode_quantized,
                              verify_artifacts, write_state_log)
+from episwarm.likelihood import Observation
 from episwarm.rng import DOMAIN_RATING, Draws, substream
 
 
@@ -83,6 +85,43 @@ class TestStepInvariants:
             assert snap.population_size == len(sim.population)
 
         simulate(small_cfg, on_step=on_step)
+
+
+class TestObservationCheckedOnce:
+    """A step checks its observation once, through the likelihood column, and
+    before it changes any state."""
+
+    @staticmethod
+    def sim():
+        data = [[y, y] for y in (0, 1, 0, 2, 3, 0, 4, 0)]
+        return Simulation(small_config(task={"true_hypothesis": None, "observations": data},
+                                       run={"horizon": 12}))
+
+    def test_one_check_per_scored_step(self):
+        sim = self.sim()
+        calls, check = [], sim.model.validate_observation
+        sim.model.validate_observation = lambda obs: calls.append(obs) or check(obs)
+        scored = sum(sim.step(t)[1].report is not None for t in range(12))
+        assert scored == 8
+        assert len(calls) == scored
+
+    def test_incompatible_observation_changes_nothing(self):
+        sim = self.sim()
+        for t in range(3):
+            sim.step(t)
+        sim.observations[3] = Observation(datum=5, truth_label=0)  # outcome index past [0, 5)
+        pop = sim.population
+
+        def state():
+            return [a.copy() for a in (pop.ratings, pop.belief_matrix, pop.strengths,
+                                        sim.chains.counts)]
+
+        before = state()
+        with pytest.raises(IncompatibleObservation, match="outside"):
+            sim.step(3)
+        assert sim.population is pop
+        for old, new in zip(before, state()):
+            assert np.array_equal(old, new)
 
 
 class TestScoringWithoutMatrix:
@@ -321,7 +360,7 @@ class TestArtifactDigests:
         assert sum(m.deaths for m in res.metrics) > 0
         assert max(m.clamp_residue for m in res.metrics) > 0
         paths = write_artifacts(res, str(tmp_path))
-        digests = {os.path.basename(path): hashlib.sha256(open(path, "rb").read()).hexdigest()
+        digests = {os.path.basename(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
                    for path in paths.values()}
         assert digests == self.DIGESTS
 
@@ -350,7 +389,7 @@ class TestAsyncArtifactDigests:
             assert any(m.active_count < m.population_size for m in res.metrics)
             paths = write_artifacts(res, str(tmp_path / name))
             digests = {os.path.basename(path):
-                       hashlib.sha256(open(path, "rb").read()).hexdigest()
+                       hashlib.sha256(Path(path).read_bytes()).hexdigest()
                        for path in paths.values()}
             assert digests == self.DIGESTS
 
@@ -367,7 +406,7 @@ class TestScoreRows:
     bytes must equal json.dumps of every row."""
 
     def write(self, res, tmp_path):
-        return open(write_artifacts(res, str(tmp_path))["scores"], "rb").read()
+        return Path(write_artifacts(res, str(tmp_path))["scores"]).read_bytes()
 
     def test_async_run_rows(self, tmp_path):
         cfg = small_config(run={"horizon": 40, "mode": "async", "async_bound": 3})

@@ -152,7 +152,7 @@ class TestReproduce:
         res = evolve(pop, 4, cfg, IdAllocator(start=10), draws=draws,
                      smoothing=smoothing)
         children = res.population.parent_ids == 3
-        assert res.spawn_count == 2 and children.sum() == 2
+        assert len(res.born_ids) == 2 and children.sum() == 2
         return res.population, children
 
     def test_attenuated_ratings(self):
@@ -287,12 +287,38 @@ class TestSaturationCap:
         assert len(admitted) == 100
 
 
+class TestEvolveIds:
+    """``evolve`` names the parents it split, the agents it removed and the
+    children it created; the population difference is the oracle."""
+
+    @pytest.mark.parametrize("ratings,decay,n_star,counts", [
+        ([0.5, 0.9, 0.5, 0.85], None, None, (2, 0, 0)),
+        ([0.05, 0.5, 0.05], [0, -1, 0], None, (0, 2, 0)),
+        ([0.9, 0.05, 0.5, 0.95], [-1, 0, -1, -1], None, (2, 1, 0)),
+        ([0.5, 0.6], None, None, (0, 0, 0)),
+        # room for two of the three pending splits (5 + 2 = 7); the third waits
+        ([0.9, 0.95, 0.05, 0.85, 0.5], [-1, -1, 0, -1, -1], 7, (2, 1, 1)),
+    ], ids=["splits", "deaths", "splits_and_deaths", "neither", "capped"])
+    def test_ids_match_population_difference(self, ratings, decay, n_star, counts):
+        cfg = EvolutionConfig(tau_rep=0.8, tau_ext=0.1, grace=3, lam=0.45, sigma_mut=0.0,
+                              n_star=n_star)
+        pop = make_population(ratings, decay=decay)
+        res = evolve(pop, 2, cfg, IdAllocator(start=100))
+        new = res.population.ids
+        assert (len(res.split_ids), len(res.removed_ids), res.delayed_split_count) == counts
+        gone = np.setdiff1d(pop.ids, new)
+        assert np.array_equal(np.union1d(res.split_ids, res.removed_ids), gone)
+        assert len(res.split_ids) + len(res.removed_ids) == len(gone)  # disjoint
+        assert np.array_equal(res.born_ids, new[new >= 100])
+        assert np.all(np.diff(res.born_ids) > 0)
+
+
 class TestEvolve:
     def test_no_threshold_crossing_is_identity(self):
         pop = make_population([0.5, 0.6, 0.4])
         res = evolve(pop, 0, CFG, IdAllocator(start=3))
         assert len(res.population) == 3
-        assert res.spawn_count == 0 and res.death_count == 0
+        assert len(res.born_ids) == 0 and len(res.removed_ids) == 0
         assert np.array_equal(res.population.ids, pop.ids)
 
     def test_single_agent_doubles(self):
@@ -383,5 +409,5 @@ class TestEvolve:
                               sigma_mut=0.0, n_star=5)
         pop = make_population([0.5] * 4)
         res = evolve(pop, 0, cfg, IdAllocator(start=4))
-        assert res.spawn_count == 2      # one split admitted (4 -> 5)
+        assert len(res.born_ids) == 2   # one split admitted (4 -> 5)
         assert res.delayed_split_count == 3

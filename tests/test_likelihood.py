@@ -80,28 +80,27 @@ def test_repeated_evaluation_bit_identical():
 class TestPredictive:
     def setup_method(self):
         self.model = CategoricalTable(SP2, OUT2, [[0.9, 0.1], [0.2, 0.8]])
-        self.obs = Observation(datum=0, truth_label=0)
 
     def test_point_mass_returns_row(self):
-        pred = predictive_distribution(self.model, Belief.point_mass(SP2, 0), self.obs)
+        pred = predictive_distribution(self.model, Belief.point_mass(SP2, 0))
         assert np.allclose(pred, self.model.rows[0])
 
     def test_symmetric_mixture(self):
         eps = 1e-6
         model = CategoricalTable(SP2, OUT2, [[1 - eps, eps], [eps, 1 - eps]])
-        pred = predictive_distribution(model, Belief.uniform(SP2), self.obs)
+        pred = predictive_distribution(model, Belief.uniform(SP2))
         assert np.allclose(pred, [0.5, 0.5], atol=1e-12)
 
     def test_hand_mixture_oracle(self):
         b = Belief(SP2, np.array([0.75, 0.25]))
-        pred = predictive_distribution(self.model, b, self.obs)
+        pred = predictive_distribution(self.model, b)
         assert np.allclose(pred, [0.725, 0.275], atol=1e-9)
 
     def test_normalized(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             b = Belief(SP2, rng.dirichlet([1.0, 1.0]))
-            pred = predictive_distribution(self.model, b, self.obs)
+            pred = predictive_distribution(self.model, b)
             assert abs(pred.sum() - 1.0) < 1e-9
             assert np.all(pred > 0.0)
 
@@ -111,16 +110,16 @@ class TestPredictive:
         q = Belief(SP2, rng.dirichlet([1, 1]))
         lam = 0.3
         mix = Belief(SP2, lam * p.probs + (1 - lam) * q.probs)
-        lhs = predictive_distribution(self.model, mix, self.obs)
-        rhs = (lam * predictive_distribution(self.model, p, self.obs)
-               + (1 - lam) * predictive_distribution(self.model, q, self.obs))
+        lhs = predictive_distribution(self.model, mix)
+        rhs = (lam * predictive_distribution(self.model, p)
+               + (1 - lam) * predictive_distribution(self.model, q))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_gaussian_outcome_rows_normalized():
     model = DiscretizedGaussian(SP2, means=[0.0, 2.0], scale=1.0,
                                 bin_edges=[-4.0, 0.0, 2.0, 4.0])
-    rows = model.outcome_matrix(Observation(datum=0.0, truth_label=0))
+    rows = model.outcome_matrix()
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -132,15 +131,15 @@ def test_gaussian_outcome_rows_normalized():
 ], ids=["categorical", "bernoulli", "discretized_gaussian"])
 def test_tables_built_once_and_read_only(model, obs):
     # a likelihood vector may be a fresh view (a table column), but of a built table
-    assert model.outcome_matrix(obs) is model.outcome_matrix(obs)
-    assert not model.outcome_matrix(obs).flags.writeable
+    assert model.outcome_matrix() is model.outcome_matrix()
+    assert not model.outcome_matrix().flags.writeable
     assert not model.likelihood_vector(obs).flags.writeable
 
 
 def test_bernoulli_tables_match_their_definition():
     probs = np.array([0.0, 0.3, 0.7, 1.0])
     model = Bernoulli(HypothesisSpace.indexed(4), probs)
-    assert np.array_equal(model.outcome_matrix(Observation(datum=1, truth_label=1)),
+    assert np.array_equal(model.outcome_matrix(),
                           np.column_stack([1.0 - model.probs, model.probs]))
     assert np.array_equal(model.likelihood_vector(Observation(datum=0, truth_label=0)),
                           1.0 - model.probs)
@@ -151,5 +150,5 @@ def test_bernoulli_tables_match_their_definition():
 def test_gaussian_outcome_rows_are_the_normalized_bin_mass():
     model = DiscretizedGaussian(SP2, means=[0.0, 2.0], scale=0.7,
                                 bin_edges=[-4.0, 0.0, 2.0, 4.0])
-    rows = model.outcome_matrix(Observation(datum=0.0, truth_label=0))
+    rows = model.outcome_matrix()
     assert np.array_equal(rows, model.bin_mass / model.bin_mass.sum(axis=1, keepdims=True))
