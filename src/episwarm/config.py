@@ -242,10 +242,21 @@ def set_param(cfg: ScenarioConfig, dotted: str, value) -> ScenarioConfig:
 # about 800 KB (the audit bench's async run), over 300 times less.
 SETUP_BYTES_MAX = 1 << 28
 # Bytes that a run's record (RunResult: a state matrix a step and the ledger
-# columns) may reach by its horizon. A config past it would run until it is
-# killed, so it is refused; the largest shipped, test or bench config needs
-# about 107 MB (the audit bench), ten times less.
+# columns) may reach. A run past it would go on until it is killed, so a config
+# past it by its horizon is refused at load, and an uncapped run is stopped at
+# the step it passes it; the largest shipped, test or bench config needs about
+# 107 MB (the audit bench), ten times less.
 RECORD_BYTES_MAX = 1 << 30
+LEDGER_ENTRY_BYTES = 41  # about, per agent and step (LedgerColumns)
+
+
+def check_record(held: int, agents: int) -> None:
+    """Refuse a record of ``held`` bytes (``agents`` agents at the step) past
+    RECORD_BYTES_MAX; ``build`` bounds the record of any run but an uncapped one."""
+    if held > RECORD_BYTES_MAX:
+        raise ConfigError("evolution.n_star", f"an uncapped run's record reached {held} B at "
+                                              f"{agents} agents, past the {RECORD_BYTES_MAX}-"
+                                              "byte cap on a run's record")
 
 
 def build(cfg: ScenarioConfig):
@@ -274,15 +285,15 @@ def build(cfg: ScenarioConfig):
                                 f"{SETUP_BYTES_MAX}-byte cap on the arrays built before the "
                                 "first step")
     # The record holds a (population, K + 6) int64 matrix a step, and a ledger
-    # entry of about 41 bytes (LedgerColumns) per agent and step. Splits never
-    # grow the population past n_star, nor past its founders when they are more.
+    # entry per agent and step. Splits never grow the population past n_star,
+    # nor past its founders when they are more; check_record stops an uncapped one.
     h, n_star = cfg.run.horizon, cfg.evolution.n_star
     live = n if n_star is None else max(n, n_star)
-    if live * (k + 6) * 8 * (h + 1) + live * h * 41 > RECORD_BYTES_MAX:
+    if live * (k + 6) * 8 * (h + 1) + live * h * LEDGER_ENTRY_BYTES > RECORD_BYTES_MAX:
         raise ConfigError("run.horizon", f"needs a record of {live} agents * ({k} + 6) * 8 B * "
                                          f"({h} + 1) steps plus {live} * {h} ledger entries of "
-                                         f"41 B, past the {RECORD_BYTES_MAX}-byte cap on a "
-                                         "run's record")
+                                         f"{LEDGER_ENTRY_BYTES} B, past the {RECORD_BYTES_MAX}-"
+                                         "byte cap on a run's record")
     with _located("space" if cfg.space.embedding is None else "space.embedding"):
         space = HypothesisSpace.indexed(cfg.space.hypotheses, embedding=cfg.space.embedding)
     # A Dirichlet prior row divides K gamma draws by their sum. Wherever K * alpha

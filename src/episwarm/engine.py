@@ -20,8 +20,10 @@ and removed, and the observation is checked once, through its likelihood column.
 belief and rating updates for agents whose update steps skip the step; skipped
 observations are dropped, never replayed. Each agent's steps are generated from
 the run's draws unless a schedule gives a founder's; they sit in one array with a
-cursor per agent id, so steps must run in order 0, 1, 2, ... Evolution and
-ledger commits run every step in both modes.
+cursor per agent id. The cursors and the task stream advance with each step, so
+``Simulation.step`` refuses any order but 0, 1, 2, ... (``ScheduleViolation``);
+it checks a step's observation before a cursor moves, so a refused step changes
+nothing. Evolution and ledger commits run every step in both modes.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ import numpy as np
 # MarginMatrix stays bound though unused: bench/tracing.py wraps it here.
 from .competition import (MarginMatrix, ScoreReport, aggregate_utility,  # noqa: F401
                           fitness, log_score, oracle_loss, zero_sum_tolerance)
-from .config import ScenarioConfig, build, resolve_param, set_param
+from .config import (LEDGER_ENTRY_BYTES, ScenarioConfig, build, check_record, resolve_param,
+                     set_param)
 from .errors import (EpiswarmError, InvariantViolation, PopulationCollapse, ScheduleViolation,
                      ShapeMismatch)
 from .evolution import IdAllocator, Population, evolve, update_decay_markers
@@ -153,7 +156,8 @@ class RunResult:
 
 
 class Simulation:
-    """Holds the full mutable state of one run and advances it step by step.
+    """Holds the full mutable state of one run and advances it step by step,
+    in order from step 0.
 
     ``schedule`` maps founder ids to update steps that replace their generated
     ones; it needs ``run.mode: async``."""
@@ -195,6 +199,7 @@ class Simulation:
             raise ScheduleViolation("an update schedule needs run.mode: async")
 
         self._prev_mean_entropy = float(entropy_rows(self.population.belief_matrix).mean())
+        self._next_step = 0
 
     # -- helpers ---------------------------------------------------------
 
@@ -216,16 +221,17 @@ class Simulation:
     def _active_indices(self, t: int) -> np.ndarray:
         if self._steps is None:
             return np.arange(len(self.population))
-        ids = self.population.ids
-        active = np.flatnonzero(self._steps[self._cursor[ids]] == t)
-        self._cursor[ids[active]] += 1
-        return active
+        return np.flatnonzero(self._steps[self._cursor[self.population.ids]] == t)
 
     # -- one step --------------------------------------------------------
 
     def step(self, t: int) -> Tuple[MetricsSnapshot, StepInfo, np.ndarray]:
         """Advance one step: the metrics snapshot, the bookkeeping (with the
-        ScoreReport, if any agent was scored) and the committed quantize_rows."""
+        ScoreReport, if any agent was scored) and the committed quantize_rows.
+        Steps run in order from 0; a refused step changes nothing."""
+        if t != self._next_step:
+            raise ScheduleViolation(f"step {t} called out of order: the next step is "
+                                    f"{self._next_step}")
         pop = self.population
         mass_before = pop.rating_mass()
 
@@ -234,11 +240,14 @@ class Simulation:
         else:  # a listed task has no datum past its end
             obs = self.observations[t] if t < len(self.observations) else None
         active = self._active_indices(t)
+        # the step's one observation check, before the due agents' cursors move
+        like = None if obs is None or len(active) == 0 else self.model.likelihood_vector(obs)
+        if self._steps is not None:
+            self._cursor[pop.ids[active]] += 1
 
         report = None
         delta_sum = residue_signed = residue_abs = 0.0
-        if obs is not None and len(active) > 0:
-            like = self.model.likelihood_vector(obs)  # the step's one observation check
+        if like is not None:
             prior_rows = pop.belief_matrix[active]
             preds = predictive_distribution(self.model, prior_rows)
             losses = oracle_loss(preds, obs.truth_label, self.oracle)
@@ -296,6 +305,7 @@ class Simulation:
                         split_parent_rating_sum=result.split_parent_rating_sum,
                         removed_rating_sum=result.removed_rating_sum,
                         mass_before=mass_before, mass_after=snapshot.rating_mass)
+        self._next_step += 1
         return snapshot, info, quantized
 
     def _snapshot(self, t: int, active: np.ndarray, result, abs_residue: float) -> MetricsSnapshot:
@@ -335,17 +345,20 @@ class Simulation:
 def simulate(config: ScenarioConfig, schedule: Optional[Mapping[int, Sequence[int]]] = None,
              on_step: Optional[Callable] = None) -> RunResult:
     """Run ``horizon`` steps in ``config.run.mode`` (or halt on collapse); no
-    files written. ``schedule`` is as for ``Simulation``."""
+    files written. ``schedule`` is as for ``Simulation``. A run whose record
+    passes ``config.RECORD_BYTES_MAX`` (an uncapped one) stops at that step."""
     if config.run.horizon < 1:
         raise ShapeMismatch("horizon must be >= 1")
     sim = Simulation(config, schedule=schedule)
     metrics: List[MetricsSnapshot] = []
     reports: List[ScoreReport] = []
     statelog: List[np.ndarray] = []
-    collapsed_at = None
+    collapsed_at, held = None, 0
     for t in range(config.run.horizon):
         try:
             snap, info, quantized = sim.step(t)
+            held += quantized.nbytes + LEDGER_ENTRY_BYTES * len(quantized)
+            check_record(held, len(quantized))
         except PopulationCollapse as exc:
             collapsed_at = exc.step
             break

@@ -192,10 +192,6 @@ def saturation_cap(pop: Population, pending_idx: np.ndarray,
     if n_star is None:
         return pending_idx
     room = max(0, int(n_star) - len(pop))
-    if room >= len(pending_idx):
-        return pending_idx
-    if room == 0:
-        return pending_idx[:0]
     order = np.lexsort((pop.ids[pending_idx], -pop.ratings[pending_idx]))
     return pending_idx[np.sort(order[:room])]
 
@@ -207,10 +203,7 @@ def extinction_sweep(pop: Population, t: int, cfg: EvolutionConfig) -> tuple:
     the streak length at step t is t - decay_since + 1; removal fires once it
     reaches ``grace`` consecutive steps.
     """
-    started = pop.decay_since >= 0
-    if not started.any():
-        return pop, np.empty(0, dtype=np.int64), 0.0
-    doomed = started & ((t - pop.decay_since + 1) >= cfg.grace)
+    doomed = (pop.decay_since >= 0) & ((t - pop.decay_since + 1) >= cfg.grace)
     removed_ids = pop.ids[doomed]
     removed_mass = float(pop.ratings[doomed].sum())
     return pop.keep(~doomed), removed_ids, removed_mass

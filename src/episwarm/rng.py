@@ -13,7 +13,8 @@ words (as many as it needs, one for 0), in one uint32 array, which
 ``substreams`` builds a batch of keys' generators. Their seed words come from
 one pass over uint32 columns that equals ``SeedSequence``'s: it mixes each
 key's entropy into a 4-word pool and derives the pool's
-``generate_state(4, np.uint64)``, the words ``PCG64`` seeds from. Each
+``generate_state(4, np.uint64)``, the words ``PCG64`` seeds from. Each call
+works out its hash constants anew, in the order ``SeedSequence`` uses them. Each
 generator is seeded through ``SeedWords``, an ``ISeedSequence`` (numpy's hook
 in ``numpy.random.bit_generator``) that hands those words over and answers any
 other request from its pool as ``SeedSequence`` would. ``substream`` is the
@@ -23,7 +24,7 @@ other request from its pool as ``SeedSequence`` would. ``substream`` is the
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -41,37 +42,13 @@ POOL_SIZE = 4
 MIX_MULT_L, MIX_MULT_R, XSHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
 
 
-def _hash_consts(init: int, mult: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The (n, 1) uint32 hash constants before and after each of n successive
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The (2, n, 1) uint32 hash constants before and after each of n successive
     ``hashmix`` calls: init * mult^i and init * mult^(i + 1) mod 2^32."""
     c = [init]
     for _ in range(n):
         c.append(c[-1] * mult & 0xFFFFFFFF)
-    c = np.array(c, np.uint32)[:, None]
-    return c[:-1], c[1:]
-
-
-@lru_cache(maxsize=64)
-def _mix_plan(length: int) -> List[Tuple[np.ndarray, ...]]:
-    """The data-free part of mixing ``length`` entropy words into the pool, stage
-    by stage: the constants of the first pool words' hashes; then for each
-    source pool word the other words' indices and their hashes' constants; then
-    those of each word past the pool."""
-    calls = POOL_SIZE * (POOL_SIZE + max(length - POOL_SIZE, 0))
-    before, after = _hash_consts(INIT_A, MULT_A, calls)
-    plan, k = [(before[:POOL_SIZE], after[:POOL_SIZE])], POOL_SIZE
-    for src in range(POOL_SIZE):
-        dst = np.array([d for d in range(POOL_SIZE) if d != src], np.intp)
-        plan.append((dst, before[k:k + POOL_SIZE - 1], after[k:k + POOL_SIZE - 1]))
-        k += POOL_SIZE - 1
-    return plan + [(before[i:i + POOL_SIZE], after[i:i + POOL_SIZE])
-                   for i in range(k, len(before), POOL_SIZE)]
-
-
-@lru_cache(maxsize=64)
-def _state_plan(n32: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pool word each of ``n32`` state words hashes, and its hash constants."""
-    return (np.arange(n32) % POOL_SIZE,) + _hash_consts(INIT_B, MULT_B, n32)
+    return np.array([c[:-1], c[1:]], np.uint32)[..., None]
 
 
 def _hashmix(v: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
@@ -91,15 +68,18 @@ def _mixed_pools(entropy: np.ndarray) -> np.ndarray:
     columns of n keys. Like every uint32 pass here, it wraps on purpose: the
     caller ignores overflow."""
     length, n = entropy.shape
-    plan = _mix_plan(length)
+    consts = _hash_consts(INIT_A, MULT_A, POOL_SIZE * (POOL_SIZE + max(length - POOL_SIZE, 0)))
     pool = np.zeros((POOL_SIZE, n), np.uint32)
     pool[:length] = entropy[:POOL_SIZE]
-    pool = _hashmix(pool, *plan[0])
+    pool, k = _hashmix(pool, *consts[:, :POOL_SIZE]), POOL_SIZE
     # each pool word into the others, so late words reach early ones
-    for src, (dst, before, after) in enumerate(plan[1:POOL_SIZE + 1]):
-        pool[dst] = _mix(pool.take(dst, axis=0), _hashmix(pool[src], before, after))
-    for word, consts in zip(entropy[POOL_SIZE:], plan[POOL_SIZE + 1:]):  # into every pool word
-        pool = _mix(pool, _hashmix(word, *consts))
+    for src in range(POOL_SIZE):
+        dst = [d for d in range(POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool.take(dst, axis=0), _hashmix(pool[src], *consts[:, k:k + len(dst)]))
+        k += len(dst)
+    for word in entropy[POOL_SIZE:]:  # into every pool word
+        pool = _mix(pool, _hashmix(word, *consts[:, k:k + POOL_SIZE]))
+        k += POOL_SIZE
     return pool
 
 
@@ -108,8 +88,8 @@ def _state_words(pools: np.ndarray, n_words: int, dtype=np.uint32) -> np.ndarray
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.uint32), np.dtype(np.uint64)):
         raise ValueError("only support uint32 or uint64")
-    rows, before, after = _state_plan(n_words * (dtype.itemsize // 4))
-    words = _hashmix(pools[rows], before, after)
+    n32 = n_words * (dtype.itemsize // 4)
+    words = _hashmix(pools[np.arange(n32) % POOL_SIZE], *_hash_consts(INIT_B, MULT_B, n32))
     # little-endian word pairs make a uint64, whatever the byte order
     words = np.ascontiguousarray(words.T, dtype="<u4")
     return words if dtype.itemsize == 4 else words.view("<u8").astype(np.uint64, copy=False)

@@ -548,6 +548,21 @@ class TestBuild:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_uncapped_run_stops_at_record_cap(self, tmp_path, monkeypatch, capsys):
+        # doubling.yaml's population doubles each step: 2**(t + 2) agents after
+        # step t, each agent-step (2 + 6) * 8 + 41 = 105 B of record, so the record
+        # held after step t is 105 * (2**(t + 3) - 4) B, past 2**20 first at t = 11
+        data = yaml.safe_load((ROOT / "configs" / "doubling.yaml").read_text())
+        data["run"].update(horizon=64, out_dir=str(tmp_path / "out"))
+        path = write_cfg(tmp_path, data)
+        monkeypatch.setattr(config, "RECORD_BYTES_MAX", 1 << 20)
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err == ("run error at step 11: ConfigError: evolution.n_star: an uncapped run's "
+                       "record reached 1719900 B at 8192 agents, past the 1048576-byte cap on "
+                       "a run's record\n")
+        assert not (tmp_path / "out").exists()
+
     def test_huge_int_in_float_field_runs(self, tmp_path):
         # held as the float 1e30, not as an int numpy would make an object array of
         extra = {"population": {"agents": 6, "dirichlet_alpha": 10 ** 30}}

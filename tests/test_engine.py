@@ -124,6 +124,54 @@ class TestObservationCheckedOnce:
             assert np.array_equal(old, new)
 
 
+class TestStepOrder:
+    """The task stream and the async cursors advance with each step, so steps
+    run in order from 0, and a refused step changes nothing."""
+
+    @staticmethod
+    def state(sim):
+        pop = sim.population
+        cursors = [] if sim._steps is None else [sim._cursor[pop.ids]]
+        return [a.copy() for a in (pop.ratings, pop.belief_matrix, pop.strengths,
+                                    sim.chains.counts, *cursors)]
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_out_of_order_step_refused(self, mode):
+        # async: skipping step 2 used to leave steps 3-19 scoring 17 agent-updates
+        # in place of 54, four of those steps scoring none
+        cfg = small_config(population={"agents": 6}, evolution={"tau_rep": 1.0, "tau_ext": 0.0},
+                           run={"horizon": 20, "seed": 1, "mode": mode, "async_bound": 3})
+        sim = Simulation(cfg)
+        sim.step(0)
+        sim.step(1)
+        before = self.state(sim)
+        for t in (3, 1, 0):
+            with pytest.raises(ScheduleViolation, match=f"^step {t} called out of order: "
+                                                        "the next step is 2$"):
+                sim.step(t)
+            for old, new in zip(before, self.state(sim)):
+                assert np.array_equal(old, new)
+        metrics = [sim.step(t)[0] for t in range(2, 20)]
+        assert metrics == simulate(cfg).metrics[2:]
+
+    def test_refused_async_observation_changes_nothing(self):
+        data = [[y, y] for y in (0, 1, 0, 2, 3, 0, 4, 0, 1, 2, 3, 4)]
+        cfg = small_config(task={"true_hypothesis": None, "observations": data},
+                           run={"horizon": 12, "mode": "async", "async_bound": 3})
+        sim = Simulation(cfg)
+        for t in range(3):
+            sim.step(t)
+        valid, sim.observations[3] = sim.observations[3], Observation(datum=5, truth_label=0)
+        before = self.state(sim)
+        with pytest.raises(IncompatibleObservation, match="outside"):
+            sim.step(3)
+        for old, new in zip(before, self.state(sim)):
+            assert np.array_equal(old, new)
+        sim.observations[3] = valid
+        metrics = [sim.step(t)[0] for t in range(3, 12)]
+        assert metrics == simulate(cfg).metrics[3:]
+
+
 class TestScoringWithoutMatrix:
     def test_report_margins_match_log_scores(self, small_cfg):
         seen = {"reports": 0}
