@@ -14,6 +14,10 @@ active at the step. Chain heads sit in arrays indexed by agent id
 (``ledger.LedgerColumns``), so a step's commits are one batched hash. The step
 takes each answer from its owner: ``evolve`` names the agents it created, split
 and removed, and the observation is checked once, through its likelihood column.
+A ``Simulation`` owns its record's ``ledger.Arena``: each step's state matrix
+is quantized into it in place, and each ScoreReport's columns and each commit
+block are kept there, so the record's pages go back to the OS once the result
+and the simulation are freed.
 
 ``config.run`` alone sets the mode: a run is asynchronous iff ``run.mode`` is
 ``async``, with window bound ``run.async_bound``. Asynchronous mode freezes both
@@ -23,7 +27,8 @@ the run's draws unless a schedule gives a founder's; they sit in one array with 
 cursor per agent id. The cursors and the task stream advance with each step, so
 ``Simulation.step`` refuses any order but 0, 1, 2, ... (``ScheduleViolation``);
 it checks a step's observation before a cursor moves, so a refused step changes
-nothing. Evolution and ledger commits run every step in both modes.
+nothing. A step that raises past these refusals ends the run: every later call
+is refused. Evolution and ledger commits run every step in both modes.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ from .errors import (EpiswarmError, InvariantViolation, PopulationCollapse, Sche
 from .evolution import IdAllocator, Population, evolve, update_decay_markers
 from .inference import information_gain, posterior_rows, strength_update
 # commit and encode_quantized stay bound though unused: bench/tracing.py wraps them here.
-from .ledger import (STRENGTH_MAX, LedgerColumns, _alongside, commit,  # noqa: F401
-                     commit_rows, encode_quantized, grown, quantize_rows)
+from .ledger import (STATE_DTYPE, STRENGTH_MAX, Arena, LedgerColumns, _alongside,  # noqa: F401
+                     commit, commit_rows, encode_quantized, grown, quantize_rows)
 from .likelihood import predictive_distribution
 from .rating import rating_step, reward_gradient
 # substream stays bound though unused: bench/tracing.py wraps it here.
@@ -183,7 +188,8 @@ class Simulation:
             self.space, priors, r0=self.rating_cfg.r0,
             strength0=config.population.strength0)
 
-        self.chains = LedgerColumns()
+        self.arena = Arena()  # the record: state matrices, commit blocks, score columns
+        self.chains = LedgerColumns(self.arena)
         # Async: _steps[:_end] holds each agent's update steps then -1; _cursor[id] is its next.
         self._steps: Optional[np.ndarray] = None
         if config.run.mode == "async":
@@ -200,6 +206,7 @@ class Simulation:
 
         self._prev_mean_entropy = float(entropy_rows(self.population.belief_matrix).mean())
         self._next_step = 0
+        self._failed: Optional[str] = None  # the step that raised past its refusals
 
     # -- helpers ---------------------------------------------------------
 
@@ -228,13 +235,14 @@ class Simulation:
     def step(self, t: int) -> Tuple[MetricsSnapshot, StepInfo, np.ndarray]:
         """Advance one step: the metrics snapshot, the bookkeeping (with the
         ScoreReport, if any agent was scored) and the committed quantize_rows.
-        Steps run in order from 0; a refused step changes nothing."""
+        Steps run in order from 0; a refused step changes nothing. A step that
+        raises past its refusals may have changed the state in part, so it
+        ends the run: every later call is refused."""
+        if self._failed is not None:
+            raise ScheduleViolation(f"step {t} refused: {self._failed}, which ended the run")
         if t != self._next_step:
             raise ScheduleViolation(f"step {t} called out of order: the next step is "
                                     f"{self._next_step}")
-        pop = self.population
-        mass_before = pop.rating_mass()
-
         if self.observations is None:  # every agent at a step sees the same datum
             obs = self.model.emit(self.config.task.true_hypothesis, self.draws.task, t)
         else:  # a listed task has no datum past its end
@@ -242,6 +250,17 @@ class Simulation:
         active = self._active_indices(t)
         # the step's one observation check, before the due agents' cursors move
         like = None if obs is None or len(active) == 0 else self.model.likelihood_vector(obs)
+        try:
+            return self._advance(t, obs, active, like)
+        except BaseException as exc:
+            self._failed = f"step {t} raised {type(exc).__name__}"
+            raise
+
+    def _advance(self, t: int, obs, active: np.ndarray,
+                 like: Optional[np.ndarray]) -> Tuple[MetricsSnapshot, StepInfo, np.ndarray]:
+        """The part of step ``t`` past its refusals, which changes the state."""
+        pop = self.population
+        mass_before = pop.rating_mass()
         if self._steps is not None:
             self._cursor[pop.ids[active]] += 1
 
@@ -255,8 +274,10 @@ class Simulation:
             agg = aggregate_utility(scores)
             if abs(float(agg.sum())) > zero_sum_tolerance(scores):
                 raise InvariantViolation(f"aggregate utility violates zero-sum at step {t}")
-            report = ScoreReport(step=t, agent_ids=pop.ids[active].copy(), losses=losses,
-                                 fitness=fitness(losses), log_scores=scores, aggregate=agg)
+            keep = self.arena.copy
+            report = ScoreReport(step=t, agent_ids=keep(pop.ids[active]), losses=keep(losses),
+                                 fitness=keep(fitness(losses)), log_scores=keep(scores),
+                                 aggregate=keep(agg))
 
             # rating updates; each agent draws its noise from its own stream
             scale = max(1.0, float(np.abs(agg).max()))
@@ -297,7 +318,9 @@ class Simulation:
             self._schedule(result.born_ids.tolist(), t + 1, {})
 
         # ledger commits for every agent present at the end of the step
-        quantized = quantize_rows(self.population, t)
+        n, k = self.population.belief_matrix.shape
+        quantized = quantize_rows(self.population, t,
+                                  out=self.arena.empty((n, k + 6), STATE_DTYPE))
         commit_rows(self.chains, quantized, t)
         snapshot = self._snapshot(t, active, result, abs_residue=residue_abs)
         info = StepInfo(report=report, rating_delta_sum=delta_sum,

@@ -20,6 +20,14 @@ per-agent ``LedgerChain``-like views build their entries only when read. The
 scalar ``encode_quantized``, ``commit`` and ``verify_chain`` are independent
 oracles for the tests. ``ledger_root`` is one digest of a whole ledger.
 
+A run's record takes its arrays from one ``Arena`` of anonymous memory
+mappings: the commit blocks' ids and digests, and in the engine the state
+matrices (``quantize_rows`` writes into ``out``) and the score columns. The
+arena bump-allocates from ``ARENA_CHUNK``-byte mappings, a larger array getting
+a mapping of its own, so a freed record returns its pages to the OS whatever
+state the C heap is in. The mappings are private, so a forked child (the
+writer's and the verifier's) reads them copy-on-write.
+
 File formats: LF-terminated lines, each INT as %d prints it (0|-?[1-9][0-9]*,
 signed 64-bit):
   ledger:    INT<TAB>INT<TAB>64 lowercase hex digits (agent id, step, digest)
@@ -52,7 +60,10 @@ same replay runs once over the whole file.
 from __future__ import annotations
 
 import binascii
+import contextlib
 import hashlib
+import math
+import mmap
 import os
 import pickle
 import re
@@ -101,12 +112,12 @@ def encode_quantized(agent_id: int, step: int, belief_q: Sequence[int], rating_q
     return VERSION_PREFIX + struct.pack(f"<{len(ints)}q", *ints)
 
 
-def quantize_rows(pop: Population, step: int) -> np.ndarray:
+def quantize_rows(pop: Population, step: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Quantized state of every agent at one step: an (N, K+6) little-endian
     int64 matrix, one row per agent in population order, columns in encoding
-    order. Strengths saturate at STRENGTH_MAX."""
+    order, written into ``out`` if given. Strengths saturate at STRENGTH_MAX."""
     n, k = pop.belief_matrix.shape
-    q = np.empty((n, k + 6), dtype=STATE_DTYPE)
+    q = np.empty((n, k + 6), dtype=STATE_DTYPE) if out is None else out
     q[:, 0] = pop.ids
     q[:, 1] = step
     q[:, 2:k + 2] = np.rint(pop.belief_matrix / BELIEF_QUANTUM)
@@ -140,6 +151,63 @@ def grown(a: np.ndarray, size: int) -> np.ndarray:
     if size <= len(a):
         return a
     return np.concatenate([a, np.zeros((max(size, 2 * len(a)) - len(a),) + a.shape[1:], a.dtype)])
+
+
+# The size of an arena's shared mappings, and the alignment of its arrays.
+ARENA_CHUNK = 8 << 20
+ARENA_ALIGN = 64
+# Private mappings, so a forked child's pages stay copy-on-write, where the
+# platform has the flag.
+_MAP_FLAGS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _mapping(size: int) -> mmap.mmap:
+    # ``size`` bytes of anonymous memory, advised into huge pages where the
+    # platform has them, so that a page fault fills more of the record. The
+    # advice is a hint: a kernel built without huge pages refuses it.
+    m = mmap.mmap(-1, size, **_MAP_FLAGS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):
+            m.madvise(mmap.MADV_HUGEPAGE)
+    return m
+
+
+class Arena:
+    """The arrays of one run's record, in anonymous memory mappings of their
+    own: each array is bump-allocated from the current ARENA_CHUNK-byte
+    mapping, or gets a mapping of its own if it is larger. An array's ``base``
+    is its mapping, so a mapping is unmapped, and its pages go back to the OS,
+    once the arena has moved past it and the last array in it is freed,
+    whatever state the C heap is in. ``nbytes`` counts the bytes handed out."""
+
+    def __init__(self) -> None:
+        self._chunk: Optional[mmap.mmap] = None
+        self._used = self.nbytes = 0
+
+    def empty(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialized array in the arena."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        padded = -(-size // ARENA_ALIGN) * ARENA_ALIGN
+        self.nbytes += padded
+        if size > ARENA_CHUNK:
+            return np.ndarray(shape, dtype, buffer=_mapping(size))
+        if self._chunk is None or self._used + size > ARENA_CHUNK:
+            self._chunk, self._used = _mapping(ARENA_CHUNK), 0
+        out = np.ndarray(shape, dtype, buffer=self._chunk, offset=self._used)
+        self._used += padded
+        return out
+
+    def copy(self, a: np.ndarray) -> np.ndarray:
+        """A copy of ``a`` in the arena."""
+        out = self.empty(a.shape, a.dtype)
+        out[...] = a
+        return out
+
+    def __reduce__(self):
+        # A mapping does not pickle, and a pickled record's arrays travel as
+        # copies of their bytes, so an unpickled arena starts empty.
+        return Arena, ()
 
 
 def chain_digests(q: np.ndarray, prev: np.ndarray, chained: np.ndarray) -> np.ndarray:
@@ -189,11 +257,13 @@ class ChainView:
 class LedgerColumns(Mapping):
     """Every agent's hash chain, held as columns: one (ascending agent ids,
     step, (n, 32) uint8 digests) block per ``commit_rows`` call, about 40 bytes
-    an entry, plus each agent's head, last step, entry count and first block in
-    arrays indexed by agent id. A read-only mapping from the id of every agent
-    with a chain to its ``ChainView``."""
+    an entry in ``arena`` (a new one if None), plus each agent's head, last
+    step, entry count and first block in arrays indexed by agent id. A
+    read-only mapping from the id of every agent with a chain to its
+    ``ChainView``."""
 
-    def __init__(self) -> None:
+    def __init__(self, arena: Optional[Arena] = None) -> None:
+        self.arena = Arena() if arena is None else arena
         self.blocks: List[Tuple[np.ndarray, int, np.ndarray]] = []
         self.heads = np.zeros((0, 32), np.uint8)
         self.last_steps = np.zeros(0, STATE_DTYPE)
@@ -240,7 +310,8 @@ def commit_rows(chains: LedgerColumns, q: np.ndarray, step: int) -> None:
     chains.heads[ids] = digests
     chains.last_steps[ids] = step
     chains.counts[ids] += 1
-    chains.blocks.append((sorted_ids, step, digests[order]))
+    keep = chains.arena.copy
+    chains.blocks.append((keep(sorted_ids), step, keep(digests[order])))
 
 
 def verify_chain(chain: LedgerChain, replayed: Sequence[bytes]) -> Optional[int]:

@@ -3,8 +3,10 @@ substream scheme. A draw comes from the substream of a domain tag plus keys:
 the task (none), founder i's prior (i), and by agent id its rating noise, its
 prior mutation as a child and its async update steps, so no stream depends on
 iteration order or population size. Rating noise is drawn ``NOISE_BLOCK``
-values per call into an array indexed by agent id; a dead agent's generator is
-dropped. A seed's bytes depend on the tags, keys, block size and draw order.
+values per call into a row of one array, reached through a row number indexed
+by agent id; a dead agent's generator and row are dropped, and the rows are
+compacted once the dropped outnumber the rest. A seed's bytes depend on the
+tags, keys, block size and draw order.
 
 Entropy: the seed (mod 2^64), domain and keys, each as little-endian 32-bit
 words (as many as it needs, one for 0), in one uint32 array, which
@@ -153,12 +155,16 @@ def substream(seed: int, domain: int, *keys: int) -> np.random.Generator:
 
 class Draws:
     """The draws of one run. Only rating noise keeps state: each drawing agent's
-    generator, and its block as row ``id`` of ``_noise``, ``_left[id]`` unread."""
+    generator, and its block in row ``_row[id] - 1`` of ``_noise`` (``_row[id]``
+    0: none), with ``_left`` of the row's values unread and ``_owner`` its agent
+    (-1 once dropped). The first ``_used`` rows are in use."""
 
     def __init__(self, seed: int):
         self.seed = seed
         self._rating: Dict[int, np.random.Generator] = {}
-        self._noise, self._left = np.empty((0, NOISE_BLOCK)), np.empty(0, dtype=np.int64)
+        self._row = np.empty(0, dtype=np.int64)
+        self._noise, self._used = np.empty((0, NOISE_BLOCK)), 0
+        self._left, self._owner = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
     @cached_property
     def task(self) -> np.random.Generator:
@@ -173,21 +179,38 @@ class Draws:
     def rating_noise(self, ids: np.ndarray, sigma: float) -> np.ndarray:
         """Each agent's next N(0, sigma) value, as one ``normal`` call per agent
         and step would draw it."""
-        self._noise = grown(self._noise, int(ids.max(initial=-1)) + 1)
-        self._left = grown(self._left, len(self._noise))
-        refill = ids[self._left[ids] == 0].tolist()
-        new = [aid for aid in refill if aid not in self._rating]
-        self._rating.update(zip(new, substreams(self.seed, DOMAIN_RATING, [(a,) for a in new])))
-        for aid in refill:
-            self._noise[aid] = self._rating[aid].normal(0.0, sigma, size=NOISE_BLOCK)
-            self._left[aid] = NOISE_BLOCK
-        self._left[ids] -= 1
-        return self._noise[ids, NOISE_BLOCK - 1 - self._left[ids]]
+        self._row = grown(self._row, int(ids.max(initial=-1)) + 1)
+        new = ids[self._row[ids] == 0]
+        if len(new):  # each takes the next row, its block not yet drawn
+            rows = np.arange(self._used, self._used + len(new))
+            self._used += len(new)
+            self._noise, self._left, self._owner = (
+                grown(a, self._used) for a in (self._noise, self._left, self._owner))
+            self._row[new], self._left[rows], self._owner[rows] = rows + 1, 0, new
+            keys = new.tolist()
+            self._rating.update(zip(keys, substreams(self.seed, DOMAIN_RATING,
+                                                     [(a,) for a in keys])))
+        rows = self._row[ids] - 1
+        refill = self._left[rows] == 0
+        for aid, row in zip(ids[refill].tolist(), rows[refill].tolist()):
+            self._noise[row] = self._rating[aid].normal(0.0, sigma, size=NOISE_BLOCK)
+            self._left[row] = NOISE_BLOCK
+        self._left[rows] -= 1
+        return self._noise[rows, NOISE_BLOCK - 1 - self._left[rows]]
 
     def drop(self, ids: Iterable[int]) -> None:
-        """Free the rating generators of dead agents (ids are never reused)."""
-        for aid in ids:
-            self._rating.pop(aid, None)
+        """Free the rating generators and noise rows of dead agents (ids are
+        never reused). Once dropped rows outnumber the rest, the rest move to
+        the front and the row arrays shrink to them."""
+        gone = [aid for aid in ids if self._rating.pop(aid, None) is not None]
+        self._owner[self._row[gone] - 1] = -1
+        self._row[gone] = 0
+        live = np.flatnonzero(self._owner[:self._used] >= 0)
+        if self._used > 2 * len(live):
+            self._noise, self._left, self._owner = (
+                a[live] for a in (self._noise, self._left, self._owner))
+            self._row[self._owner] = np.arange(1, len(live) + 1)
+            self._used = len(live)
 
     def mutation(self, child_ids: np.ndarray, k: int) -> np.ndarray:
         """The (n, k) unit normals that tilt the children's priors."""

@@ -264,6 +264,22 @@ class TestCli:
         data["run"] = dict(REFERENCE_SMALL["run"], out_dir=str(tmp_path / "out"))
         assert main(["run", write_cfg(tmp_path, data)]) == 2
 
+    def test_run_collapse_after_steps_writes_them_and_exits_two(self, tmp_path, capsys):
+        # collapse.yaml with three grace steps collapses at step 2: the run prints
+        # its root and writes the artifacts of steps 0-1, which verify
+        data = yaml.safe_load((ROOT / "configs" / "collapse.yaml").read_text())
+        data["evolution"]["grace"] = 3
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", write_cfg(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "population collapse at step 2\n"
+        roots = [x for x in captured.out.splitlines() if x.startswith("root=")]
+        assert len(roots) == 1
+        rows = [json.loads(x) for x in (out / "statelog.jsonl").read_text().splitlines()]
+        assert sorted({r["step"] for r in rows}) == [0, 1] and len(rows) == 2 * 10
+        assert main(["verify", str(out / "ledger.tsv"), str(out / "statelog.jsonl"),
+                     "--root", roots[0][len("root="):]]) == 0
+
     def test_run_invariant_violation_exit_one(self, tmp_path, capsys, monkeypatch):
         from episwarm import engine
         honest = engine.aggregate_utility

@@ -1,10 +1,16 @@
 import dataclasses
 import errno
+import gc
 import hashlib
+import json
 import math
+import mmap
 import os
+import pickle
 import signal
+import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +19,12 @@ import pytest
 from conftest import json_lines, small_config, statelog_rows
 from episwarm import competition, engine, ledger
 from episwarm.competition import MarginMatrix, margin_entries
-from episwarm.config import from_dict, set_param
+from episwarm.config import from_dict, load_config, set_param
 from episwarm.engine import (SWEEP_OBSERVABLES, Simulation, default_schedule, run, simulate,
                              sweep, write_artifacts)
 from episwarm.errors import (ConfigError, IncompatibleObservation, InvariantViolation,
                              PopulationCollapse, ScheduleViolation, ShapeMismatch)
-from episwarm.ledger import (VERSION_PREFIX, audit_artifacts, encode_quantized,
+from episwarm.ledger import (VERSION_PREFIX, audit_artifacts, encode_quantized, ledger_root,
                              verify_artifacts, write_state_log)
 from episwarm.likelihood import Observation
 from episwarm.rng import DOMAIN_RATING, Draws, substream
@@ -124,6 +130,15 @@ class TestObservationCheckedOnce:
             assert np.array_equal(old, new)
 
 
+class TestHorizon:
+    def test_simulate_refuses_a_horizon_set_below_one(self):
+        # RunSection refuses it at load; a loaded config changed in place reaches simulate
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "reference.yaml")
+        cfg.run.horizon = 0
+        with pytest.raises(ShapeMismatch, match="^horizon must be >= 1$"):
+            simulate(cfg)
+
+
 class TestStepOrder:
     """The task stream and the async cursors advance with each step, so steps
     run in order from 0, and a refused step changes nothing."""
@@ -153,6 +168,23 @@ class TestStepOrder:
                 assert np.array_equal(old, new)
         metrics = [sim.step(t)[0] for t in range(2, 20)]
         assert metrics == simulate(cfg).metrics[2:]
+
+    def test_failed_step_ends_the_run(self):
+        # evolve raises PopulationCollapse after step 0 moved every rating in
+        # place; stepping on would move them again from that half-stepped state
+        cfg = small_config(population={"prior": "uniform"},
+                           evolution={"tau_ext": 0.99, "tau_rep": 0.995, "grace": 1})
+        sim = Simulation(cfg)
+        with pytest.raises(PopulationCollapse):
+            sim.step(0)
+        assert (sim.population.ratings != cfg.rating.r0).all()
+        before = self.state(sim)
+        for t in (0, 1, 0):
+            with pytest.raises(ScheduleViolation, match=f"^step {t} refused: step 0 raised "
+                                                        "PopulationCollapse, which ended the run$"):
+                sim.step(t)
+            for old, new in zip(before, self.state(sim)):
+                assert np.array_equal(old, new)
 
     def test_refused_async_observation_changes_nothing(self):
         data = [[y, y] for y in (0, 1, 0, 2, 3, 0, 4, 0, 1, 2, 3, 4)]
@@ -686,6 +718,102 @@ class TestColumnarState:
             sum(m.population_size for m in res.metrics)
 
 
+def record_arrays(statelog, reports, chains):
+    """Every array a run's record keeps: the state matrices, each commit
+    block's ids and digests, and each ScoreReport's five columns."""
+    return [*statelog, *(a for ids, _, digests in chains.blocks for a in (ids, digests)),
+            *(a for r in reports
+              for a in (r.agent_ids, r.losses, r.fitness, r.log_scores, r.aggregate))]
+
+
+def mapping_refs(arrays):
+    """Weak references to the distinct memory mappings under ``arrays``."""
+    refs = {}
+    for a in arrays:
+        while isinstance(a, np.ndarray):
+            a = a.base
+        assert isinstance(a, mmap.mmap), type(a)
+        refs[id(a)] = weakref.ref(a)
+    return list(refs.values())
+
+
+# A child process that runs a record of about 70 MB (1,000 agents, K = 100, 80
+# steps) and prints its bytes and the resident bytes that freeing it returned.
+FREED_RECORD_SCRIPT = """
+import gc, json, os
+from episwarm.config import from_dict
+from episwarm.engine import simulate
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+result = simulate(from_dict({
+    "space": {"hypotheses": 100}, "outcomes": 100, "population": {"agents": 1000},
+    "evolution": {"tau_rep": 1.0, "tau_ext": 0.0, "n_star": 2000},
+    "run": {"horizon": 80, "seed": 5}}))
+record = sum(q.nbytes for q in result.statelog) + sum(
+    ids.nbytes + digests.nbytes for ids, _, digests in result.chains.blocks) + sum(
+    a.nbytes for r in result.reports
+    for a in (r.agent_ids, r.losses, r.fitness, r.log_scores, r.aggregate))
+before = resident()
+del result
+gc.collect()
+print(json.dumps({"record": record, "freed": before - resident()}))
+"""
+
+
+class TestRecordMappings:
+    """A run's record lives in anonymous memory mappings of its own, which are
+    unmapped once the record and its Simulation are released."""
+
+    CFG = dict(evolution={"tau_ext": 0.2, "tau_rep": 0.6, "grace": 3},
+               rating={"sigma": 0.05}, run={"horizon": 40})
+
+    def test_result_mappings_die_with_the_result(self):
+        result = simulate(small_config(**self.CFG))
+        assert sum(m.spawns for m in result.metrics) > 0
+        refs = mapping_refs(record_arrays(result.statelog, result.reports, result.chains))
+        assert all(r() is not None for r in refs)
+        del result
+        gc.collect()
+        assert all(r() is None for r in refs)
+
+    def test_stepped_mappings_die_with_the_simulation(self):
+        sim = Simulation(small_config(**self.CFG))
+        steps = [sim.step(t) for t in range(20)]
+        refs = mapping_refs(record_arrays([q for _, _, q in steps],
+                                          [info.report for _, info, _ in steps], sim.chains))
+        del steps
+        gc.collect()
+        assert any(r() is not None for r in refs)  # the chains keep their blocks
+        del sim
+        gc.collect()
+        assert all(r() is None for r in refs)
+
+    def test_result_pickles(self):
+        result = simulate(small_config(**self.CFG))
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy.metrics == result.metrics and copy.chains.arena.nbytes == 0
+        for old, new in zip(record_arrays(result.statelog, result.reports, result.chains),
+                            record_arrays(copy.statelog, copy.reports, copy.chains)):
+            assert old.dtype == new.dtype and np.array_equal(old, new)
+        assert ledger_root(copy.chains) == ledger_root(result.chains)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads resident memory from Linux's /proc/self/statm")
+    def test_freed_record_returns_its_pages(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", FREED_RECORD_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["record"] >= 64 << 20
+        assert out["freed"] >= out["record"] / 2, out
+
+
 class TestAsync:
     def test_generated_steps_satisfy_bound(self):
         for bound in (1, 3, 7):
@@ -825,6 +953,16 @@ class TestSweep:
         expected = simulate(point, schedule=default_schedule(point)).summary()
         assert {k: async_rows[1][k] for k in SWEEP_OBSERVABLES} == \
             {k: expected[k] for k in SWEEP_OBSERVABLES}
+
+    def test_collapse_after_steps_recorded(self):
+        # collapse.yaml collapses at step 0 with one grace step, before any
+        # step completes (an error), and at step 2 with three
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "collapse.yaml")
+        rows = sweep(cfg, "evolution.grace", [1, 3])
+        assert rows[0]["status"] == "error: population would be empty after step 0"
+        assert rows[0]["final_mass"] is None
+        assert rows[1]["status"] == "collapse@2"
+        assert rows[1]["final_population"] == 10
 
     def test_per_point_failure_recorded(self, small_cfg):
         rows = sweep(small_cfg, "lambda", [0.45, 1.7])

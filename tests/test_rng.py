@@ -253,6 +253,20 @@ class TestDrawsReplay:
                 assert not set(dead) & set(draws._rating)
         assert set(draws._rating) <= set(live)
 
+    def test_rating_noise_rows_follow_the_drawing_agents(self):
+        # fast turnover: each step the five oldest of ten drawing agents die and
+        # five are born, so 1,010 ids draw, yet the noise rows held stay within
+        # twice the ten agents still drawing, and each draw is its stream's
+        draws, scalar, live, next_id = Draws(11), {}, list(range(10)), 10
+        for step in range(200):
+            expected = [scalar.setdefault(aid, substream(11, DOMAIN_RATING, aid)).normal(0.0, 0.2)
+                        for aid in live]
+            assert draws.rating_noise(np.array(live), 0.2).tolist() == expected, step
+            assert len(draws._noise) <= 2 * len(live), step
+            draws.drop(live[:5])
+            live, next_id = live[5:] + list(range(next_id, next_id + 5)), next_id + 5
+        assert next_id == 1010
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_update_steps_are_each_agents_stream(self, seed):
         ids = [0, 3, 4, 2 ** 32 + 1]
