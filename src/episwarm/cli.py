@@ -11,9 +11,9 @@ A run, and a verify that finds every chain intact, print the ledger root
 one.
 
 Exit codes: 0 success, 1 config/parse error, a write error, or a run error
-(any other package error raised during a run, reported with the step it was
-raised at), 2 population collapse, 3 tamper detected (a root other than the
-given one included).
+(any other package error, or MemoryError, raised during a run, reported with
+the step it was raised at), 2 population collapse, 3 tamper detected (a root
+other than the given one included).
 """
 
 from __future__ import annotations
@@ -59,9 +59,13 @@ def cmd_run(args) -> int:
     except PopulationCollapse as exc:
         print(f"population collapse at step {exc.step}", file=sys.stderr)
         return EXIT_COLLAPSE
-    except EpiswarmError as exc:
-        where = "outside a step" if exc.step is None else f"at step {exc.step}"
-        print(f"run error {where}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (EpiswarmError, MemoryError) as exc:
+        step = getattr(exc, "step", None)
+        where = "outside a step" if step is None else f"at step {step}"
+        # numpy's refused allocation is a subclass of MemoryError
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        detail = f": {exc}" if str(exc) else ""
+        print(f"run error {where}: {name}{detail}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         return _write_error(exc)

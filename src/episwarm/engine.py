@@ -14,10 +14,12 @@ active at the step. Chain heads sit in arrays indexed by agent id
 (``ledger.LedgerColumns``), so a step's commits are one batched hash. The step
 takes each answer from its owner: ``evolve`` names the agents it created, split
 and removed, and the observation is checked once, through its likelihood column.
-A ``Simulation`` owns its record's ``ledger.Arena``: each step's state matrix
-is quantized into it in place, and each ScoreReport's columns and each commit
-block are kept there, so the record's pages go back to the OS once the result
-and the simulation are freed.
+A ``Simulation`` owns its record's ``ledger.Arena``: each ScoreReport's columns
+and each commit block are kept there, and so is ``simulate``'s
+``ledger.StateLog``, so the record's pages go back to the OS once the result
+and the simulation are freed. A step quantizes its states into a plain int64
+matrix, which it hashes and returns; the StateLog keeps that matrix's belief
+quanta as int32.
 
 ``config.run`` alone sets the mode: a run is asynchronous iff ``run.mode`` is
 ``async``, with window bound ``run.async_bound``. Asynchronous mode freezes both
@@ -52,7 +54,7 @@ from .errors import (EpiswarmError, InvariantViolation, PopulationCollapse, Sche
 from .evolution import IdAllocator, Population, evolve, update_decay_markers
 from .inference import information_gain, posterior_rows, strength_update
 # commit and encode_quantized stay bound though unused: bench/tracing.py wraps them here.
-from .ledger import (STATE_DTYPE, STRENGTH_MAX, Arena, LedgerColumns, _alongside,  # noqa: F401
+from .ledger import (STRENGTH_MAX, Arena, LedgerColumns, StateLog, _alongside,  # noqa: F401
                      commit, commit_rows, encode_quantized, grown, quantize_rows)
 from .likelihood import predictive_distribution
 from .rating import rating_step, reward_gradient
@@ -125,14 +127,15 @@ class StepInfo:
 @dataclass
 class RunResult:
     """A run's record, which ``write_artifacts`` turns into files: one ScoreReport
-    per scored step, one ledger.quantize_rows matrix per completed step, and
-    every agent's chain as ledger.LedgerColumns."""
+    per scored step, every completed step's committed states as a
+    ledger.StateLog (``statelog[t]`` is step t's ledger.quantize_rows matrix),
+    and every agent's chain as ledger.LedgerColumns."""
 
     config: ScenarioConfig
     metrics: List[MetricsSnapshot]
     reports: List[ScoreReport]
     chains: LedgerColumns
-    statelog: List[np.ndarray]
+    statelog: StateLog
     population: Population
     collapsed_at: Optional[int] = None
 
@@ -188,7 +191,7 @@ class Simulation:
             self.space, priors, r0=self.rating_cfg.r0,
             strength0=config.population.strength0)
 
-        self.arena = Arena()  # the record: state matrices, commit blocks, score columns
+        self.arena = Arena()  # the record: state log, commit blocks, score columns
         self.chains = LedgerColumns(self.arena)
         # Async: _steps[:_end] holds each agent's update steps then -1; _cursor[id] is its next.
         self._steps: Optional[np.ndarray] = None
@@ -318,9 +321,7 @@ class Simulation:
             self._schedule(result.born_ids.tolist(), t + 1, {})
 
         # ledger commits for every agent present at the end of the step
-        n, k = self.population.belief_matrix.shape
-        quantized = quantize_rows(self.population, t,
-                                  out=self.arena.empty((n, k + 6), STATE_DTYPE))
+        quantized = quantize_rows(self.population, t)
         commit_rows(self.chains, quantized, t)
         snapshot = self._snapshot(t, active, result, abs_residue=residue_abs)
         info = StepInfo(report=report, rating_delta_sum=delta_sum,
@@ -369,27 +370,30 @@ def simulate(config: ScenarioConfig, schedule: Optional[Mapping[int, Sequence[in
              on_step: Optional[Callable] = None) -> RunResult:
     """Run ``horizon`` steps in ``config.run.mode`` (or halt on collapse); no
     files written. ``schedule`` is as for ``Simulation``. A run whose record
-    passes ``config.RECORD_BYTES_MAX`` (an uncapped one) stops at that step."""
+    passes ``config.RECORD_BYTES_MAX`` (an uncapped one) stops at that step; the
+    record is modelled with 8 bytes a belief quantum, twice what the StateLog
+    keeps. A package error or MemoryError raised in a step is tagged with it
+    (``step``)."""
     if config.run.horizon < 1:
         raise ShapeMismatch("horizon must be >= 1")
     sim = Simulation(config, schedule=schedule)
     metrics: List[MetricsSnapshot] = []
     reports: List[ScoreReport] = []
-    statelog: List[np.ndarray] = []
+    statelog = StateLog(sim.arena)
     collapsed_at, held = None, 0
     for t in range(config.run.horizon):
         try:
             snap, info, quantized = sim.step(t)
             held += quantized.nbytes + LEDGER_ENTRY_BYTES * len(quantized)
             check_record(held, len(quantized))
+            statelog.append(quantized)
         except PopulationCollapse as exc:
             collapsed_at = exc.step
             break
-        except EpiswarmError as exc:
+        except (EpiswarmError, MemoryError) as exc:
             exc.step = t
             raise
         metrics.append(snap)
-        statelog.append(quantized)
         if info.report is not None:
             reports.append(info.report)
         if on_step is not None:

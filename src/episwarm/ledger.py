@@ -20,13 +20,19 @@ per-agent ``LedgerChain``-like views build their entries only when read. The
 scalar ``encode_quantized``, ``commit`` and ``verify_chain`` are independent
 oracles for the tests. ``ledger_root`` is one digest of a whole ledger.
 
+A run's committed states are a ``StateLog``: each step's six scalar columns as
+int64 and its belief quanta, which lie in [0, 10^9], as int32, so a row takes
+48 + 4K bytes rather than the matrix's 48 + 8K. A step's matrix is built only
+where it is hashed (the step's own ``quantize_rows``) or read (``log[t]``);
+``write_state_log`` prints the compact columns directly.
+
 A run's record takes its arrays from one ``Arena`` of anonymous memory
-mappings: the commit blocks' ids and digests, and in the engine the state
-matrices (``quantize_rows`` writes into ``out``) and the score columns. The
-arena bump-allocates from ``ARENA_CHUNK``-byte mappings, a larger array getting
-a mapping of its own, so a freed record returns its pages to the OS whatever
-state the C heap is in. The mappings are private, so a forked child (the
-writer's and the verifier's) reads them copy-on-write.
+mappings: the commit blocks' ids and digests, the ``StateLog``'s columns and,
+in the engine, the score columns. The arena bump-allocates from
+``ARENA_CHUNK``-byte mappings, a larger array getting a mapping of its own, so
+a freed record returns its pages to the OS whatever state the C heap is in. An
+arena that cannot map memory raises MemoryError. The mappings are private, so
+a forked child (the writer's and the verifier's) reads them copy-on-write.
 
 File formats: LF-terminated lines, each INT as %d prints it (0|-?[1-9][0-9]*,
 signed 64-bit):
@@ -61,6 +67,7 @@ from __future__ import annotations
 
 import binascii
 import contextlib
+import errno
 import hashlib
 import math
 import mmap
@@ -68,9 +75,9 @@ import os
 import pickle
 import re
 import struct
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,6 +96,16 @@ STRENGTH_MAX = 9.2e9
 # One quantized state row: signed 8-byte little-endian integers.
 STATE_DTYPE = np.dtype("<i8")
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+# A kept step's belief quanta: each is a normalized belief over BELIEF_QUANTUM,
+# in [0, 10^9], so signed 4-byte integers hold them.
+BELIEF_DTYPE = np.dtype("<i4")
+INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
+
+
+def _scalar_columns(k: int) -> List[int]:
+    # A state row's columns other than its K belief quanta, in encoding order:
+    # agent id, step, rating, strength, parent id, birth step.
+    return [0, 1, k + 2, k + 3, k + 4, k + 5]
 
 
 @dataclass
@@ -112,12 +129,12 @@ def encode_quantized(agent_id: int, step: int, belief_q: Sequence[int], rating_q
     return VERSION_PREFIX + struct.pack(f"<{len(ints)}q", *ints)
 
 
-def quantize_rows(pop: Population, step: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+def quantize_rows(pop: Population, step: int) -> np.ndarray:
     """Quantized state of every agent at one step: an (N, K+6) little-endian
     int64 matrix, one row per agent in population order, columns in encoding
-    order, written into ``out`` if given. Strengths saturate at STRENGTH_MAX."""
+    order. Strengths saturate at STRENGTH_MAX."""
     n, k = pop.belief_matrix.shape
-    q = np.empty((n, k + 6), dtype=STATE_DTYPE) if out is None else out
+    q = np.empty((n, k + 6), dtype=STATE_DTYPE)
     q[:, 0] = pop.ids
     q[:, 1] = step
     q[:, 2:k + 2] = np.rint(pop.belief_matrix / BELIEF_QUANTUM)
@@ -164,8 +181,14 @@ _MAP_FLAGS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 def _mapping(size: int) -> mmap.mmap:
     # ``size`` bytes of anonymous memory, advised into huge pages where the
     # platform has them, so that a page fault fills more of the record. The
-    # advice is a hint: a kernel built without huge pages refuses it.
-    m = mmap.mmap(-1, size, **_MAP_FLAGS)
+    # advice is a hint: a kernel built without huge pages refuses it. Memory
+    # the OS will not map is MemoryError, as a refused allocation is.
+    try:
+        m = mmap.mmap(-1, size, **_MAP_FLAGS)
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map {size} bytes for a run's record") from None
     if hasattr(mmap, "MADV_HUGEPAGE"):
         with contextlib.suppress(OSError):
             m.madvise(mmap.MADV_HUGEPAGE)
@@ -314,6 +337,47 @@ def commit_rows(chains: LedgerColumns, q: np.ndarray, step: int) -> None:
     chains.blocks.append((keep(sorted_ids), step, keep(digests[order])))
 
 
+class StateLog(Sequence):
+    """A run's committed states, one entry a step: ``log[t]`` is the
+    ``quantize_rows`` matrix of step t, built when it is read (a slice gives a
+    list of them). Each step is kept as two arrays in ``arena`` (a new one if
+    None): its (n, 6) int64 scalar columns (agent id, step, rating, strength,
+    parent id, birth step) in ``scalars``, and its (n, K) belief quanta as
+    int32 (BELIEF_DTYPE) in ``beliefs``: 448 bytes a row at K = 100, against
+    the matrix's 848."""
+
+    def __init__(self, arena: Optional[Arena] = None) -> None:
+        self.arena = Arena() if arena is None else arena
+        self.scalars: List[np.ndarray] = []
+        self.beliefs: List[np.ndarray] = []
+
+    def append(self, q: np.ndarray) -> None:
+        """Keep a ``quantize_rows`` matrix; if a belief quantum lies outside
+        the int32 range, raise ShapeMismatch and keep nothing."""
+        n, k = len(q), q.shape[1] - 6
+        quanta = q[:, 2:k + 2]
+        if quanta.size and (quanta.min() < INT32_MIN or quanta.max() > INT32_MAX):
+            raise ShapeMismatch(f"a belief quantum at step {q[0, 1]} is outside the "
+                                "signed 32-bit range")
+        scalars, beliefs = self.arena.empty((n, 6), STATE_DTYPE), self.arena.empty((n, k),
+                                                                                   BELIEF_DTYPE)
+        scalars[:, :2], scalars[:, 2:], beliefs[...] = q[:, :2], q[:, k + 2:], quanta
+        self.scalars.append(scalars)
+        self.beliefs.append(beliefs)
+
+    def __len__(self) -> int:
+        return len(self.scalars)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[i] for i in range(*t.indices(len(self)))]
+        scalars, beliefs = self.scalars[t], self.beliefs[t]
+        k = beliefs.shape[1]
+        q = np.empty((len(scalars), k + 6), STATE_DTYPE)
+        q[:, :2], q[:, 2:k + 2], q[:, k + 2:] = scalars[:, :2], beliefs, scalars[:, 2:]
+        return q
+
+
 def verify_chain(chain: LedgerChain, replayed: Sequence[bytes]) -> Optional[int]:
     """Recompute the chain from replayed encodings; return first bad step or None.
     An independent per-chain oracle for tests; ``verify_artifacts`` does not call it.
@@ -398,25 +462,33 @@ def _state_rows(row_format, columns: list, texts: list):
     return (row_format * len(texts)) % tuple(values)
 
 
+def _step_columns(matrices) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    # Each step's (n, 6) scalar columns and contiguous (n, K) belief quanta: a
+    # StateLog's own arrays, else the columns of each quantize_rows matrix.
+    if isinstance(matrices, StateLog):
+        return zip(matrices.scalars, matrices.beliefs)
+    return ((q[:, _scalar_columns(q.shape[1] - 6)], np.ascontiguousarray(q[:, 2:-4], STATE_DTYPE))
+            for q in matrices)
+
+
 def write_state_log(path, matrices: Sequence[np.ndarray]) -> None:
-    """Write ``quantize_rows`` matrices as JSONL state-log rows, in order,
-    each belief list printed once and reused as the module docstring says,
-    keyed by its quanta's bytes. A step's new lists take one format call, and
-    its rows another, with each row's list text as one value."""
+    """Write a ``StateLog``, or a sequence of ``quantize_rows`` matrices, as
+    JSONL state-log rows, in order, each belief list printed once and reused as
+    the module docstring says, keyed by its quanta's bytes (a StateLog's int32
+    ones: 4K bytes). A step's new lists take one format call, and its rows
+    another, with each row's list text as one value."""
     row_format, prev = _row_format("%s"), {}
     with open(path, "w", encoding="ascii") as f:
-        for q in matrices:
-            n, k = len(q), q.shape[1] - 6
-            segments = np.ascontiguousarray(q[:, 2:k + 2], STATE_DTYPE)
-            # each row's segment as bytes; a zero-width void view would drop the rows
-            keys = segments.view(f"V{8 * k}").ravel().tolist() if k else [b""] * n
+        for scalars, beliefs in _step_columns(matrices):
+            n, k = beliefs.shape
+            # each row's quanta as bytes; a zero-width void view would drop the rows
+            keys = beliefs.view(f"V{beliefs.itemsize * k}").ravel().tolist() if k else [b""] * n
             new = [key for key in dict.fromkeys(keys) if key not in prev]
             text = "\n".join([_belief_format(k)] * len(new)) % tuple(
-                np.frombuffer(b"".join(new), STATE_DTYPE).tolist())
+                np.frombuffer(b"".join(new), beliefs.dtype).tolist())
             prev.update(zip(new, text.split("\n")))
             texts = [prev[key] for key in keys]
-            f.write(_state_rows(row_format, q[:, [0, 1, k + 2, k + 3, k + 4, k + 5]].T.tolist(),
-                                texts))
+            f.write(_state_rows(row_format, scalars.T.tolist(), texts))
             prev = dict(zip(keys, texts))
 
 
@@ -560,7 +632,7 @@ def read_state_log(path, lo: int = 0, hi: Optional[int] = None, k: Optional[int]
                 table = np.concatenate([table, beliefs])
                 known.update(zip(new, range(len(table) - len(new), len(table))))
                 q = np.empty((len(lines), k + 6), STATE_DTYPE)
-                q[:, [0, 1, k + 2, k + 3, k + 4, k + 5]] = scalars
+                q[:, _scalar_columns(k)] = scalars
                 q[:, 2:k + 2] = table[[known[t] for t in texts]]
                 yield q
                 distinct = dict.fromkeys(texts)

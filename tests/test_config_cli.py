@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from episwarm import config, ledger
+from episwarm import config, engine, ledger
 from episwarm.cli import main
 from episwarm.config import (ScenarioConfig, SpaceSection, TaskSection, dump_config,
                              from_dict, load_config, resolve_param, set_param, to_dict)
@@ -579,6 +580,38 @@ class TestBuild:
                        "a run's record\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads the address space mapped from Linux's /proc/self/statm")
+    def test_out_of_memory_exit_one_without_traceback(self, tmp_path):
+        # doubling.yaml at horizon 64 in a child whose address space is capped
+        # at what it has mapped with episwarm imported plus 256 MiB: MemoryError
+        # stops it long before its record nears the 1 GiB cap
+        data = yaml.safe_load((ROOT / "configs" / "doubling.yaml").read_text())
+        data["run"].update(horizon=64, out_dir=str(tmp_path / "out"))
+        start = time.monotonic()
+        proc = run_cli("run", write_cfg(tmp_path, data), timeout=60, script=OUT_OF_MEMORY_SCRIPT)
+        assert time.monotonic() - start < 10.0
+        assert proc.returncode == 1, proc.stderr
+        assert re.fullmatch(r"run error at step \d+: MemoryError(: .*)?\n", proc.stderr), \
+            proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_numpy_memory_error_exit_one(self, tmp_path, monkeypatch, capsys):
+        # numpy's allocation failure is a subclass of MemoryError; 4 EiB is
+        # refused before any page is touched
+        honest = engine.quantize_rows
+
+        def refused(pop, t):
+            if t == 3:
+                np.empty(1 << 62, np.uint8)
+            return honest(pop, t)
+
+        monkeypatch.setattr(engine, "quantize_rows", refused)
+        assert main(["run", _small_run(tmp_path, {})]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run error at step 3: MemoryError: Unable to allocate "), err
+        assert not (tmp_path / "out").exists()
+
     def test_huge_int_in_float_field_runs(self, tmp_path):
         # held as the float 1e30, not as an int numpy would make an object array of
         extra = {"population": {"agents": 6, "dirichlet_alpha": 10 ** 30}}
@@ -711,12 +744,26 @@ def run_artifacts(tmp_path_factory):
     return out
 
 
-def run_cli(*args, timeout=120):
-    """``python -m episwarm.cli *args`` in a child process, as a console user runs it."""
+# ``episwarm *args`` with the address space capped at what the process has
+# mapped once episwarm is imported, plus 256 MiB: the cap binds this child only.
+OUT_OF_MEMORY_SCRIPT = """
+import resource, sys
+from episwarm.cli import main
+with open("/proc/self/statm") as f:
+    limit = int(f.read().split()[0]) * resource.getpagesize() + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_cli(*args, timeout=120, script=None):
+    """``python -m episwarm.cli *args`` in a child process, as a console user
+    runs it, or ``python -c script *args``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "episwarm.cli", *map(str, args)],
+    command = ["-m", "episwarm.cli"] if script is None else ["-c", script]
+    return subprocess.run([sys.executable, *command, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 

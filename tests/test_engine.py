@@ -718,12 +718,14 @@ class TestColumnarState:
             sum(m.population_size for m in res.metrics)
 
 
-def record_arrays(statelog, reports, chains):
-    """Every array a run's record keeps: the state matrices, each commit
-    block's ids and digests, and each ScoreReport's five columns."""
-    return [*statelog, *(a for ids, _, digests in chains.blocks for a in (ids, digests)),
-            *(a for r in reports
-              for a in (r.agent_ids, r.losses, r.fitness, r.log_scores, r.aggregate))]
+def record_arrays(reports, chains, statelog=None):
+    """Every array a run's record keeps: each ScoreReport's five columns, each
+    commit block's ids and digests, and the StateLog's scalar and belief
+    columns."""
+    return [*(a for r in reports
+              for a in (r.agent_ids, r.losses, r.fitness, r.log_scores, r.aggregate)),
+            *(a for ids, _, digests in chains.blocks for a in (ids, digests)),
+            *(() if statelog is None else (*statelog.scalars, *statelog.beliefs))]
 
 
 def mapping_refs(arrays):
@@ -737,7 +739,7 @@ def mapping_refs(arrays):
     return list(refs.values())
 
 
-# A child process that runs a record of about 70 MB (1,000 agents, K = 100, 80
+# A child process that runs a record of about 79 MB (1,000 agents, K = 100, 150
 # steps) and prints its bytes and the resident bytes that freeing it returned.
 FREED_RECORD_SCRIPT = """
 import gc, json, os
@@ -751,8 +753,8 @@ def resident():
 result = simulate(from_dict({
     "space": {"hypotheses": 100}, "outcomes": 100, "population": {"agents": 1000},
     "evolution": {"tau_rep": 1.0, "tau_ext": 0.0, "n_star": 2000},
-    "run": {"horizon": 80, "seed": 5}}))
-record = sum(q.nbytes for q in result.statelog) + sum(
+    "run": {"horizon": 150, "seed": 5}}))
+record = sum(a.nbytes for a in (*result.statelog.scalars, *result.statelog.beliefs)) + sum(
     ids.nbytes + digests.nbytes for ids, _, digests in result.chains.blocks) + sum(
     a.nbytes for r in result.reports
     for a in (r.agent_ids, r.losses, r.fitness, r.log_scores, r.aggregate))
@@ -773,7 +775,7 @@ class TestRecordMappings:
     def test_result_mappings_die_with_the_result(self):
         result = simulate(small_config(**self.CFG))
         assert sum(m.spawns for m in result.metrics) > 0
-        refs = mapping_refs(record_arrays(result.statelog, result.reports, result.chains))
+        refs = mapping_refs(record_arrays(result.reports, result.chains, result.statelog))
         assert all(r() is not None for r in refs)
         del result
         gc.collect()
@@ -782,8 +784,8 @@ class TestRecordMappings:
     def test_stepped_mappings_die_with_the_simulation(self):
         sim = Simulation(small_config(**self.CFG))
         steps = [sim.step(t) for t in range(20)]
-        refs = mapping_refs(record_arrays([q for _, _, q in steps],
-                                          [info.report for _, info, _ in steps], sim.chains))
+        # a step's returned matrix is the caller's own array, outside the arena
+        refs = mapping_refs(record_arrays([info.report for _, info, _ in steps], sim.chains))
         del steps
         gc.collect()
         assert any(r() is not None for r in refs)  # the chains keep their blocks
@@ -795,8 +797,8 @@ class TestRecordMappings:
         result = simulate(small_config(**self.CFG))
         copy = pickle.loads(pickle.dumps(result))
         assert copy.metrics == result.metrics and copy.chains.arena.nbytes == 0
-        for old, new in zip(record_arrays(result.statelog, result.reports, result.chains),
-                            record_arrays(copy.statelog, copy.reports, copy.chains)):
+        for old, new in zip(record_arrays(result.reports, result.chains, result.statelog),
+                            record_arrays(copy.reports, copy.chains, copy.statelog)):
             assert old.dtype == new.dtype and np.array_equal(old, new)
         assert ledger_root(copy.chains) == ledger_root(result.chains)
 
@@ -812,6 +814,62 @@ class TestRecordMappings:
         out = json.loads(proc.stdout)
         assert out["record"] >= 64 << 20
         assert out["freed"] >= out["record"] / 2, out
+
+
+class TestStateLog:
+    """A run's StateLog keeps each step's belief quanta as int32 and gives back
+    the int64 matrix that the step committed."""
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_each_entry_is_the_matrix_its_step_returned(self, mode, tmp_path):
+        cfg = small_config(**{**TestRecordMappings.CFG, "run": {"horizon": 40, "mode": mode}})
+        sim = Simulation(cfg)
+        stepped = [sim.step(t)[2] for t in range(40)]
+        result = simulate(cfg)
+        assert sum(m.spawns for m in result.metrics) > 0
+        assert sum(m.deaths for m in result.metrics) > 0
+        log = result.statelog
+        assert len(log) == len(stepped) == 40
+        for t, q in enumerate(stepped):
+            assert log[t].dtype == np.dtype("<i8") and log[t].shape == q.shape
+            assert log[t].tobytes() == q.tobytes()
+            assert log.beliefs[t].dtype == np.dtype("<i4")
+        write_state_log(tmp_path / "compact.jsonl", log)
+        write_state_log(tmp_path / "matrices.jsonl", stepped)
+        assert (tmp_path / "compact.jsonl").read_bytes() == \
+            (tmp_path / "matrices.jsonl").read_bytes()
+
+    def test_length_iteration_and_slices(self):
+        log = simulate(small_config(run={"horizon": 12})).statelog
+        matrices = list(log)
+        assert len(log) == len(matrices) == 12
+        assert [q[0, 1] for q in matrices] == list(range(12))
+        for part, expected in ((log[3:7], matrices[3:7]), (log[::-5], matrices[::-5]),
+                               (log[20:], [])):
+            assert isinstance(part, list) and len(part) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(part, expected))
+        assert np.array_equal(log[-1], matrices[11])
+        with pytest.raises(IndexError):
+            log[12]
+
+    def test_pickles(self):
+        log = simulate(small_config(**TestRecordMappings.CFG)).statelog
+        copy = pickle.loads(pickle.dumps(log))
+        assert len(copy) == len(log) and copy.arena.nbytes == 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(log, copy))
+
+    def test_refuses_a_quantum_outside_int32(self):
+        log = ledger.StateLog()
+        q = np.array([[7, 0, 2**31 - 1, -2**31, 10, 11, -1, 0]], "<i8")
+        log.append(q)
+        held = log.arena.nbytes
+        for bad in (2**31, -2**31 - 1):
+            wide = q.copy()
+            wide[0, 3] = bad
+            with pytest.raises(ShapeMismatch, match="outside the signed 32-bit range"):
+                log.append(wide)
+        assert len(log) == 1 and log.arena.nbytes == held
+        assert log[0].tobytes() == q.tobytes()
 
 
 class TestAsync:
