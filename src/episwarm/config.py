@@ -284,8 +284,8 @@ def build(cfg: ScenarioConfig):
         raise ConfigError(path, f"needs {name} of {product} 8-byte values, past the "
                                 f"{SETUP_BYTES_MAX}-byte cap on the arrays built before the "
                                 "first step")
-    # The record holds a (population, K + 6) int64 matrix a step, and a ledger
-    # entry per agent and step. Splits never grow the population past n_star,
+    # The record is modelled as (population, K + 6) 8-byte values a step, and a
+    # ledger entry per agent and step. Splits never grow the population past n_star,
     # nor past its founders when they are more; check_record stops an uncapped one.
     h, n_star = cfg.run.horizon, cfg.evolution.n_star
     live = n if n_star is None else max(n, n_star)

@@ -14,12 +14,11 @@ active at the step. Chain heads sit in arrays indexed by agent id
 (``ledger.LedgerColumns``), so a step's commits are one batched hash. The step
 takes each answer from its owner: ``evolve`` names the agents it created, split
 and removed, and the observation is checked once, through its likelihood column.
-A ``Simulation`` owns its record's ``ledger.Arena``: each ScoreReport's columns
-and each commit block are kept there, and so is ``simulate``'s
-``ledger.StateLog``, so the record's pages go back to the OS once the result
-and the simulation are freed. A step quantizes its states into a plain int64
-matrix, which it hashes and returns; the StateLog keeps that matrix's belief
-quanta as int32.
+A ``Simulation`` owns its record: its ``ledger.Arena`` keeps each ScoreReport's
+columns, each commit block and each step's ``ledger.quantize_rows`` pair (int64
+scalar columns, int32 belief quanta), which the step quantizes into the arena,
+hashes there and appends to ``statelog``. The record's pages go back to the OS
+once the result and the simulation are freed.
 
 ``config.run`` alone sets the mode: a run is asynchronous iff ``run.mode`` is
 ``async``, with window bound ``run.async_bound``. Asynchronous mode freezes both
@@ -54,8 +53,8 @@ from .errors import (EpiswarmError, InvariantViolation, PopulationCollapse, Sche
 from .evolution import IdAllocator, Population, evolve, update_decay_markers
 from .inference import information_gain, posterior_rows, strength_update
 # commit and encode_quantized stay bound though unused: bench/tracing.py wraps them here.
-from .ledger import (STRENGTH_MAX, Arena, LedgerColumns, StateLog, _alongside,  # noqa: F401
-                     commit, commit_rows, encode_quantized, grown, quantize_rows)
+from .ledger import (STRENGTH_MAX, Arena, LedgerColumns, _alongside, commit,  # noqa: F401
+                     commit_rows, encode_quantized, grown, quantize_rows)
 from .likelihood import predictive_distribution
 from .rating import rating_step, reward_gradient
 # substream stays bound though unused: bench/tracing.py wraps it here.
@@ -127,15 +126,15 @@ class StepInfo:
 @dataclass
 class RunResult:
     """A run's record, which ``write_artifacts`` turns into files: one ScoreReport
-    per scored step, every completed step's committed states as a
-    ledger.StateLog (``statelog[t]`` is step t's ledger.quantize_rows matrix),
+    per scored step, every completed step's committed states (``statelog[t]``
+    is step t's ledger.quantize_rows pair of scalar columns and belief quanta),
     and every agent's chain as ledger.LedgerColumns."""
 
     config: ScenarioConfig
     metrics: List[MetricsSnapshot]
     reports: List[ScoreReport]
     chains: LedgerColumns
-    statelog: StateLog
+    statelog: List[Tuple[np.ndarray, np.ndarray]]
     population: Population
     collapsed_at: Optional[int] = None
 
@@ -193,6 +192,7 @@ class Simulation:
 
         self.arena = Arena()  # the record: state log, commit blocks, score columns
         self.chains = LedgerColumns(self.arena)
+        self.statelog: List[Tuple[np.ndarray, np.ndarray]] = []  # each step's quantize_rows
         # Async: _steps[:_end] holds each agent's update steps then -1; _cursor[id] is its next.
         self._steps: Optional[np.ndarray] = None
         if config.run.mode == "async":
@@ -235,12 +235,12 @@ class Simulation:
 
     # -- one step --------------------------------------------------------
 
-    def step(self, t: int) -> Tuple[MetricsSnapshot, StepInfo, np.ndarray]:
-        """Advance one step: the metrics snapshot, the bookkeeping (with the
-        ScoreReport, if any agent was scored) and the committed quantize_rows.
-        Steps run in order from 0; a refused step changes nothing. A step that
-        raises past its refusals may have changed the state in part, so it
-        ends the run: every later call is refused."""
+    def step(self, t: int) -> Tuple[MetricsSnapshot, StepInfo]:
+        """Advance one step: the metrics snapshot and the bookkeeping (with the
+        ScoreReport, if any agent was scored); the committed states join
+        ``statelog``. Steps run in order from 0; a refused step changes
+        nothing. A step that raises past its refusals may have changed the
+        state in part, so it ends the run: every later call is refused."""
         if self._failed is not None:
             raise ScheduleViolation(f"step {t} refused: {self._failed}, which ended the run")
         if t != self._next_step:
@@ -260,7 +260,7 @@ class Simulation:
             raise
 
     def _advance(self, t: int, obs, active: np.ndarray,
-                 like: Optional[np.ndarray]) -> Tuple[MetricsSnapshot, StepInfo, np.ndarray]:
+                 like: Optional[np.ndarray]) -> Tuple[MetricsSnapshot, StepInfo]:
         """The part of step ``t`` past its refusals, which changes the state."""
         pop = self.population
         mass_before = pop.rating_mass()
@@ -321,8 +321,9 @@ class Simulation:
             self._schedule(result.born_ids.tolist(), t + 1, {})
 
         # ledger commits for every agent present at the end of the step
-        quantized = quantize_rows(self.population, t)
-        commit_rows(self.chains, quantized, t)
+        scalars, beliefs = quantize_rows(self.population, t, self.arena)
+        commit_rows(self.chains, scalars, beliefs, t)
+        self.statelog.append((scalars, beliefs))
         snapshot = self._snapshot(t, active, result, abs_residue=residue_abs)
         info = StepInfo(report=report, rating_delta_sum=delta_sum,
                         clamp_residue_signed=residue_signed,
@@ -330,7 +331,7 @@ class Simulation:
                         removed_rating_sum=result.removed_rating_sum,
                         mass_before=mass_before, mass_after=snapshot.rating_mass)
         self._next_step += 1
-        return snapshot, info, quantized
+        return snapshot, info
 
     def _snapshot(self, t: int, active: np.ndarray, result, abs_residue: float) -> MetricsSnapshot:
         pop = self.population
@@ -371,7 +372,7 @@ def simulate(config: ScenarioConfig, schedule: Optional[Mapping[int, Sequence[in
     """Run ``horizon`` steps in ``config.run.mode`` (or halt on collapse); no
     files written. ``schedule`` is as for ``Simulation``. A run whose record
     passes ``config.RECORD_BYTES_MAX`` (an uncapped one) stops at that step; the
-    record is modelled with 8 bytes a belief quantum, twice what the StateLog
+    record is modelled with 8 bytes a belief quantum, twice what the state log
     keeps. A package error or MemoryError raised in a step is tagged with it
     (``step``)."""
     if config.run.horizon < 1:
@@ -379,14 +380,13 @@ def simulate(config: ScenarioConfig, schedule: Optional[Mapping[int, Sequence[in
     sim = Simulation(config, schedule=schedule)
     metrics: List[MetricsSnapshot] = []
     reports: List[ScoreReport] = []
-    statelog = StateLog(sim.arena)
     collapsed_at, held = None, 0
     for t in range(config.run.horizon):
         try:
-            snap, info, quantized = sim.step(t)
-            held += quantized.nbytes + LEDGER_ENTRY_BYTES * len(quantized)
-            check_record(held, len(quantized))
-            statelog.append(quantized)
+            snap, info = sim.step(t)
+            n, k = sim.statelog[-1][1].shape
+            held += n * ((k + 6) * 8 + LEDGER_ENTRY_BYTES)
+            check_record(held, n)
         except PopulationCollapse as exc:
             collapsed_at = exc.step
             break
@@ -401,7 +401,7 @@ def simulate(config: ScenarioConfig, schedule: Optional[Mapping[int, Sequence[in
     if not metrics and collapsed_at is not None:
         raise PopulationCollapse(step=collapsed_at)
     return RunResult(config=config, metrics=metrics, reports=reports,
-                     chains=sim.chains, statelog=statelog,
+                     chains=sim.chains, statelog=sim.statelog,
                      population=sim.population, collapsed_at=collapsed_at)
 
 

@@ -5,29 +5,25 @@ signed 8-byte little-endian integers in this order: agent id, step, quantized
 belief entries (K of them), quantized rating, quantized strength, parent id
 (-1 for none), birth step. Quanta: belief 1e-9, rating 1e-6, strength 1e-9.
 
-A step's quantized states are one (N, K+6) little-endian int64 matrix whose
-columns are exactly that order (``quantize_rows``), so an agent's encoding is
-the prefix followed by its row's bytes. Digests are SHA-256. Genesis:
-C_0 = H(enc_0); then C_t = H(enc_t || C_{t-1}).
+A step's quantized states are a pair of arrays (``quantize_rows``), one row
+per agent: the (N, 6) little-endian int64 scalar columns in state-log order
+(agent id, step, rating, strength, parent id, birth step), and the (N, K)
+belief quanta, which lie in [0, 10^9], as int32, so a row takes 48 + 4K bytes.
+Digests are SHA-256. Genesis: C_0 = H(enc_0); then C_t = H(enc_t || C_{t-1}).
 
 ``chain_digests`` is the one batched hash of the chains: it lays a block's
-messages (prefix, row bytes, previous digest) out as one byte matrix and makes
-one hash call a row. Committing (``commit_rows``) and verifying
-(``audit_artifacts``) both go through it. A run's chains are ``LedgerColumns``:
-each commit's ascending agent ids and (n, 32) digests, about 40 bytes an entry,
-plus every agent's head and last step in arrays indexed by agent id; its
-per-agent ``LedgerChain``-like views build their entries only when read. The
-scalar ``encode_quantized``, ``commit`` and ``verify_chain`` are independent
-oracles for the tests. ``ledger_root`` is one digest of a whole ledger.
-
-A run's committed states are a ``StateLog``: each step's six scalar columns as
-int64 and its belief quanta, which lie in [0, 10^9], as int32, so a row takes
-48 + 4K bytes rather than the matrix's 48 + 8K. A step's matrix is built only
-where it is hashed (the step's own ``quantize_rows``) or read (``log[t]``);
-``write_state_log`` prints the compact columns directly.
+messages (prefix, fields in encoding order, previous digest) out as one byte
+matrix and makes one hash call a row. Committing (``commit_rows``) and
+verifying (``audit_artifacts``) both go through it. A run's chains are
+``LedgerColumns``: each commit's ascending agent ids and (n, 32) digests, about
+40 bytes an entry, plus every agent's head and last step in arrays indexed by
+agent id; its per-agent ``LedgerChain``-like views build their entries only
+when read. The scalar ``encode_quantized``, ``commit`` and ``verify_chain`` are
+independent oracles for the tests. ``ledger_root`` is one digest of a whole
+ledger.
 
 A run's record takes its arrays from one ``Arena`` of anonymous memory
-mappings: the commit blocks' ids and digests, the ``StateLog``'s columns and,
+mappings: the commit blocks' ids and digests, each step's quantized pair and,
 in the engine, the score columns. The arena bump-allocates from
 ``ARENA_CHUNK``-byte mappings, a larger array getting a mapping of its own, so
 a freed record returns its pages to the OS whatever state the C heap is in. An
@@ -75,7 +71,7 @@ import os
 import pickle
 import re
 import struct
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -93,19 +89,13 @@ STRENGTH_QUANTUM = 1e-9
 # compounds multiplicatively, so the engine saturates stored strengths here to
 # keep state and audit encoding identical.
 STRENGTH_MAX = 9.2e9
-# One quantized state row: signed 8-byte little-endian integers.
+# An encoded field, and a step's scalar columns: signed 8-byte little-endian integers.
 STATE_DTYPE = np.dtype("<i8")
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
-# A kept step's belief quanta: each is a normalized belief over BELIEF_QUANTUM,
-# in [0, 10^9], so signed 4-byte integers hold them.
+# A step's belief quanta: each is a normalized belief over BELIEF_QUANTUM, in
+# [0, 10^9], so signed 4-byte integers hold them.
 BELIEF_DTYPE = np.dtype("<i4")
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
-
-
-def _scalar_columns(k: int) -> List[int]:
-    # A state row's columns other than its K belief quanta, in encoding order:
-    # agent id, step, rating, strength, parent id, birth step.
-    return [0, 1, k + 2, k + 3, k + 4, k + 5]
 
 
 @dataclass
@@ -124,25 +114,32 @@ def encode_quantized(agent_id: int, step: int, belief_q: Sequence[int], rating_q
                      strength_q: int, parent_id: int, birth_step: int) -> bytes:
     """The canonical bytes of already-quantized integer fields, encoded one at a
     time: an independent replay oracle for tests, since verification hashes
-    matrix rows."""
+    ``chain_digests``' message matrix."""
     ints = [agent_id, step, *belief_q, rating_q, strength_q, parent_id, birth_step]
     return VERSION_PREFIX + struct.pack(f"<{len(ints)}q", *ints)
 
 
-def quantize_rows(pop: Population, step: int) -> np.ndarray:
-    """Quantized state of every agent at one step: an (N, K+6) little-endian
-    int64 matrix, one row per agent in population order, columns in encoding
-    order. Strengths saturate at STRENGTH_MAX."""
-    n, k = pop.belief_matrix.shape
-    q = np.empty((n, k + 6), dtype=STATE_DTYPE)
-    q[:, 0] = pop.ids
-    q[:, 1] = step
-    q[:, 2:k + 2] = np.rint(pop.belief_matrix / BELIEF_QUANTUM)
-    q[:, k + 2] = np.rint(pop.ratings / RATING_QUANTUM)
-    q[:, k + 3] = np.rint(np.minimum(pop.strengths, STRENGTH_MAX) / STRENGTH_QUANTUM)
-    q[:, k + 4] = pop.parent_ids
-    q[:, k + 5] = pop.birth_steps
-    return q
+def quantize_rows(pop: Population, step: int, arena: Arena) -> Tuple[np.ndarray, np.ndarray]:
+    """Quantized state of every agent at one step, one row per agent in
+    population order, in ``arena``: the (N, 6) int64 scalar columns (agent id,
+    step, rating, strength, parent id, birth step) and the (N, K) int32 belief
+    quanta. Strengths saturate at STRENGTH_MAX. A rounded belief quantum
+    outside the int32 range, or NaN, raises ShapeMismatch before anything is
+    taken from the arena."""
+    quanta = pop.belief_matrix / BELIEF_QUANTUM
+    np.rint(quanta, out=quanta)
+    if not ((quanta >= INT32_MIN) & (quanta <= INT32_MAX)).all():
+        raise ShapeMismatch(f"a belief quantum at step {step} is outside the signed 32-bit range")
+    scalars = arena.empty((len(quanta), 6), STATE_DTYPE)
+    beliefs = arena.empty(quanta.shape, BELIEF_DTYPE)
+    scalars[:, 0] = pop.ids
+    scalars[:, 1] = step
+    scalars[:, 2] = np.rint(pop.ratings / RATING_QUANTUM)
+    scalars[:, 3] = np.rint(np.minimum(pop.strengths, STRENGTH_MAX) / STRENGTH_QUANTUM)
+    scalars[:, 4] = pop.parent_ids
+    scalars[:, 5] = pop.birth_steps
+    beliefs[...] = quanta
+    return scalars, beliefs
 
 
 def _digest(encoding: bytes, prev: Optional[bytes]) -> bytes:
@@ -233,21 +230,26 @@ class Arena:
         return Arena, ()
 
 
-def chain_digests(q: np.ndarray, prev: np.ndarray, chained: np.ndarray) -> np.ndarray:
+def chain_digests(scalars: np.ndarray, beliefs: np.ndarray, prev: np.ndarray,
+                  chained: np.ndarray) -> np.ndarray:
     """The (n, 32) uint8 SHA-256 digests of the rows of a ``quantize_rows``
-    matrix as their chains commit them: H(enc || prev[i]) where ``chained[i]``,
-    else the genesis H(enc), with ``prev`` (n, 32) uint8. The messages (prefix,
-    row bytes, previous digest) are one byte matrix; each row takes one hash
-    call, a genesis row's without its last 32 bytes."""
-    width = len(VERSION_PREFIX) + STATE_DTYPE.itemsize * q.shape[1]
-    msg = np.empty((len(q), width + 32), np.uint8)
-    msg[:, :len(VERSION_PREFIX)] = np.frombuffer(VERSION_PREFIX, np.uint8)
-    msg[:, len(VERSION_PREFIX):width] = np.ascontiguousarray(q, STATE_DTYPE).view(np.uint8)
+    pair (beliefs of any integer dtype) as their chains commit them:
+    H(enc || prev[i]) where ``chained[i]``, else the genesis H(enc), with
+    ``prev`` (n, 32) uint8. The messages (prefix, fields in encoding order,
+    previous digest) are one byte matrix, its fields written through one
+    unaligned <i8 view of it; each row takes one hash call, a genesis row's
+    without its last 32 bytes."""
+    n, k = beliefs.shape
+    start, width = len(VERSION_PREFIX), len(VERSION_PREFIX) + STATE_DTYPE.itemsize * (k + 6)
+    msg = np.empty((n, width + 32), np.uint8)
+    msg[:, :start] = np.frombuffer(VERSION_PREFIX, np.uint8)
+    fields = msg[:, start:width].view(STATE_DTYPE)
+    fields[:, :2], fields[:, 2:k + 2], fields[:, k + 2:] = scalars[:, :2], beliefs, scalars[:, 2:]
     msg[:, width:] = prev
     rows, sha256 = msg.view(f"V{width + 32}")[:, 0].tolist(), hashlib.sha256  # one bytes a row
     return np.frombuffer(b"".join([sha256(row if c else row[:width]).digest() for row, c in
                                    zip(rows, np.asarray(chained, dtype=bool).tolist())]),
-                         np.uint8).reshape(len(q), 32)
+                         np.uint8).reshape(n, 32)
 
 
 class ChainView:
@@ -305,13 +307,14 @@ class LedgerColumns(Mapping):
         return int(np.count_nonzero(self.counts))
 
 
-def commit_rows(chains: LedgerColumns, q: np.ndarray, step: int) -> None:
-    """Commit every row of a ``quantize_rows`` matrix to its agent's chain in
+def commit_rows(chains: LedgerColumns, scalars: np.ndarray, beliefs: np.ndarray,
+                step: int) -> None:
+    """Commit every row of a ``quantize_rows`` pair to its agent's chain in
     ``chains`` at ``step`` (a chain starts at an agent's first commit), hashed
     by ``chain_digests``. Each agent id must be >= 0 and appear once, and the
     step must advance past each agent's last commit; otherwise this raises,
     naming the first offending row's agent, before committing any row."""
-    ids = q[:, 0]
+    ids = scalars[:, 0]
     if len(ids) and ids.min() < 0:
         raise ShapeMismatch(f"agent id {ids.min()} is negative")
     size = int(ids.max()) + 1 if len(ids) else 0
@@ -322,60 +325,19 @@ def commit_rows(chains: LedgerColumns, q: np.ndarray, step: int) -> None:
     sorted_ids = ids[order]
     chained = chains.counts[ids] > 0
     stale = chained & (chains.last_steps[ids] >= step)
-    repeat = np.zeros(len(ids), dtype=bool)  # a later row of an agent already in q
+    repeat = np.zeros(len(ids), dtype=bool)  # a later row of an agent already in the block
     repeat[order[1:][sorted_ids[1:] == sorted_ids[:-1]]] = True
     if stale.any() or repeat.any():
         i = int(np.argmax(stale | repeat))
         last = int(chains.last_steps[ids[i]]) if stale[i] else step
         raise NonMonotonicStep(f"step {step} does not advance past {last} for agent {ids[i]}")
-    digests = chain_digests(q, chains.heads[ids], chained)
+    digests = chain_digests(scalars, beliefs, chains.heads[ids], chained)
     chains.first_blocks[ids[~chained]] = len(chains.blocks)
     chains.heads[ids] = digests
     chains.last_steps[ids] = step
     chains.counts[ids] += 1
     keep = chains.arena.copy
     chains.blocks.append((keep(sorted_ids), step, keep(digests[order])))
-
-
-class StateLog(Sequence):
-    """A run's committed states, one entry a step: ``log[t]`` is the
-    ``quantize_rows`` matrix of step t, built when it is read (a slice gives a
-    list of them). Each step is kept as two arrays in ``arena`` (a new one if
-    None): its (n, 6) int64 scalar columns (agent id, step, rating, strength,
-    parent id, birth step) in ``scalars``, and its (n, K) belief quanta as
-    int32 (BELIEF_DTYPE) in ``beliefs``: 448 bytes a row at K = 100, against
-    the matrix's 848."""
-
-    def __init__(self, arena: Optional[Arena] = None) -> None:
-        self.arena = Arena() if arena is None else arena
-        self.scalars: List[np.ndarray] = []
-        self.beliefs: List[np.ndarray] = []
-
-    def append(self, q: np.ndarray) -> None:
-        """Keep a ``quantize_rows`` matrix; if a belief quantum lies outside
-        the int32 range, raise ShapeMismatch and keep nothing."""
-        n, k = len(q), q.shape[1] - 6
-        quanta = q[:, 2:k + 2]
-        if quanta.size and (quanta.min() < INT32_MIN or quanta.max() > INT32_MAX):
-            raise ShapeMismatch(f"a belief quantum at step {q[0, 1]} is outside the "
-                                "signed 32-bit range")
-        scalars, beliefs = self.arena.empty((n, 6), STATE_DTYPE), self.arena.empty((n, k),
-                                                                                   BELIEF_DTYPE)
-        scalars[:, :2], scalars[:, 2:], beliefs[...] = q[:, :2], q[:, k + 2:], quanta
-        self.scalars.append(scalars)
-        self.beliefs.append(beliefs)
-
-    def __len__(self) -> int:
-        return len(self.scalars)
-
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return [self[i] for i in range(*t.indices(len(self)))]
-        scalars, beliefs = self.scalars[t], self.beliefs[t]
-        k = beliefs.shape[1]
-        q = np.empty((len(scalars), k + 6), STATE_DTYPE)
-        q[:, :2], q[:, 2:k + 2], q[:, k + 2:] = scalars[:, :2], beliefs, scalars[:, 2:]
-        return q
 
 
 def verify_chain(chain: LedgerChain, replayed: Sequence[bytes]) -> Optional[int]:
@@ -462,24 +424,15 @@ def _state_rows(row_format, columns: list, texts: list):
     return (row_format * len(texts)) % tuple(values)
 
 
-def _step_columns(matrices) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    # Each step's (n, 6) scalar columns and contiguous (n, K) belief quanta: a
-    # StateLog's own arrays, else the columns of each quantize_rows matrix.
-    if isinstance(matrices, StateLog):
-        return zip(matrices.scalars, matrices.beliefs)
-    return ((q[:, _scalar_columns(q.shape[1] - 6)], np.ascontiguousarray(q[:, 2:-4], STATE_DTYPE))
-            for q in matrices)
-
-
-def write_state_log(path, matrices: Sequence[np.ndarray]) -> None:
-    """Write a ``StateLog``, or a sequence of ``quantize_rows`` matrices, as
-    JSONL state-log rows, in order, each belief list printed once and reused as
-    the module docstring says, keyed by its quanta's bytes (a StateLog's int32
-    ones: 4K bytes). A step's new lists take one format call, and its rows
-    another, with each row's list text as one value."""
+def write_state_log(path, steps: Iterable[Tuple[np.ndarray, np.ndarray]]) -> None:
+    """Write (scalars, beliefs) pairs in ``quantize_rows``' layout (a run's
+    state log, or ``read_state_log``'s blocks) as JSONL state-log rows, in
+    order, each belief list printed once and reused as the module docstring
+    says, keyed by its quanta's bytes. A step's new lists take one format
+    call, and its rows another, with each row's list text as one value."""
     row_format, prev = _row_format("%s"), {}
     with open(path, "w", encoding="ascii") as f:
-        for scalars, beliefs in _step_columns(matrices):
+        for scalars, beliefs in steps:
             n, k = beliefs.shape
             # each row's quanta as bytes; a zero-width void view would drop the rows
             keys = beliefs.view(f"V{beliefs.itemsize * k}").ravel().tolist() if k else [b""] * n
@@ -493,7 +446,7 @@ def write_state_log(path, matrices: Sequence[np.ndarray]) -> None:
 
 
 # The readers take lines in blocks of about this many bytes (a readlines size
-# hint), so verify holds one block of state-log lines and its matrix at a time.
+# hint), so verify holds one block of state-log lines and its arrays at a time.
 # A block's check holds about five times its bytes (the joined text, its
 # printed copy and the Python ints between), hence 128 KB rather than more.
 _BLOCK_BYTES = 1 << 17
@@ -606,9 +559,9 @@ def _belief_count(line: bytes) -> int:
 
 
 def read_state_log(path, lo: int = 0, hi: Optional[int] = None, k: Optional[int] = None,
-                   first: int = 1) -> Iterator[np.ndarray]:
-    """Yield the state log as (B, K+6) little-endian int64 matrices in
-    ``quantize_rows`` column order, one per block of lines: the inverse of
+                   first: int = 1) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield the state log as (scalars, beliefs) pairs in ``quantize_rows``'
+    layout, both little-endian int64, one per block of lines: the inverse of
     ``write_state_log``. Reads the lines from byte ``lo`` to byte ``hi``
     (None: the end of the file), both at line starts. K is ``k``, else it
     comes from the first row read; every non-empty line must be one
@@ -631,10 +584,7 @@ def read_state_log(path, lo: int = 0, hi: Optional[int] = None, k: Optional[int]
                             slice(None), _state_block, k, ())
                 table = np.concatenate([table, beliefs])
                 known.update(zip(new, range(len(table) - len(new), len(table))))
-                q = np.empty((len(lines), k + 6), STATE_DTYPE)
-                q[:, _scalar_columns(k)] = scalars
-                q[:, 2:k + 2] = table[[known[t] for t in texts]]
-                yield q
+                yield scalars, table[[known[t] for t in texts]]
                 distinct = dict.fromkeys(texts)
                 table = table[[known[t] for t in distinct]]
                 known = dict(zip(distinct, range(len(distinct))))
@@ -773,8 +723,8 @@ def audit_artifacts(ledger_path, statelog_path) -> Tuple[List[Tuple[int, int]], 
         # (``unmatched``).
         seen = seen.copy()
         misaligned, bad, unmatched = length.copy(), length.copy(), {}
-        for q in read_state_log(statelog_path, lo, hi, k, first):
-            a = slot(q[:, 0])
+        for scalars, beliefs in read_state_log(statelog_path, lo, hi, k, first):
+            a = slot(scalars[:, 0])
             # n: each row's index among its agent's rows, earlier blocks included
             by_slot = np.argsort(a, kind="stable")
             n = np.empty_like(a)
@@ -782,16 +732,16 @@ def audit_artifacts(ledger_path, statelog_path) -> Tuple[List[Tuple[int, int]], 
             n += seen[a]
             seen += np.bincount(a, minlength=len(slots))
             over = n >= length[a]
-            for agent_id, step in q[over, :2].tolist():
+            for agent_id, step in scalars[over, :2].tolist():
                 unmatched.setdefault(agent_id, step)
             rows, a, n = np.flatnonzero(~over), a[~over], n[~over]
             pos = start[a] + n
-            off = steps[pos] != q[rows, 1]
+            off = steps[pos] != scalars[rows, 1]
             np.minimum.at(misaligned, a[off], n[off])
             # each row chains onto its agent's previous recorded digest, if any
             chained = n > 0
-            wrong = (chain_digests(q[rows], recorded[pos - chained], chained)
-                     != recorded[pos]).any(axis=1)
+            wrong = (chain_digests(scalars[rows], beliefs[rows], recorded[pos - chained],
+                                   chained) != recorded[pos]).any(axis=1)
             np.minimum.at(bad, a[wrong], n[wrong])
         return seen, misaligned, bad, unmatched
 

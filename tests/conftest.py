@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from episwarm.config import from_dict
@@ -26,16 +27,30 @@ def small_config(**overrides):
     return from_dict(base)
 
 
-def statelog_rows(matrices):
-    """Every state-log row of ``quantize_rows`` matrices (a run's ``statelog``)
-    as a plain-int dict, in file order: the JSON rows of ``statelog.jsonl``,
+def state_pair(q):
+    """An (n, K+6) int64 matrix of state rows in encoding order (agent id, step,
+    K belief quanta, rating, strength, parent id, birth step) as the
+    ``quantize_rows`` pair: its (n, 6) scalar columns and (n, K) belief quanta."""
+    k = q.shape[1] - 6
+    return q[:, [0, 1, k + 2, k + 3, k + 4, k + 5]], np.ascontiguousarray(q[:, 2:k + 2])
+
+
+def encoding_rows(scalars, beliefs):
+    """A ``quantize_rows`` pair as the (n, K+6) int64 matrix of its rows in
+    encoding order, the inverse of ``state_pair``: what ``encode_quantized``
+    takes, field by field."""
+    return np.hstack([scalars[:, :2], beliefs, scalars[:, 2:]]).astype("<i8")
+
+
+def statelog_rows(steps):
+    """Every state-log row of ``quantize_rows`` pairs (a run's ``statelog``) as
+    a plain-int dict, in file order: the JSON rows of ``statelog.jsonl``,
     built without the writer."""
     rows = []
-    for q in matrices:
-        k = q.shape[1] - 6
-        rows += [{"agent_id": r[0], "step": r[1], "belief_q": r[2:k + 2], "rating_q": r[k + 2],
-                  "strength_q": r[k + 3], "parent_id": r[k + 4], "birth_step": r[k + 5]}
-                 for r in q.tolist()]
+    for scalars, beliefs in steps:
+        rows += [{"agent_id": s[0], "step": s[1], "belief_q": b, "rating_q": s[2],
+                  "strength_q": s[3], "parent_id": s[4], "birth_step": s[5]}
+                 for s, b in zip(scalars.tolist(), beliefs.tolist())]
     return rows
 
 

@@ -12,8 +12,10 @@ from episwarm import config, engine, ledger
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 # Spans that read 0 on every run: the engine still binds these names for the
-# tracer, but a run calls the batched forms (aggregate_utility, commit_rows,
-# quantize_rows, verify_artifacts' block replay and rng.Draws) instead.
+# tracer, but a run calls the batched forms instead: aggregate_utility,
+# rng.Draws, and chain_digests, which hashes each step's quantize_rows pair of
+# scalar columns and belief quanta through commit_rows and verify_artifacts'
+# block replay.
 DARK_SPANS = {"competition.margin_matrix", "ledger.encode_quantized", "ledger.commit",
               "ledger.verify_chain", "rng.substream"}
 

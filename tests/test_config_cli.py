@@ -366,6 +366,13 @@ class TestCli:
             rows = list(csv.DictReader(f))
         assert [(row["value"], row["status"]) for row in rows] == [("", "ok"), ("128", "ok")]
 
+    def test_sweep_without_values_exit_one(self, tmp_path, capsys):
+        code = main(["sweep", write_cfg(tmp_path, dict(REFERENCE_SMALL)),
+                     "--param", "lambda", "--values", ","])
+        assert code == 1
+        assert capsys.readouterr().err == ("config error: --values must list at least one "
+                                           "value\n")
+
     def test_sweep_unknown_param_exit_one(self, tmp_path):
         code = main(["sweep", write_cfg(tmp_path, dict(REFERENCE_SMALL)),
                      "--param", "warp_factor", "--values", "1,2"])
@@ -601,10 +608,10 @@ class TestBuild:
         # refused before any page is touched
         honest = engine.quantize_rows
 
-        def refused(pop, t):
+        def refused(pop, t, arena):
             if t == 3:
                 np.empty(1 << 62, np.uint8)
-            return honest(pop, t)
+            return honest(pop, t, arena)
 
         monkeypatch.setattr(engine, "quantize_rows", refused)
         assert main(["run", _small_run(tmp_path, {})]) == 1

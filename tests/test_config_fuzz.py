@@ -138,7 +138,7 @@ def test_draw_is_refused_at_a_field_or_runs(data):
     try:
         sim = Simulation(cfg)
         for t in range(min(STEPS, cfg.run.horizon)):
-            snap, info, _ = sim.step(t)
+            snap, info = sim.step(t)
             assert_finite(snap, info.report)
     except EpiswarmError:
         pass

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import json_lines, small_config, statelog_rows
+from conftest import encoding_rows, json_lines, small_config, statelog_rows
 from episwarm import competition, engine, ledger
 from episwarm.competition import MarginMatrix, margin_entries
 from episwarm.config import from_dict, load_config, set_param
@@ -24,10 +24,12 @@ from episwarm.engine import (SWEEP_OBSERVABLES, Simulation, default_schedule, ru
                              sweep, write_artifacts)
 from episwarm.errors import (ConfigError, IncompatibleObservation, InvariantViolation,
                              PopulationCollapse, ScheduleViolation, ShapeMismatch)
+from episwarm.evolution import Population
 from episwarm.ledger import (VERSION_PREFIX, audit_artifacts, encode_quantized, ledger_root,
                              verify_artifacts, write_state_log)
 from episwarm.likelihood import Observation
 from episwarm.rng import DOMAIN_RATING, Draws, substream
+from episwarm.spaces import HypothesisSpace
 
 
 class TestDeterminism:
@@ -272,7 +274,7 @@ class TestEngineMatchesModuleOps:
             obs = probe.model.emit(cfg.task.true_hypothesis, probe.draws.task, t)
             y = obs.truth_label
 
-            snap, info, rows = sim.step(t)
+            snap, info = sim.step(t)
             report = info.report
 
             # scores: predictive mixture, expected loss, log score, margins
@@ -683,7 +685,7 @@ class TestColumnarState:
     def test_matrix_rows_encode_like_field_encoder(self, k100_async_run):
         res = k100_async_run
         rows = statelog_rows(res.statelog)
-        flat = [r for q in res.statelog for r in q]
+        flat = [r for pair in res.statelog for r in encoding_rows(*pair)]
         assert len(flat) == len(rows) == sum(m.population_size for m in res.metrics)
         for r, row in zip(flat, rows):
             assert VERSION_PREFIX + r.tobytes() == encode_quantized(**row)
@@ -718,14 +720,14 @@ class TestColumnarState:
             sum(m.population_size for m in res.metrics)
 
 
-def record_arrays(reports, chains, statelog=None):
+def record_arrays(reports, chains, statelog):
     """Every array a run's record keeps: each ScoreReport's five columns, each
-    commit block's ids and digests, and the StateLog's scalar and belief
-    columns."""
+    commit block's ids and digests, and each step's scalar columns and belief
+    quanta."""
     return [*(a for r in reports
               for a in (r.agent_ids, r.losses, r.fitness, r.log_scores, r.aggregate)),
             *(a for ids, _, digests in chains.blocks for a in (ids, digests)),
-            *(() if statelog is None else (*statelog.scalars, *statelog.beliefs))]
+            *(a for pair in statelog for a in pair)]
 
 
 def mapping_refs(arrays):
@@ -754,7 +756,7 @@ result = simulate(from_dict({
     "space": {"hypotheses": 100}, "outcomes": 100, "population": {"agents": 1000},
     "evolution": {"tau_rep": 1.0, "tau_ext": 0.0, "n_star": 2000},
     "run": {"horizon": 150, "seed": 5}}))
-record = sum(a.nbytes for a in (*result.statelog.scalars, *result.statelog.beliefs)) + sum(
+record = sum(a.nbytes for pair in result.statelog for a in pair) + sum(
     ids.nbytes + digests.nbytes for ids, _, digests in result.chains.blocks) + sum(
     a.nbytes for r in result.reports
     for a in (r.agent_ids, r.losses, r.fitness, r.log_scores, r.aggregate))
@@ -784,11 +786,11 @@ class TestRecordMappings:
     def test_stepped_mappings_die_with_the_simulation(self):
         sim = Simulation(small_config(**self.CFG))
         steps = [sim.step(t) for t in range(20)]
-        # a step's returned matrix is the caller's own array, outside the arena
-        refs = mapping_refs(record_arrays([info.report for _, info, _ in steps], sim.chains))
+        refs = mapping_refs(record_arrays([info.report for _, info in steps], sim.chains,
+                                          sim.statelog))
         del steps
         gc.collect()
-        assert any(r() is not None for r in refs)  # the chains keep their blocks
+        assert any(r() is not None for r in refs)  # the chains and the state log keep theirs
         del sim
         gc.collect()
         assert all(r() is None for r in refs)
@@ -817,59 +819,70 @@ class TestRecordMappings:
 
 
 class TestStateLog:
-    """A run's StateLog keeps each step's belief quanta as int32 and gives back
-    the int64 matrix that the step committed."""
+    """A run's state log is its Simulation's: one ``quantize_rows`` pair a
+    step, int64 scalar columns and int32 belief quanta, kept in the arena."""
 
     @pytest.mark.parametrize("mode", ["sync", "async"])
-    def test_each_entry_is_the_matrix_its_step_returned(self, mode, tmp_path):
+    def test_each_entry_is_the_pair_its_step_kept(self, mode, tmp_path):
         cfg = small_config(**{**TestRecordMappings.CFG, "run": {"horizon": 40, "mode": mode}})
         sim = Simulation(cfg)
-        stepped = [sim.step(t)[2] for t in range(40)]
+        for t in range(40):
+            sim.step(t)
+        stepped = sim.statelog
         result = simulate(cfg)
         assert sum(m.spawns for m in result.metrics) > 0
         assert sum(m.deaths for m in result.metrics) > 0
         log = result.statelog
         assert len(log) == len(stepped) == 40
-        for t, q in enumerate(stepped):
-            assert log[t].dtype == np.dtype("<i8") and log[t].shape == q.shape
-            assert log[t].tobytes() == q.tobytes()
-            assert log.beliefs[t].dtype == np.dtype("<i4")
-        write_state_log(tmp_path / "compact.jsonl", log)
-        write_state_log(tmp_path / "matrices.jsonl", stepped)
-        assert (tmp_path / "compact.jsonl").read_bytes() == \
-            (tmp_path / "matrices.jsonl").read_bytes()
+        for (scalars, beliefs), (s, b) in zip(log, stepped):
+            assert scalars.dtype == np.dtype("<i8") and scalars.shape == s.shape
+            assert beliefs.dtype == np.dtype("<i4") and beliefs.shape == b.shape
+            assert scalars.tobytes() == s.tobytes() and beliefs.tobytes() == b.tobytes()
+        write_state_log(tmp_path / "run.jsonl", log)
+        write_state_log(tmp_path / "stepped.jsonl", stepped)
+        assert (tmp_path / "run.jsonl").read_bytes() == (tmp_path / "stepped.jsonl").read_bytes()
 
-    def test_length_iteration_and_slices(self):
-        log = simulate(small_config(run={"horizon": 12})).statelog
-        matrices = list(log)
-        assert len(log) == len(matrices) == 12
-        assert [q[0, 1] for q in matrices] == list(range(12))
-        for part, expected in ((log[3:7], matrices[3:7]), (log[::-5], matrices[::-5]),
-                               (log[20:], [])):
-            assert isinstance(part, list) and len(part) == len(expected)
-            assert all(np.array_equal(a, b) for a, b in zip(part, expected))
-        assert np.array_equal(log[-1], matrices[11])
-        with pytest.raises(IndexError):
-            log[12]
+    def test_one_pair_a_step(self):
+        result = simulate(small_config(run={"horizon": 12}))
+        log = result.statelog
+        assert isinstance(log, list) and len(log) == 12
+        for t, ((scalars, beliefs), m) in enumerate(zip(log, result.metrics)):
+            assert scalars.shape == (m.population_size, 6)
+            assert beliefs.shape == (m.population_size, 5)
+            assert scalars[:, 1].tolist() == [t] * m.population_size
 
     def test_pickles(self):
         log = simulate(small_config(**TestRecordMappings.CFG)).statelog
         copy = pickle.loads(pickle.dumps(log))
-        assert len(copy) == len(log) and copy.arena.nbytes == 0
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(log, copy))
+        assert len(copy) == len(log)
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                   for pair, copied in zip(log, copy) for a, b in zip(pair, copied))
 
     def test_refuses_a_quantum_outside_int32(self):
-        log = ledger.StateLog()
-        q = np.array([[7, 0, 2**31 - 1, -2**31, 10, 11, -1, 0]], "<i8")
-        log.append(q)
-        held = log.arena.nbytes
-        for bad in (2**31, -2**31 - 1):
-            wide = q.copy()
-            wide[0, 3] = bad
-            with pytest.raises(ShapeMismatch, match="outside the signed 32-bit range"):
-                log.append(wide)
-        assert len(log) == 1 and log.arena.nbytes == held
-        assert log[0].tobytes() == q.tobytes()
+        pop = Population.create(HypothesisSpace.indexed(2), np.array([[0.5, 0.5]]), r0=0.5,
+                                ids=np.array([7]))
+        arena = ledger.Arena()
+        pop.belief_matrix[0] = (2**31 - 1) * 1e-9, -2**31 * 1e-9
+        _, beliefs = ledger.quantize_rows(pop, 4, arena)
+        assert beliefs.tolist() == [[2**31 - 1, -2**31]]
+        held = arena.nbytes
+        for bad in (2**31, -2**31 - 1, math.nan):
+            pop.belief_matrix[0, 1] = bad * 1e-9
+            with pytest.raises(ShapeMismatch,
+                               match="^a belief quantum at step 4 is outside the signed 32-bit"):
+                ledger.quantize_rows(pop, 4, arena)
+        assert arena.nbytes == held
+
+    def test_refused_quanta_commit_nothing(self, monkeypatch):
+        # a quantum of 1e-11 puts every belief above 0.022 past the int32 range
+        monkeypatch.setattr(ledger, "BELIEF_QUANTUM", 1e-11)
+        sim = Simulation(small_config())
+        with pytest.raises(ShapeMismatch, match="^a belief quantum at step 0 is outside"):
+            sim.step(0)
+        assert len(sim.chains) == 0 and sim.statelog == []
+        with pytest.raises(ShapeMismatch) as info:
+            simulate(small_config())
+        assert info.value.step == 0
 
 
 class TestAsync:
@@ -965,6 +978,14 @@ class TestAsync:
         for name in ("metrics.jsonl", "scores.jsonl", "ledger.tsv", "statelog.jsonl"):
             assert (tmp_path / "run" / name).read_bytes() == \
                 (tmp_path / "run_async" / name).read_bytes()
+
+
+class TestWeightedBelief:
+    def test_zero_rating_mass_gives_the_plain_mean(self):
+        result = simulate(small_config(run={"horizon": 3}))
+        result.population.ratings[:] = 0.0
+        assert np.array_equal(result.weighted_belief(),
+                              result.population.belief_matrix.mean(axis=0))
 
 
 class TestSweep:

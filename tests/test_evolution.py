@@ -139,6 +139,10 @@ class TestMutatePrior:
         with pytest.raises(ShapeMismatch):
             build_smoothing_matrix(SP2, 0.5)
 
+    def test_zero_scale_smoothing_is_the_identity(self):
+        # needs no embedding: at sigma_mut = 0 nothing is smoothed
+        assert np.array_equal(build_smoothing_matrix(HypothesisSpace.indexed(3), 0.0), np.eye(3))
+
 
 class TestReproduce:
     """A split parent is replaced by two children built by ``evolve``."""

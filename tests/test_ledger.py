@@ -1,22 +1,25 @@
+import gc
 import hashlib
 import json
+import mmap
 import os
 import random
 import re
 import struct
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import json_lines, small_config, statelog_rows
+from conftest import encoding_rows, json_lines, small_config, state_pair, statelog_rows
 from episwarm import ledger
 from episwarm.engine import default_schedule, simulate
 from episwarm.errors import LengthMismatch, NonMonotonicStep, ShapeMismatch
 from episwarm.evolution import Population
-from episwarm.ledger import (INT64_MAX, INT64_MIN, STRENGTH_MAX, LedgerChain, LedgerColumns,
-                             audit_artifacts, chain_digests, commit, commit_rows,
+from episwarm.ledger import (INT64_MAX, INT64_MIN, STRENGTH_MAX, Arena, LedgerChain,
+                             LedgerColumns, audit_artifacts, chain_digests, commit, commit_rows,
                              encode_quantized, quantize_rows, read_state_log, verify_chain,
                              verify_artifacts, write_ledger, write_state_log)
 from episwarm.spaces import HypothesisSpace
@@ -35,7 +38,7 @@ def agent(aid=0, rating=0.5, strength=1.0, probs=(0.25, 0.75), parent=-1, birth=
 def encode_state(pop, step):
     """Encoding of the first agent at ``step``: its quantized row packed field by
     field, as verification replays it."""
-    r = quantize_rows(pop, step)[0].tolist()
+    r = encoding_rows(*quantize_rows(pop, step, Arena()))[0].tolist()
     k = len(r) - 6
     return encode_quantized(r[0], r[1], r[2:k + 2], *r[k + 2:])
 
@@ -61,9 +64,9 @@ class TestEncoding:
         assert len(enc) == 2 + 8 * 8
 
     def test_parent_none_encoded_as_minus_one(self):
-        q = quantize_rows(agent(), 0)[0]
+        q = quantize_rows(agent(), 0, Arena())[0][0]
         assert q[-2] == -1
-        q2 = quantize_rows(agent(parent=7), 0)[0]
+        q2 = quantize_rows(agent(parent=7), 0, Arena())[0][0]
         assert q2[-2] == 7
 
     def test_population_rows(self):
@@ -71,14 +74,14 @@ class TestEncoding:
                                 ids=np.array([4, 9]), birth_step=2)
         pop.ratings[1] = 0.1234567
         pop.strengths[1] = 1e12  # beyond the encodable range: saturates
-        q = quantize_rows(pop, 3)
-        # columns in encoding order: id, step, K belief quanta, rating, strength,
-        # parent id, birth step
-        assert q.tolist() == [
-            [4, 3, 250_000_000, 750_000_000, 500_000, 1_000_000_000, -1, 2],
-            [9, 3, 1_000_000_000, 0, 123_457, round(STRENGTH_MAX / 1e-9), -1, 2],
+        scalars, beliefs = quantize_rows(pop, 3, Arena())
+        # scalar columns: id, step, rating, strength, parent id, birth step
+        assert scalars.tolist() == [
+            [4, 3, 500_000, 1_000_000_000, -1, 2],
+            [9, 3, 123_457, round(STRENGTH_MAX / 1e-9), -1, 2],
         ]
-        assert q.dtype == np.dtype("<i8")
+        assert beliefs.tolist() == [[250_000_000, 750_000_000], [1_000_000_000, 0]]
+        assert scalars.dtype == np.dtype("<i8") and beliefs.dtype == np.dtype("<i4")
 
     def test_injectivity_fuzz(self):
         # 1e5 distinct random quantized states: no encoding or digest collisions
@@ -131,34 +134,37 @@ class TestCommit:
 
     def test_commit_rows_repeated_step_rejected(self):
         chains = LedgerColumns()
-        q = quantize_rows(agent(), 5)
-        commit_rows(chains, q, 5)
+        q = quantize_rows(agent(), 5, Arena())
+        commit_rows(chains, *q, 5)
         with pytest.raises(NonMonotonicStep):
-            commit_rows(chains, q, 5)
+            commit_rows(chains, *q, 5)
         with pytest.raises(NonMonotonicStep):
-            commit_rows(chains, quantize_rows(agent(), 4), 4)
+            commit_rows(chains, *quantize_rows(agent(), 4, Arena()), 4)
         assert [step for step, _ in chains[0].entries] == [5]
 
 
     def test_failed_commit_commits_nothing(self):
+        def agents(step, *ids):  # one quantize_rows pair holding agent(aid=a) for each id
+            return tuple(np.concatenate(columns) for columns in
+                         zip(*(quantize_rows(agent(aid=a), step, Arena()) for a in ids)))
+
         chains = LedgerColumns()
-        both = np.concatenate([quantize_rows(agent(aid=0), 2), quantize_rows(agent(aid=1), 2)])
-        commit_rows(chains, both, 2)
-        commit_rows(chains, quantize_rows(agent(aid=1), 3), 3)
+        both = agents(2, 0, 1)
+        commit_rows(chains, *both, 2)
+        commit_rows(chains, *agents(3, 1), 3)
         before = chains[0].entries, chains[0].head
-        both[:, 1] = 3
+        both[0][:, 1] = 3
         # the second agent's step 3 repeats: the first agent's row must not commit
         with pytest.raises(NonMonotonicStep, match="past 3 for agent 1"):
-            commit_rows(chains, both, 3)
+            commit_rows(chains, *both, 3)
         assert (chains[0].entries, chains[0].head) == before
         assert [step for step, _ in chains[1].entries] == [2, 3]
         # an agent twice in one block, even at a step past its last commit
         with pytest.raises(NonMonotonicStep, match="past 4 for agent 0"):
-            commit_rows(chains, quantize_rows(agent(aid=0), 4)[[0, 0]], 4)
+            commit_rows(chains, *agents(4, 0, 0), 4)
         # agent ids index the heads array: a negative one is refused
         with pytest.raises(ShapeMismatch, match="negative"):
-            commit_rows(chains, np.concatenate([quantize_rows(agent(aid=0), 4),
-                                                quantize_rows(agent(aid=-3), 4)]), 4)
+            commit_rows(chains, *agents(4, 0, -3), 4)
         assert (chains[0].entries, chains[0].head) == before
 
 
@@ -168,6 +174,7 @@ class TestChainDigests:
 
     @staticmethod
     def oracle(q, prev, chained):
+        # q: the rows in encoding order
         out = []
         for row, p, c in zip(q.tolist(), prev, chained):
             k = len(row) - 6
@@ -188,25 +195,28 @@ class TestChainDigests:
         prev = rng.integers(0, 256, size=(n, 32), dtype=np.uint8)
         chained = rng.random(n) < 0.5
         chained[:2] = True, False
-        digests = chain_digests(q, prev, chained)
+        digests = chain_digests(*state_pair(q), prev, chained)
         assert digests.shape == (n, 32) and digests.dtype == np.uint8
         assert [d.tobytes() for d in digests] == self.oracle(q, prev, chained)
 
     def test_non_contiguous_input(self):
         rng = np.random.default_rng(7)
         wide = rng.integers(-10 ** 12, 10 ** 12, size=(40, 2 * 16))
-        q = wide[::-2, ::2]  # neither row- nor column-contiguous
-        assert not q.flags.c_contiguous and not q.flags.f_contiguous
+        q = wide[::-2, ::2]
+        scalars, beliefs = q[:, :6], q[:, 6:]  # neither row- nor column-contiguous
+        assert not any(a.flags.c_contiguous or a.flags.f_contiguous for a in (scalars, beliefs))
         prev = rng.integers(0, 256, size=(40, 32), dtype=np.uint8)[::2]
         chained = np.arange(20) % 3 > 0
-        expected = self.oracle(np.ascontiguousarray(q), np.ascontiguousarray(prev), chained)
-        assert [d.tobytes() for d in chain_digests(q, prev, chained)] == expected
-        assert [d.tobytes() for d in chain_digests(np.asfortranarray(q), prev,
+        expected = self.oracle(encoding_rows(scalars, beliefs), np.ascontiguousarray(prev),
+                               chained)
+        assert [d.tobytes() for d in chain_digests(scalars, beliefs, prev, chained)] == expected
+        assert [d.tobytes() for d in chain_digests(np.asfortranarray(scalars),
+                                                   np.asfortranarray(beliefs), prev,
                                                    chained.tolist())] == expected
 
     def test_empty_block(self):
-        digests = chain_digests(np.empty((0, 16), "<i8"), np.empty((0, 32), np.uint8),
-                                np.empty(0, dtype=bool))
+        digests = chain_digests(np.empty((0, 6), "<i8"), np.empty((0, 10), "<i4"),
+                                np.empty((0, 32), np.uint8), np.empty(0, dtype=bool))
         assert digests.shape == (0, 32) and digests.dtype == np.uint8
 
 
@@ -216,7 +226,7 @@ class TestLedgerColumns:
         for t in range(steps):
             q = rng.integers(0, 10 ** 9, size=(agents, k + 6))
             q[:, 0], q[:, 1] = np.arange(agents), t
-            commit_rows(chains, q, t)
+            commit_rows(chains, *state_pair(q), t)
         return chains
 
     def test_mapping_reads_the_columns(self):
@@ -224,7 +234,7 @@ class TestLedgerColumns:
         for t, ids in enumerate(([4, 1], [1, 4, 9], [9], [2, 9])):
             q = np.zeros((len(ids), 8), "<i8")
             q[:, 0], q[:, 1], q[:, 2] = ids, t, np.arange(len(ids)) + 10 * t
-            commit_rows(chains, q, t)
+            commit_rows(chains, *state_pair(q), t)
         assert list(chains) == [1, 2, 4, 9] and len(chains) == 4
         assert [[s for s, _ in chains[a].entries] for a in chains] == \
             [[0, 1], [3], [0, 1], [1, 2, 3]]
@@ -303,6 +313,46 @@ class TestLedgerColumns:
         assert (tmp_path / "ledger.tsv").stat().st_size > 7 * 10 ** 6
         assert peak <= 400 * ledger._WRITE_ENTRIES + 400 * 100, peak
 
+    def test_writer_skips_an_id_range_without_entries(self, tmp_path):
+        # Committed one at a time, agents 0, 1 and 2 grow the id-indexed
+        # arrays to 1, 2 and then 4 ids (grown doubles), so id 3 has none.
+        # Agent 2's 5,000 entries end the first ~_WRITE_ENTRIES range at
+        # id 2, and the last range holds id 3 alone, with nothing to write.
+        chains, steps = LedgerColumns(), []
+        for a, t in [(0, 0), (1, 0), *((2, t) for t in range(5000))]:
+            pair = state_pair(np.array([[a, t, 7, 5, 1, -1, 0]], "<i8"))
+            commit_rows(chains, *pair, t)
+            steps.append(pair)
+        assert chains.counts.tolist() == [1, 1, 5000, 0]
+        ends = np.cumsum(chains.counts)
+        assert ends.searchsorted(ledger._WRITE_ENTRIES) + 1 == 3  # cuts [0, 3, 4]
+        write_ledger(tmp_path / "ledger.tsv", chains)
+        ids, ledger_steps, _ = ledger.read_ledger(tmp_path / "ledger.tsv")
+        assert ids.tolist() == [0, 1] + [2] * 5000
+        assert ledger_steps.tolist() == [0, 0, *range(5000)]
+        write_state_log(tmp_path / "statelog.jsonl", steps)
+        assert verify_artifacts(tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl") == []
+
+
+class TestArena:
+    def test_array_past_a_chunk_gets_a_mapping_of_its_own(self):
+        arena = Arena()
+        shared = arena.empty((3,), np.int64)
+        chunk, used, held = arena._chunk, arena._used, arena.nbytes
+        size = ledger.ARENA_CHUNK + 24
+        big = arena.empty((size // 8,), np.int64)
+        big[...] = 1
+        mapping = big.base
+        assert isinstance(mapping, mmap.mmap) and mapping is not chunk and len(mapping) == size
+        assert arena._chunk is chunk and arena._used == used
+        padded = -(-size // ledger.ARENA_ALIGN) * ledger.ARENA_ALIGN
+        assert arena.nbytes == held + padded == held + ledger.ARENA_CHUNK + 64
+        ref = weakref.ref(mapping)
+        del big, mapping
+        gc.collect()
+        assert ref() is None
+        assert shared.base is chunk
+
 
 def state_rows(step, rows):
     """A quantize_rows-shaped matrix of ``rows`` (agent id, belief segment,
@@ -327,17 +377,19 @@ class TestStateLogWriter:
     every row."""
 
     def check(self, matrices, tmp_path):
+        # matrices: each step's rows in encoding order, or a run's state log
+        steps = [state_pair(q) if isinstance(q, np.ndarray) else q for q in matrices]
         path = tmp_path / "statelog.jsonl"
-        write_state_log(path, matrices)
-        assert path.read_bytes() == json_lines(statelog_rows(matrices))
+        write_state_log(path, steps)
+        assert path.read_bytes() == json_lines(statelog_rows(steps))
 
     def test_async_run_reuses_frozen_rows(self, tmp_path):
         cfg = small_config(space={"hypotheses": 20}, outcomes=20,
                            run={"horizon": 60, "mode": "async", "async_bound": 4})
         matrices = simulate(cfg).statelog
         reused, before = 0, set()
-        for q in matrices:
-            segments = set(map(tuple, q[:, 2:-4].tolist()))
+        for _, beliefs in matrices:
+            segments = set(map(tuple, beliefs.tolist()))
             reused, before = reused + len(segments & before), segments
         assert reused > len(matrices)  # frozen rows repeat the step before's segments
         self.check(matrices, tmp_path)
@@ -389,7 +441,7 @@ class TestStateLogWriter:
         # outlived the step after theirs would hold 500 steps of them (about
         # 2.7 MB) instead of 50 (270 KB); a step's own text is about 4 KB.
         rng = np.random.default_rng(0)
-        matrices = [rng.integers(0, 10 ** 9, size=(10, 26)) for _ in range(500)]
+        matrices = [state_pair(rng.integers(0, 10 ** 9, size=(10, 26))) for _ in range(500)]
         write_state_log(tmp_path / "statelog.jsonl", matrices[:2])  # lazy set-up first
 
         def peak(steps):
@@ -445,8 +497,8 @@ class TestArtifacts:
         for aid in (0, 1):
             for t in range(steps):
                 a = agent(aid=aid, rating=0.4 + 0.1 * aid + 0.001 * t)
-                commit_rows(chains, quantize_rows(a, t), t)
-                matrices.append(quantize_rows(a, t))
+                commit_rows(chains, *quantize_rows(a, t, Arena()), t)
+                matrices.append(quantize_rows(a, t, Arena()))
         ledger_path = tmp_path / "ledger.tsv"
         statelog_path = tmp_path / "statelog.jsonl"
         write_ledger(ledger_path, chains)
@@ -507,8 +559,8 @@ class TestGoldenDigests:
         chains = LedgerColumns()
         a1 = agent(aid=7, rating=0.125, strength=2.0, probs=(0.25, 0.75), parent=3, birth=2)
         a2 = agent(aid=7, rating=0.25, strength=2.5, probs=(0.1, 0.9), parent=3, birth=2)
-        commit_rows(chains, quantize_rows(a1, 2), 2)
-        commit_rows(chains, quantize_rows(a2, 3), 3)
+        commit_rows(chains, *quantize_rows(a1, 2, Arena()), 2)
+        commit_rows(chains, *quantize_rows(a2, 3, Arena()), 3)
         assert [d.hex() for _, d in chains[7].entries] == [GOLDEN_0, GOLDEN_1]
 
 
@@ -666,18 +718,22 @@ class TestStreamingVerify:
         matrices[0][0, 2:4] = INT64_MAX, INT64_MIN
         matrices[1][:, 4:6] = 0, -1
         path = tmp_path / "statelog.jsonl"
-        write_state_log(path, matrices)
+        write_state_log(path, map(state_pair, matrices))
         blocks = list(read_state_log(path))
-        assert all(b.dtype == np.dtype("<i8") and b.shape[1] == 9 for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), np.concatenate(matrices))
+        assert all(s.dtype == b.dtype == np.dtype("<i8") and s.shape[1] == 6 and b.shape[1] == 3
+                   for s, b in blocks)
+        assert np.array_equal(np.concatenate([encoding_rows(*b) for b in blocks]),
+                              np.concatenate(matrices))
+        write_state_log(tmp_path / "again.jsonl", read_state_log(path))  # blocks in, same bytes
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
     def test_int64_extremes_verify_clean(self, tmp_path):
         q = np.array([[3, 0, INT64_MAX, INT64_MIN, INT64_MIN, INT64_MAX, -1, 0],
                       [4, 0, 0, 1, INT64_MAX, 5, 3, 0]], dtype="<i8")
         chains = LedgerColumns()
-        commit_rows(chains, q, 0)
+        commit_rows(chains, *state_pair(q), 0)
         write_ledger(tmp_path / "ledger.tsv", chains)
-        write_state_log(tmp_path / "statelog.jsonl", [q])
+        write_state_log(tmp_path / "statelog.jsonl", [state_pair(q)])
         assert verify_artifacts(tmp_path / "ledger.tsv", tmp_path / "statelog.jsonl") == []
 
     def test_verify_memory_below_state_log_size(self, tmp_path):
@@ -687,8 +743,8 @@ class TestStreamingVerify:
         for t in range(steps):
             q = rng.integers(10 ** 9, 10 ** 10, size=(n, k + 6))
             q[:, 0], q[:, 1] = np.arange(n), t
-            commit_rows(chains, q, t)
-            matrices.append(q)
+            commit_rows(chains, *state_pair(q), t)
+            matrices.append(state_pair(q))
         write_ledger(tmp_path / "ledger.tsv", chains)
         write_state_log(tmp_path / "statelog.jsonl", matrices)
         del chains, matrices

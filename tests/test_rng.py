@@ -189,7 +189,7 @@ class TestAsyncCursor:
                 if aid not in sets:
                     sets[aid] = frozenset(generated(cfg.run.seed, aid, birth + 1, horizon, bound))
             expected = [aid for aid in pop.ids.tolist() if t in sets[aid]]
-            snap, info, _ = sim.step(t)
+            snap, info = sim.step(t)
             assert (info.report.agent_ids.tolist() if info.report else []) == expected, t
             assert snap.active_count == len(expected)
             spawns += snap.spawns
@@ -285,7 +285,7 @@ class TestDrawsReplay:
         built = [(domain, key) for _, domain, keys in derivations for key in keys]
         assert len(built) == len(set(built))
         by_domain = {d: [k for dom, k in built if dom == d] for d in range(1, 6)}
-        ids = {aid for q in res.statelog for aid in q[:, 0].tolist()}
+        ids = {aid for scalars, _ in res.statelog for aid in scalars[:, 0].tolist()}
         children = sorted(aid for aid in ids if aid >= cfg.population.agents)
         assert by_domain[DOMAIN_TASK] == [()]
         assert by_domain[DOMAIN_PRIOR] == [(i,) for i in range(cfg.population.agents)]
